@@ -24,7 +24,6 @@ from .algebra import (
     PrimeIdeal,
     QuadraticRing,
     ResidueFieldMap,
-    build_crt_map,
     factor_rational_prime,
     kronecker_at_prime,
     make_quadratic_ring,
@@ -32,7 +31,6 @@ from .algebra import (
 )
 from .cfsim import (
     BestCoefficients,
-    ChannelRealization,
     SimConfig,
     SourceState,
     TrialRecord,
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BestCoefficients",
     "ChainRing",
-    "ChannelRealization",
     "CrtMap",
     "GaloisField",
     "LatticeDescriptor",
@@ -88,7 +85,6 @@ __all__ = [
     "SourceState",
     "TrialRecord",
     "best_coefficients",
-    "build_crt_map",
     "build_nested_chain",
     "computation_rate",
     "construction_a",

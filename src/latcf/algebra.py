@@ -356,16 +356,6 @@ class CrtMap:
         return f"CrtMap(moduli={self.moduli})"
 
 
-def build_crt_map(moduli) -> CrtMap:
-    """CRT map for an ordered list of pairwise-coprime prime powers."""
-    return CrtMap(moduli)
-
-
-def decompose_integer(a: int, crt: CrtMap) -> tuple[tuple[int, ...], int]:
-    """Coordinates sigma(a) and quotient with a = M(coords) + q*quotient."""
-    return crt.decompose(a)
-
-
 # ---------------------------------------------------------------------------
 # Quadratic integer rings
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -193,14 +191,6 @@ def _search_ok(h, P, nh, bound, truncated, ring):
 
 
 @dataclass
-class ChannelRealization:
-    K: int
-    M: int
-    H: np.ndarray
-    P: float
-
-
-@dataclass
 class SourceState:
     """message is caller bookkeeping; t and u live at signal scale."""
 
@@ -302,6 +292,27 @@ def decode_function(y_prime, pair: LatticePair, a) -> FunctionDecode:
     return FunctionDecode(t_eq, tuple(part_funcs), ok)
 
 
+def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
+    """Whether each real part of y_prime quantizes, mod q, to the
+    integer point sum_k a_k t_k mod q, with points[k] = (re, im) of
+    source k's integer CRT point; stops at the first part that misses.
+
+    This is the compute-and-forward function itself: the CRT map is a
+    ring isomorphism and every level's encoding is linear, so the point
+    matches exactly when every level's codeword matches.  It compares
+    codewords, not messages, which chain-ring levels with non-unique
+    messages need.
+    """
+    fine = pair.fine
+    a_mod = np.array([int(x) % fine.q for x in a], dtype=np.int64)
+    want = np.mod(np.tensordot(a_mod, np.asarray(points, dtype=np.int64), axes=1), fine.q)
+    y_prime = np.asarray(y_prime)
+    return all(
+        np.array_equal(np.mod(quantize(fine, part / pair.scale), fine.q), w)
+        for part, w in zip((y_prime.real, y_prime.imag), want)
+    )
+
+
 def function_coefficients(a, moduli):
     """Per-level reductions b^l_k = a_k mod m_l."""
     return tuple(tuple(int(ak) % m for ak in a) for m in moduli)
@@ -365,7 +376,6 @@ class SimConfig:
     M: int
     P: float
     alpha_mode: str = "mmse"
-    multistage: bool = False
     fixed_H: np.ndarray | None = None
     noiseless: bool = False
     max_norm_cap: float | None = None
@@ -390,24 +400,21 @@ def make_pair(fine, P: float) -> LatticePair:
 
 
 def run_trials(config: SimConfig, trials: int, seed: int):
-    """Independent Monte Carlo trials, deterministic in (config, seed).
-
-    Each trial seeds its own generator from (seed, trial), so records
-    are identical no matter how many workers LATCF_THREADS allows.
+    """Independent Monte Carlo trials, run one after another and
+    deterministic in (config, seed): each trial seeds its own generator
+    from (seed, trial).  A fixed channel is searched once per relay,
+    before the first trial.
     """
     _check_config(config)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    cache = {}
-    workers = int(os.environ.get("LATCF_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(
-                pool.map(lambda t: _one_trial(config, seed, t, cache), range(trials))
-            )
-    else:
-        batches = [_one_trial(config, seed, t, cache) for t in range(trials)]
-    return [rec for batch in batches for rec in batch]
+    searched = None
+    if config.fixed_H is not None and not config.noiseless:
+        searched = [
+            best_coefficients(h, config.P, max_norm_cap=config.max_norm_cap)
+            for h in np.asarray(config.fixed_H, dtype=complex)
+        ]
+    return [rec for t in range(trials) for rec in _one_trial(config, seed, t, searched)]
 
 
 def _check_config(config: SimConfig):
@@ -427,7 +434,7 @@ def _check_config(config: SimConfig):
             raise ValueError("fixed_H must be finite")
 
 
-def _one_trial(config: SimConfig, seed: int, trial: int, cache: dict):
+def _one_trial(config: SimConfig, seed: int, trial: int, searched):
     rng = np.random.default_rng([seed, trial])
     pair = config.pair
     fine = pair.fine
@@ -440,15 +447,18 @@ def _one_trial(config: SimConfig, seed: int, trial: int, cache: dict):
     else:
         H = (rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))) / math.sqrt(2)
 
-    # messages: per source, per level, one vector for each real part
-    messages = []
-    for _ in range(K):
-        per_level = []
+    # per source, per level, one message for each real part (this draw
+    # order fixes the output for a seed); points[k, part] is the integer
+    # CRT point of source k's codewords
+    crt = fine.map
+    points = np.empty((K, 2, N), dtype=np.int64)
+    for k in range(K):
+        words = [[], []]
         for code in fine.codes:
-            wre = rng.integers(0, code.alphabet.size, size=code.n)
-            wim = rng.integers(0, code.alphabet.size, size=code.n)
-            per_level.append((tuple(int(x) for x in wre), tuple(int(x) for x in wim)))
-        messages.append(per_level)
+            for part in (0, 1):
+                w = rng.integers(0, code.alphabet.size, size=code.n)
+                words[part].append(encode_codeword(code, w.tolist()))
+        points[k] = [crt.forward_vec(w) for w in words]
 
     dithers = [
         rng.uniform(0.0, cell, size=N) + 1j * rng.uniform(0.0, cell, size=N)
@@ -459,18 +469,10 @@ def _one_trial(config: SimConfig, seed: int, trial: int, cache: dict):
     else:
         Z = (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))) / math.sqrt(2)
 
-    crt = fine.map
     X = np.empty((K, N), dtype=complex)
     for k in range(K):
-        point_parts = []
-        for part in (0, 1):
-            words = [
-                np.array(encode_codeword(code, messages[k][li][part]), dtype=np.int64)
-                for li, code in enumerate(fine.codes)
-            ]
-            point_parts.append(crt.forward_vec(words))
-        t = (point_parts[0] + 1j * point_parts[1]) * pair.scale
-        X[k] = encode_source(SourceState(messages[k], t, dithers[k]), pair)
+        t = (points[k, 0] + 1j * points[k, 1]) * pair.scale
+        X[k] = encode_source(SourceState(None, t, dithers[k]), pair)
 
     Y = H @ X + Z
 
@@ -481,12 +483,10 @@ def _one_trial(config: SimConfig, seed: int, trial: int, cache: dict):
         if config.noiseless:
             a = tuple(int(x) for x in np.round(h.real))
             rate = computation_rate(h, a, P) if any(a) else 0.0
-            truncated = False
+        elif searched is not None:
+            a, rate, _ = searched[m]
         else:
-            key = (tuple(np.round(h, 12)), P)
-            if key not in cache:
-                cache[key] = best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
-            a, rate, truncated = cache[key]
+            a, rate, _ = best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
         if not any(a):
             raise ValueError("relay coefficient vector is zero")
 
@@ -499,25 +499,9 @@ def _one_trial(config: SimConfig, seed: int, trial: int, cache: dict):
         # the half-open cell gives every x_k the known mean cell/2*(1+1j);
         # its deterministic contribution to the effective noise scales with
         # the cell, so it must come off before quantizing
-        decode = decode_function(mod_coarse(pair, out.y_prime - offset), pair, a)
-        b_levels = function_coefficients(a, fine.moduli)
-        ok = decode.ok
-        if ok:
-            for part in (0, 1):
-                pt = decode.t_eq.real if part == 0 else decode.t_eq.imag
-                coords = np.round(pt / pair.scale).astype(np.int64)
-                for li, (code, mmod) in enumerate(zip(fine.codes, fine.moduli)):
-                    want = encode_codeword(
-                        code,
-                        combined_message(
-                            code, b_levels[li], [msg[li][part] for msg in messages]
-                        ),
-                    )
-                    got = tuple(int(x) % mmod for x in coords)
-                    if got != want:
-                        ok = False
+        ok = function_decoded(mod_coarse(pair, out.y_prime - offset), pair, a, points)
         zflag = 0
-        for (mm, code), b_l in zip(zip(fine.moduli, fine.codes), b_levels):
+        for code, b_l in zip(fine.codes, function_coefficients(a, fine.moduli)):
             A = code.alphabet
             if isinstance(A, ChainRing) and A.e > 1:
                 if any(b != 0 and b % A.p == 0 for b in b_l):

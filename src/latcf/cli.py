@@ -21,8 +21,7 @@ Config document layout (strict: unknown keys are rejected)::
       },
       "simulation": {"K": 2, "M": 2, "P": 8.0, "trials": 100, "seed": 1,
                      "fixed_H": [[[1.0, 0.0], ...], ...],   # [re, im] pairs
-                     "alpha_mode": "mmse", "multistage": false,
-                     "noiseless": false},
+                     "alpha_mode": "mmse", "noiseless": false},
       "search": {"max_norm_cap": 100.0}
     }
 
@@ -31,7 +30,9 @@ take `a+bi` tokens whose two integers are coordinates in the ring basis
 (1, xi).  Channel literals use `<float>[+|-]<float>i` with no spaces.
 
 Exit codes: 0 success (member: vector is in the lattice), 1 member
-verdict "out", 2 schema or literal violation, 3 construction failure.
+verdict "out", 2 schema or literal violation, or a search or simulation
+the inputs make impossible (e.g. a coefficient search space too large),
+3 construction failure.
 """
 
 from __future__ import annotations
@@ -435,7 +436,7 @@ def _simulation_config(doc):
     _check_keys(
         sim,
         ["K", "M", "P", "trials", "seed"],
-        ["fixed_H", "alpha_mode", "multistage", "noiseless"],
+        ["fixed_H", "alpha_mode", "noiseless"],
         "simulation",
     )
     K = _get_int(sim, "K", "simulation", minimum=1)
@@ -446,7 +447,6 @@ def _simulation_config(doc):
     alpha_mode = sim.get("alpha_mode", "mmse")
     if alpha_mode not in ("mmse", "unit"):
         raise SchemaError("simulation.alpha_mode: expected 'mmse' or 'unit'")
-    multistage = _get_bool(sim, "multistage", "simulation", False)
     noiseless = _get_bool(sim, "noiseless", "simulation", False)
     fixed_H = None
     if "fixed_H" in sim:
@@ -489,7 +489,6 @@ def _simulation_config(doc):
         M=M,
         P=P,
         alpha_mode=alpha_mode,
-        multistage=multistage,
         fixed_H=fixed_H,
         noiseless=noiseless,
         max_norm_cap=cap,
@@ -526,7 +525,10 @@ def cmd_simulate(args) -> int:
         trials = args.trials
     if args.seed is not None:
         seed = args.seed
-    records = run_trials(config, trials, seed)
+    try:
+        records = run_trials(config, trials, seed)
+    except ValueError as exc:
+        raise SchemaError(f"simulation: {exc}") from None
     write_csv(records, args.out)
     return EXIT_IN
 

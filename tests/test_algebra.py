@@ -8,8 +8,6 @@ from latcf.algebra import (
     CrtMap,
     GaloisField,
     PrimeField,
-    build_crt_map,
-    decompose_integer,
     factor_prime_power,
     factor_rational_prime,
     factorize,
@@ -122,17 +120,17 @@ def test_galois_field_axioms_and_inverses():
 
 
 def test_crt_frozen_values():
-    crt = build_crt_map([2, 3])
+    crt = CrtMap([2, 3])
     assert crt.q == 6
     assert crt.forward((1, 2)) == 5
-    assert decompose_integer(7, crt) == ((1, 1), 1)
-    assert decompose_integer(5, crt) == ((1, 2), 0)
-    assert decompose_integer(-1, crt) == ((1, 2), -1)
+    assert crt.decompose(7) == ((1, 1), 1)
+    assert crt.decompose(5) == ((1, 2), 0)
+    assert crt.decompose(-1) == ((1, 2), -1)
 
 
 def test_crt_bijection_exhaustive():
     for moduli in ([2, 3], [4, 9], [8, 3, 25], [5, 49]):
-        crt = build_crt_map(moduli)
+        crt = CrtMap(moduli)
         seen = {crt.forward(crt.sigma(a)) for a in range(crt.q)}
         assert seen == set(range(crt.q))
         for a in range(crt.q):
@@ -141,7 +139,7 @@ def test_crt_bijection_exhaustive():
 
 def test_crt_is_ring_homomorphism():
     rng = random.Random(3)
-    crt = build_crt_map([8, 9, 5])
+    crt = CrtMap([8, 9, 5])
     for _ in range(300):
         a, b = rng.randrange(crt.q), rng.randrange(crt.q)
         sa, sb = crt.sigma(a), crt.sigma(b)
@@ -155,25 +153,25 @@ def test_crt_is_ring_homomorphism():
 
 def test_crt_decomposition_identity():
     rng = random.Random(4)
-    crt = build_crt_map([4, 3, 25])
+    crt = CrtMap([4, 3, 25])
     for _ in range(500):
         a = rng.randrange(-10**6, 10**6)
-        coords, quot = decompose_integer(a, crt)
+        coords, quot = crt.decompose(a)
         assert a == crt.forward(coords) + crt.q * quot
         assert coords == tuple(a % m for m in crt.moduli)
 
 
 def test_crt_rejects_shared_primes():
     with pytest.raises(ValueError):
-        build_crt_map([4, 6])
+        CrtMap([4, 6])
     with pytest.raises(ValueError):
-        build_crt_map([3, 9])
+        CrtMap([3, 9])
 
 
 def test_crt_single_level():
-    crt = build_crt_map([7])
+    crt = CrtMap([7])
     assert crt.forward((3,)) == 3
-    assert decompose_integer(10, crt) == ((3,), 1)
+    assert crt.decompose(10) == ((3,), 1)
 
 
 # -------------------- quadratic rings --------------------

@@ -249,11 +249,21 @@ def test_simulate_schema_violations(tmp_path, capsys):
         _sim_config(K=0),
         _sim_config(fixed_H=[[1.0, 0.0]]),  # not M x K x 2
         _sim_config(extra_key=1),
+        _sim_config(multistage=True),  # removed key: rejected, not ignored
         {"construction": PI_A6},  # no simulation section
     ]
     for doc in bad:
         cfg = _write(tmp_path, "c.json", doc)
         assert _run(capsys, ["simulate", "--config", cfg, "--out", out])[0] == 2
+
+
+def test_simulate_search_failure_names_the_simulation(tmp_path, capsys):
+    # a valid construction whose K=6 coefficient search is too large to run
+    cfg = _write(tmp_path, "c.json", _sim_config(K=6, M=1, P=10.0, trials=20, seed=1))
+    code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: simulation: search space too large")
 
 
 def test_simulate_noiseless_integer_H_all_decode(tmp_path, capsys):

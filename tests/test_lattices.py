@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from latcf.algebra import ChainRing, PrimeField, build_crt_map, factor_rational_prime, make_quadratic_ring
+from latcf.algebra import ChainRing, CrtMap, PrimeField, factor_rational_prime, make_quadratic_ring
 from latcf.codes import LinearCode, build_nested_chain, codebook, lift_chain_to_ring_code
 from latcf.lattices import (
     LatticePair,
@@ -36,7 +36,7 @@ def _tile_box(reps, q, bounds):
 
 
 def _crt_reps(codes, moduli):
-    crt = build_crt_map(moduli)
+    crt = CrtMap(moduli)
     reps = set()
     for combo in itertools.product(*[codebook(c) for c in codes]):
         reps.add(tuple(crt.forward(col) for col in zip(*combo)))
