@@ -14,7 +14,6 @@ known at the relays and does not count as noise.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -70,13 +69,16 @@ class BestCoefficients(NamedTuple):
 
 def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficients:
     """Exhaustive rate maximization over nonzero coefficient vectors with
-    squared norm below 1 + P|h|^2 (larger norms cannot beat rate 0).
+    squared norm at most 1 + P|h|^2 (larger norms cannot beat rate 0).
 
     ring selects the coefficient alphabet: "Z" for rational integers,
-    "Zi" for Gaussian integers, or a QuadraticRing with d < 0.  Rate ties
-    prefer the smaller norm, then componentwise smaller magnitude with
-    nonnegative entries winning their sign flips.  If max_norm_cap trims
-    the norm bound the result is flagged truncated.
+    "Zi" for Gaussian integers, or a QuadraticRing with d < 0.  The
+    candidates are the K-tuples of ring elements whose norms sum to at
+    most the bound.  Those within 1e-9 of the best vectorised rate are
+    re-ranked by (-rate, norm, per component x + y*xi (|x|, x < 0, |y|,
+    y < 0)), with the rate recomputed exactly: vectorised for "Z" and
+    "Zi", by computation_rate for a QuadraticRing.
+    If max_norm_cap trims the bound the result is flagged truncated.
     """
     h = np.asarray(h, dtype=complex)
     if not np.any(h):
@@ -89,100 +91,87 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     if max_norm_cap is not None and bound > max_norm_cap:
         bound = float(max_norm_cap)
         truncated = True
-    if ring == "Z":
-        return _search_z(h, P, nh, bound, truncated)
-    if ring == "Zi":
-        return _search_zi(h, P, nh, bound, truncated)
+    x, y, values, norms = _components(ring, bound)
+    if len(norms) ** len(h) > _SEARCH_HARD_CAP:
+        raise ValueError("search space too large; lower max_norm_cap")
+    near = _search(values, norms, h, P, nh, bound)
+    n2 = norms[near].sum(axis=1)
+    xs, ys = x[near].tolist(), y[near].tolist()
     if isinstance(ring, QuadraticRing):
-        return _search_ok(h, P, nh, bound, truncated, ring)
-    raise ValueError(f"unsupported coefficient ring {ring!r}")
+        cands = [tuple(map(ring.element, xr, yr)) for xr, yr in zip(xs, ys)]
+        rates = [computation_rate(h, a, P) for a in cands]
+    else:
+        cands = values[near].tolist() if ring == "Zi" else xs
+        rates = _rate_vector(values[near] @ np.conj(h), n2, P, nh)
+    best = min(
+        range(len(near)),
+        key=lambda i: (
+            -rates[i],
+            n2[i],
+            tuple((abs(a), a < 0, abs(b), b < 0) for a, b in zip(xs[i], ys[i])),
+        ),
+    )
+    return BestCoefficients(tuple(cands[best]), float(rates[best]), truncated)
 
 
-def _rate_vector(cand, n2, h, P, nh):
-    cross = cand @ np.conj(h)
+def _rate_vector(cross, n2, P, nh):
     inner = n2 - P * np.abs(cross) ** 2 / (1.0 + P * nh)
-    with np.errstate(divide="ignore"):
-        rates = np.maximum(0.0, -np.log2(np.maximum(inner, 1e-300)))
+    rates = np.maximum(0.0, -np.log2(np.maximum(inner, 1e-300)))
     rates[inner <= 1e-15 * n2] = math.inf
     return rates
 
 
-def _component_key(x):
-    if isinstance(x, complex):
-        re, im = x.real, x.imag
-        return (abs(re), 0 if re >= 0 else 1, abs(im), 0 if im >= 0 else 1)
-    return (abs(x), 0 if x >= 0 else 1)
+def _components(ring, bound):
+    """Coordinates x and y in the Z-basis (1, xi), values x + y*xi and
+    integer norms of every ring element with norm <= bound.  Z has y = 0
+    and real values; "Zi" is QuadraticRing(-1)."""
+    if ring == "Z":
+        t, u, ymax, xi = 0, 0, 0, 0.0
+    else:
+        quad = QuadraticRing(-1) if ring == "Zi" else ring
+        if not isinstance(quad, QuadraticRing):
+            raise ValueError(f"unsupported coefficient ring {ring!r}")
+        if quad.d > 0:
+            raise ValueError("coefficient search needs an imaginary quadratic ring")
+        t, u = quad.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
+        ymax = int(math.sqrt(4.0 * max(bound, 0.0) / -quad.d)) + 1
+        xi = quad.xi_numeric
+    r = int(math.sqrt(max(bound, 0.0))) + ymax  # |x + t*y/2| <= sqrt(bound)
+    x = np.arange(-r, r + 1)
+    y = np.arange(-ymax, ymax + 1)[:, None]
+    grid = x * x + t * x * y - u * y * y
+    iy, ix = np.nonzero(grid <= bound)
+    x, y = x[ix], y[iy, 0]
+    return x, y, x + y * xi, grid[iy, ix]
 
 
-def _pick(cands, n2, rates):
-    top = np.flatnonzero(rates == rates.max())
-    best = min(
-        top,
-        key=lambda i: (n2[i], tuple(_component_key(x) for x in cands[i].tolist())),
-    )
-    return cands[best], float(rates[best])
+def _search(values, norms, h, P, nh, bound):
+    """Component indices, one row per candidate, of the K-tuples with
+    total norm in (0, bound] whose vectorised rate is within 1e-9 of the
+    best.
 
-
-def _search_z(h, P, nh, bound, truncated):
-    K = len(h)
-    B = int(math.floor(math.sqrt(bound)))
-    if (2 * B + 1) ** K > _SEARCH_HARD_CAP:
-        raise ValueError("search space too large; lower max_norm_cap")
-    axes = [np.arange(-B, B + 1)] * K
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, K)
-    n2 = (grid * grid).sum(axis=1)
-    keep = (n2 > 0) & (n2 <= bound)
-    cands, n2 = grid[keep], n2[keep]
-    rates = _rate_vector(cands.astype(float), n2.astype(float), h, P, nh)
-    a, rate = _pick(cands, n2, rates)
-    return BestCoefficients(tuple(int(x) for x in a), rate, truncated)
-
-
-def _search_zi(h, P, nh, bound, truncated):
-    K = len(h)
-    B = int(math.floor(math.sqrt(bound)))
-    if (2 * B + 1) ** (2 * K) > _SEARCH_HARD_CAP:
-        raise ValueError("search space too large; lower max_norm_cap")
-    axes = [np.arange(-B, B + 1)] * (2 * K)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * K)
-    n2 = (grid * grid).sum(axis=1)
-    keep = (n2 > 0) & (n2 <= bound)
-    grid, n2 = grid[keep], n2[keep]
-    cands = grid[:, :K] + 1j * grid[:, K:]
-    rates = _rate_vector(cands, n2.astype(float), h, P, nh)
-    a, rate = _pick(cands, n2, rates)
-    return BestCoefficients(tuple(complex(x) for x in a), rate, truncated)
-
-
-def _search_ok(h, P, nh, bound, truncated, ring):
-    if ring.d > 0:
-        raise ValueError("coefficient search needs an imaginary quadratic ring")
-    # per-component candidates with norm below the bound
-    comps = []
-    ymax = int(math.floor(math.sqrt(4.0 * bound / abs(ring.d))))
-    for y in range(-ymax, ymax + 1):
-        half = math.sqrt(bound)
-        lo = int(math.floor(-y / 2 - half)) if ring.xi_is_half else int(math.floor(-half))
-        hi = int(math.ceil(-y / 2 + half)) if ring.xi_is_half else int(math.ceil(half))
-        for x in range(lo, hi + 1):
-            el = ring.element(x, y)
-            if el.norm() <= bound:
-                comps.append(el)
-    K = len(h)
-    if len(comps) ** K > _SEARCH_HARD_CAP:
-        raise ValueError("search space too large; lower max_norm_cap")
-    best = None
-    for combo in itertools.product(comps, repeat=K):
-        n2 = sum(c.norm() for c in combo)
-        if n2 == 0 or n2 > bound:
-            continue
-        rate = computation_rate(h, combo, P)
-        key = (-rate, n2, tuple((abs(c.a), 0 if c.a >= 0 else 1, abs(c.b), 0 if c.b >= 0 else 1) for c in combo))
-        if best is None or key < best[0]:
-            best = (key, combo, rate)
-    if best is None:
+    The K-fold product grows one coordinate at a time: a prefix survives
+    only while its norm is within the bound, and it carries
+    sum_k a_k conj(h_k), so no candidate matrix is built.
+    """
+    levels = []
+    n2 = np.zeros(1, dtype=np.int64)
+    cross = np.zeros(1, dtype=complex)
+    for hk in np.conj(h):
+        parent, comp = np.nonzero(norms <= (bound - n2)[:, None])
+        levels.append((parent, comp))
+        n2 = n2[parent] + norms[comp]
+        cross = cross[parent] + values[comp] * hk
+    if not n2.any():
         raise ValueError("empty search space; raise max_norm_cap")
-    return BestCoefficients(tuple(best[1]), best[2], truncated)
+    rates = _rate_vector(cross, n2, P, nh)
+    rates[n2 == 0] = -math.inf
+    rows = np.flatnonzero(rates >= rates.max() - 1e-9)
+    cols = []
+    for parent, comp in reversed(levels):
+        cols.append(comp[rows])
+        rows = parent[rows]
+    return np.stack(cols[::-1], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -69,22 +69,15 @@ def codebook(code: LinearCode) -> dict:
     return code._cb
 
 
-def contains_codeword(code: LinearCode, x, method: str | None = None) -> bool:
-    """Membership of x in the codebook.
-
-    method None picks enumeration for small codes and linear solving
-    above the enumeration cap; "enumerate" / "solve" force a path.
-    """
+def contains_codeword(code: LinearCode, x) -> bool:
+    """Membership of x in the codebook: enumeration for small codes,
+    linear solving above the enumeration cap."""
     if len(x) != code.N:
         raise ValueError(f"vector length {len(x)} != N={code.N}")
     A = code.alphabet
     x = tuple(int(v) % A.size for v in x)
-    if method is None:
-        method = "enumerate" if code.codebook_bound() <= _ENUM_CAP else "solve"
-    if method == "enumerate":
+    if code.codebook_bound() <= _ENUM_CAP:
         return x in codebook(code)
-    if method != "solve":
-        raise ValueError(f"unknown method {method!r}")
     return solve_encoding(code, x) is not None
 
 

@@ -1,0 +1,67 @@
+"""The benchmark in bench/run.py reaches into latcf by name: the functions
+its traced run wraps (TARGETS) and the ones its workloads call as
+lib.<module>.<name>.  Read both from the script's syntax tree, without
+importing it, and check that every name still resolves."""
+
+import ast
+from pathlib import Path
+
+import latcf
+from latcf import algebra, cfsim, cli, codes, lattices  # noqa: F401  (as bench/run.py loads them)
+
+RUN_PY = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+TREE = ast.parse(RUN_PY.read_text(encoding="utf-8"))
+
+CALLED = {
+    ("cfsim", "make_pair"), ("cfsim", "SimConfig"), ("cfsim", "run_trials"),
+    ("cli", "build_construction"), ("cli", "write_csv"), ("codes", "codebook"),
+    ("algebra", "make_quadratic_ring"), ("cfsim", "computation_rate"),
+    ("lattices", "contains"), ("lattices", "quantize"),
+}
+
+
+def _owner(path):
+    owner = latcf
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def _targets():
+    for node in TREE.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no TARGETS")
+
+
+def _is_lib(node):
+    return (isinstance(node, ast.Name) and node.id == "lib") or (
+        isinstance(node, ast.Attribute) and node.attr == "lib"
+    )
+
+
+def _lib_uses():
+    # lib.<module>.<name> or self.lib.<module>.<name>: how the workloads
+    # write every call into latcf
+    return {
+        (node.value.attr, node.attr)
+        for node in ast.walk(TREE)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and _is_lib(node.value.value)
+    }
+
+
+def test_traced_targets_resolve():
+    targets = _targets()
+    assert len(targets) == 12
+    for name, owner, attr in targets:
+        assert attr in vars(_owner(owner)), name
+
+
+def test_names_the_workloads_call_resolve():
+    uses = _lib_uses()
+    assert CALLED <= uses
+    for module, name in uses:
+        owner = latcf if module == "latcf" else _owner(module)
+        assert hasattr(owner, name), (module, name)

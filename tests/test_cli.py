@@ -191,6 +191,14 @@ def test_search_prints_best_vector(tmp_path, capsys):
     assert _run(capsys, ["search", "--h", "1+0i", "--power", "3", "--config", cfg])[0] == 2
 
 
+def test_search_cap_below_one_names_the_empty_search(tmp_path, capsys):
+    # no nonzero integer vector has norm <= 0.5
+    cfg = _write(tmp_path, "c.json", {"search": {"max_norm_cap": 0.5}})
+    code = cli.main(["search", "--h", "1,0.5", "--power", "2", "--config", cfg])
+    assert code == 2
+    assert capsys.readouterr().err == "error: empty search space; raise max_norm_cap\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -77,8 +77,8 @@ def test_contains_matches_brute_force_enumeration():
             for _ in range(200):
                 x = tuple(rng.randrange(A.size) for _ in range(N))
                 want = x in truth
-                assert contains_codeword(code, x, method="enumerate") == want
-                assert contains_codeword(code, x, method="solve") == want
+                assert (x in codebook(code)) == want
+                assert (solve_encoding(code, x) is not None) == want
 
 
 def test_contains_repetition_examples():
@@ -122,7 +122,7 @@ def test_solve_handles_non_free_chain_ring_rows():
     words = set(codebook(code))
     assert words == {(a, b) for a in range(4) for b in range(4) if (a - b) % 2 == 0}
     for x in itertools.product(range(4), repeat=2):
-        assert contains_codeword(code, x, method="solve") == (x in words)
+        assert (solve_encoding(code, x) is not None) == (x in words)
 
 
 # -------------------- nested chains --------------------
