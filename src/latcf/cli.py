@@ -108,6 +108,15 @@ def _get_number(obj, key, where, positive=False):
     return float(v)
 
 
+def _max_norm_cap(doc):
+    """search.max_norm_cap of a config document, None when unset."""
+    search = doc.get("search", {})
+    _check_keys(search, [], ["max_norm_cap"], "search")
+    if "max_norm_cap" not in search:
+        return None
+    return _get_number(search, "max_norm_cap", "search", positive=True)
+
+
 def _get_int_list(obj, key, where):
     v = obj[key]
     if not isinstance(v, list) or any(
@@ -416,10 +425,7 @@ def cmd_search(args) -> int:
     if args.config:
         doc = _load_json(args.config)
         _check_keys(doc, [], ["construction", "simulation", "search"], "config")
-        if "search" in doc:
-            _check_keys(doc["search"], [], ["max_norm_cap"], "search")
-            if "max_norm_cap" in doc["search"]:
-                cap = _get_number(doc["search"], "max_norm_cap", "search", positive=True)
+        cap = _max_norm_cap(doc)
     try:
         res = best_coefficients(h, args.power, max_norm_cap=cap)
     except ValueError as exc:
@@ -474,11 +480,7 @@ def _simulation_config(doc):
         fixed_H = np.array(
             [[complex(z[0], z[1]) for z in row] for row in rows], dtype=complex
         )
-    cap = None
-    if "search" in doc:
-        _check_keys(doc["search"], [], ["max_norm_cap"], "search")
-        if "max_norm_cap" in doc["search"]:
-            cap = _get_number(doc["search"], "max_norm_cap", "search", positive=True)
+    cap = _max_norm_cap(doc)
     fine = build_construction(doc["construction"])
     if fine.ambient != "real":
         raise ValueError("simulation needs a real-ambient lattice")

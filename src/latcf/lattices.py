@@ -6,14 +6,17 @@ m_l with product q, and M applies the CRT reconstruction coordinatewise.
 The single-code constructions (one prime, one prime power) and the
 multi-level ones differ only in how the levels are assembled, so
 membership, enumeration and quantization share one code path.  Complex-
-ambient lattices replace q Z^N by the N-fold product of a prime ideal of
-a quadratic integer ring.
+ambient lattices (A_OK) replace q Z^N by the N-fold product of a prime
+ideal P of a quadratic integer ring; quantization shares its path with
+the real lattices too, the nearest point of r + q Z and of rep(r) + P
+being the only step that differs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -22,7 +25,6 @@ from .algebra import (
     CrtMap,
     PrimeField,
     PrimeIdeal,
-    QuadInt,
     factorize,
     residue_field_map,
 )
@@ -182,10 +184,8 @@ def contains(lat: LatticeDescriptor, v) -> bool:
         return contains_codeword(lat.codes[0], sigma)
     w = []
     for x in v:
-        if isinstance(x, float):
-            if not x.is_integer():
-                raise ValueError(f"non-integer entry {x}")
-            x = int(x)
+        if not isinstance(x, numbers.Integral) and not float(x).is_integer():
+            raise ValueError(f"non-integer entry {x}")
         w.append(int(x))
     return all(
         contains_codeword(code, [x % m for x in w])
@@ -233,41 +233,70 @@ def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
 
 
 def _coset_reps(lat: LatticeDescriptor):
-    """All codebook cosets as integer representatives in [0, q)^N."""
+    """One row per codebook coset, in itertools.product order over the
+    levels: CRT residues in [0, q)^N (real) or residue-field indices (A_OK)."""
     if lat._cosets is None:
-        books = [list(codebook(c)) for c in lat.codes]
+        books = [np.array(list(codebook(c)), dtype=np.int64) for c in lat.codes]
         total = math.prod(len(b) for b in books)
         if total > _COSET_CAP:
             raise ValueError(f"{total} cosets exceed the enumeration cap")
-        reps = np.empty((total, lat.N), dtype=np.int64)
-        for i, combo in enumerate(itertools.product(*books)):
-            reps[i] = lat.map.forward_vec([np.array(c) for c in combo])
-        lat._cosets = reps
+        idx = np.indices([len(b) for b in books]).reshape(len(books), total)
+        rows = [b[i] for b, i in zip(books, idx)]
+        lat._cosets = rows[0] if lat.ambient == "complex" else lat.map.forward_vec(rows)
     return lat._cosets
 
 
 def quantize(lat: LatticeDescriptor, y):
-    """A nearest lattice point to y, exact for the coset structure.
-
-    Rounds (y - rep)/q per coset and keeps the global minimizer; distance
-    ties go to the candidate with lexicographically smallest coordinates
-    (coordinate ties round down, which is the lexicographic choice).
+    """A nearest lattice point to y: an int64 array, or a tuple of QuadInt
+    for A_OK.  Each coset rep + Lambda_c^N gives its nearest point per
+    coordinate (rounding over q Z, a Babai floor and its 4x4 neighbourhood
+    over an ideal).  One tie rule, per coordinate and across cosets:
+    squared distances within 1e-9*max(1, dmin) of the minimum tie, and the
+    lexicographically smallest integer coordinates win (ring coordinates
+    (a, b) for A_OK; real coordinate ties round down).
     """
-    if lat.ambient == "complex":
-        return _quantize_complex(lat, y)
-    y = np.asarray(y, dtype=float)
+    complex_ambient = lat.ambient == "complex"
+    y = np.asarray(y, dtype=complex if complex_ambient else float)
     if y.shape != (lat.N,):
         raise ValueError(f"expected shape ({lat.N},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     reps = _coset_reps(lat)
-    q = lat.q
-    steps = np.ceil((y[None, :] - reps) / q - 0.5)
-    cands = reps + q * steps.astype(np.int64)
-    d2 = ((cands - y[None, :]) ** 2).sum(axis=1)
+    cands, d2 = (_nearest_mod_ideal if complex_ambient else _nearest_mod_q)(lat, reps, y)
     dmin = float(d2.min())
     tol = 1e-9 * max(1.0, dmin)
     tied = np.flatnonzero(d2 <= dmin + tol)
-    best = min(tied, key=lambda i: tuple(cands[i]))
+    best = min(tied, key=lambda i: tuple(cands[i].ravel()))
+    if complex_ambient:
+        return tuple(lat.ideal.ring.element(a, b) for a, b in cands[best])
     return cands[best].copy()
+
+
+def _nearest_mod_q(lat: LatticeDescriptor, reps, y):
+    steps = np.ceil((y[None, :] - reps) / lat.q - 0.5)
+    cands = reps + lat.q * steps.astype(np.int64)
+    return cands, ((cands - y[None, :]) ** 2).sum(axis=1)
+
+
+def _nearest_mod_ideal(lat: LatticeDescriptor, reps, y):
+    # ResidueFieldMap: index i0 + i1*p stands for the ring element i0 + i1*xi
+    xi = lat.ideal.ring.xi_numeric
+    b, a = np.divmod(reps, lat.ideal.p)
+    u, v = _reduced_ideal_basis(lat.ideal)
+    basis = np.array([[u.a, u.b], [v.a, v.b]])
+    zu, zv = u.to_complex(), v.to_complex()
+    w = (y - (a + b * xi)).ravel()
+    k = np.floor(np.linalg.solve([[zu.real, zv.real], [zu.imag, zv.imag]], [w.real, w.imag]))
+    base = np.stack([a, b], axis=-1) + (k.T.astype(np.int64) @ basis).reshape(a.shape + (2,))
+    offsets = (np.indices((4, 4)).reshape(2, 16).T - 1) @ basis
+    offsets = offsets[np.lexsort(offsets.T[::-1])]  # ring coordinates, lexicographic
+    cands = base[:, :, None, :] + offsets  # cosets x N x 16 x (a, b)
+    diff = cands[..., 0] + cands[..., 1] * xi - y[:, None]
+    dist = diff.real**2 + diff.imag**2
+    dmin = dist.min(axis=2, keepdims=True)
+    pick = (dist <= dmin + 1e-9 * np.maximum(1.0, dmin)).argmax(axis=2)
+    dist = np.take_along_axis(dist, pick[..., None], axis=2)[..., 0]
+    return base + offsets[pick], dist.cumsum(axis=1)[:, -1]  # summed in coordinate order
 
 
 def _reduced_ideal_basis(ideal: PrimeIdeal):
@@ -281,40 +310,6 @@ def _reduced_ideal_basis(ideal: PrimeIdeal):
             return u, v
         v = v - u * mu
         zv = v.to_complex()
-
-
-def _nearest_ideal_point(ideal: PrimeIdeal, w: complex) -> QuadInt:
-    u, v = _reduced_ideal_basis(ideal)
-    zu, zv = u.to_complex(), v.to_complex()
-    B = np.array([[zu.real, zv.real], [zu.imag, zv.imag]])
-    x = np.linalg.solve(B, np.array([w.real, w.imag]))
-    k1, k2 = int(np.floor(x[0])), int(np.floor(x[1]))
-    best = None
-    for d1 in range(-1, 3):
-        for d2 in range(-1, 3):
-            cand = u * (k1 + d1) + v * (k2 + d2)
-            dist = abs(cand.to_complex() - w)
-            key = (round(dist, 12), cand.a, cand.b)
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return best[1]
-
-
-def _quantize_complex(lat: LatticeDescriptor, y):
-    y = np.asarray(y, dtype=complex)
-    if y.shape != (lat.N,):
-        raise ValueError(f"expected shape ({lat.N},), got {y.shape}")
-    rm = lat.map
-    best = None
-    for cw in codebook(lat.codes[0]):
-        reps = [rm.to_ring(c) for c in cw]
-        cand = [r + _nearest_ideal_point(lat.ideal, yj - r.to_complex())
-                for r, yj in zip(reps, y)]
-        d2 = sum(abs(c.to_complex() - yj) ** 2 for c, yj in zip(cand, y))
-        key = (round(d2, 9),) + tuple(x for c in cand for x in (c.a, c.b))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return tuple(best[1])
 
 
 def mod_coarse(pair: LatticePair, v):

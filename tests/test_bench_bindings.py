@@ -4,7 +4,10 @@ lib.<module>.<name>.  Read both from the script's syntax tree, without
 importing it, and check that every name still resolves."""
 
 import ast
+import json
 from pathlib import Path
+
+import numpy as np
 
 import latcf
 from latcf import algebra, cfsim, cli, codes, lattices  # noqa: F401  (as bench/run.py loads them)
@@ -65,3 +68,16 @@ def test_names_the_workloads_call_resolve():
     for module, name in uses:
         owner = latcf if module == "latcf" else _owner(module)
         assert hasattr(owner, name), (module, name)
+
+
+def test_ok_relay_lattice_has_what_its_inputs_read():
+    # OkRelayWorkload.inputs builds sent points from these attributes of
+    # the A_OK lattice, outside the traced library calls
+    path = RUN_PY.parent / "workloads" / "ok-relay.json"
+    lat = cli.build_construction(json.loads(path.read_text(encoding="utf-8"))["construction"])
+    b1, b2 = lat.ideal.basis()
+    rep = lat.map.to_ring(0)
+    assert {type(b1), type(b2), type(rep)} == {algebra.QuadInt}
+    code = lat.codes[0]
+    assert np.array(code.G, dtype=np.int64).reshape(code.n, lat.N).shape == (1, 3)
+    assert code.alphabet.size == 7

@@ -265,6 +265,22 @@ def test_simulate_schema_violations(tmp_path, capsys):
         assert _run(capsys, ["simulate", "--config", cfg, "--out", out])[0] == 2
 
 
+def test_max_norm_cap_errors_are_the_same_for_search_and_simulate(tmp_path, capsys):
+    cases = [
+        ({"max_norm_cap": -1.0}, "error: search.max_norm_cap: must be positive\n"),
+        ({"max_norm_cap": "4"}, "error: search.max_norm_cap: expected a number\n"),
+        ({"max_norm_cap": 4.0, "oops": 1}, "error: search: unknown keys ['oops']\n"),
+        ([4.0], "error: search: expected an object\n"),
+    ]
+    for search, want in cases:
+        doc = dict(_sim_config(), search=search)
+        cfg = _write(tmp_path, "c.json", doc)
+        for args in (["search", "--h", "1,0.5", "--power", "2", "--config", cfg],
+                     ["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]):
+            assert cli.main(args) == 2
+            assert capsys.readouterr().err == want
+
+
 def test_simulate_search_failure_names_the_simulation(tmp_path, capsys):
     # a valid construction whose K=6 coefficient search is too large to run
     cfg = _write(tmp_path, "c.json", _sim_config(K=6, M=1, P=10.0, trials=20, seed=1))

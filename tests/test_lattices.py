@@ -296,7 +296,11 @@ def test_contains_input_checks():
         contains(lat, (1, 2, 3))
     with pytest.raises(ValueError):
         contains(lat, (0.5, 1))
+    for dtype, x in ((np.float32, 0.5), (np.float16, 1.5)):  # not truncated to int
+        with pytest.raises(ValueError, match="non-integer entry"):
+            contains(lat, np.array([x, x], dtype=dtype))
     assert contains(lat, (3.0, 5.0))  # integral floats accepted
+    assert contains(lat, np.array([3.0, 5.0], dtype=np.float32))
 
 
 def test_enumerate_box_examples():
