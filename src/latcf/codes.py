@@ -3,14 +3,19 @@ codes sharing one generator basis, and the lift of a chain to a single
 chain-ring code.
 
 Generator matrices are stored row per generator; `encode` left-multiplies
-by the message, so outputs have length N.  Codebooks up to 2^16 words are
-enumerated once and cached, which doubles as the message-recovery table
-used by the decoder.
+by the message, so outputs have length N.  Each code builds one Smith-form
+kernel on first use, its parity checks and systematic inverse serving
+membership (`contains_codeword`), message recovery (`solve_encoding`) and
+the rank check of `NestedCodeChain`.  Codebooks up to 2^16 words are
+enumerated once and cached for the lattice coset tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+
+import numpy as np
 
 from .algebra import ChainRing, PrimeField, is_prime
 
@@ -34,6 +39,7 @@ class LinearCode:
         self.n = len(rows)
         self.N = int(N)
         self._cb = None
+        self._kernel = None
 
     def codebook_bound(self) -> int:
         return self.alphabet.size**self.n
@@ -70,109 +76,98 @@ def codebook(code: LinearCode) -> dict:
 
 
 def contains_codeword(code: LinearCode, x) -> bool:
-    """Membership of x in the codebook: enumeration for small codes,
-    linear solving above the enumeration cap."""
-    if len(x) != code.N:
-        raise ValueError(f"vector length {len(x)} != N={code.N}")
-    A = code.alphabet
-    x = tuple(int(v) % A.size for v in x)
-    if code.codebook_bound() <= _ENUM_CAP:
-        return x in codebook(code)
-    return solve_encoding(code, x) is not None
+    """Whether x is a codeword, by the parity checks of the code's kernel."""
+    k = _kernel(code)
+    return k.is_codeword(k.expand(x))
 
 
 def solve_encoding(code: LinearCode, x):
     """A message w with w*G = x, or None if x is not a codeword.
 
-    When G has full row rank over a field the solution is unique, which
-    is what function decoding relies on.
+    Read off the code's Smith-form kernel as w = V (U x / p^v): the unique
+    message when G has full row rank over a field or generates a free
+    chain-ring code, otherwise one valid preimage.
     """
-    A = code.alphabet
-    x = [int(v) % A.size for v in x]
-    if isinstance(A, ChainRing) and A.e > 1:
-        return _solve_mod(code, x)
-    return _solve_field(code, x)
-
-
-def _solve_field(code, x):
-    # Gaussian elimination on G^T w = x over a field (prime or Galois)
-    A = code.alphabet
-    n, N = code.n, code.N
-    aug = [[code.G[i][j] for i in range(n)] + [x[j]] for j in range(N)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, N) if aug[i][c] != A.zero), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        scale = A.inv(aug[r][c])
-        aug[r] = [A.mul(scale, v) for v in aug[r]]
-        for i in range(N):
-            if i != r and aug[i][c] != A.zero:
-                f = aug[i][c]
-                aug[i] = [A.sub(v, A.mul(f, pv)) for v, pv in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == N:
-            break
-    for i in range(r, N):
-        if aug[i][n] != A.zero:
-            return None
-    w = [A.zero] * n
-    for row_idx, c in enumerate(pivots):
-        w[c] = aug[row_idx][n]
-    return tuple(w)
-
-
-def _solve_mod(code, x):
-    # w*G = x (mod m) as an integer problem: x must lie in the Z-row-span
-    # of [G; m*I].  Echelonize with tracked row operations, then peel x
-    # off greedily; the multipliers on the G rows give w.
-    m = code.alphabet.size
-    n, N = code.n, code.N
-    rows = [list(r) for r in code.G]
-    rows += [[m if j == i else 0 for j in range(N)] for i in range(N)]
-    k = len(rows)
-    U = [[int(j == i) for j in range(k)] for i in range(k)]
-    pivots = []
-    r = 0
-    for c in range(N):
-        while True:
-            nz = [i for i in range(r, k) if rows[i][c] != 0]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: abs(rows[i][c]))
-            rows[r], rows[i0] = rows[i0], rows[r]
-            U[r], U[i0] = U[i0], U[r]
-            if rows[r][c] < 0:
-                rows[r] = [-v for v in rows[r]]
-                U[r] = [-v for v in U[r]]
-            clean = True
-            for i in range(r + 1, k):
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[r])]
-                if rows[i][c] != 0:
-                    clean = False
-            if clean:
-                break
-        if r < k and rows[r][c] != 0:
-            pivots.append((r, c))
-            r += 1
-    xx = list(x)
-    coeff = [0] * k
-    for ri, c in pivots:
-        if xx[c] % rows[ri][c] != 0:
-            return None
-        t = xx[c] // rows[ri][c]
-        if t:
-            xx = [a - t * b for a, b in zip(xx, rows[ri])]
-            coeff = [a + t * b for a, b in zip(coeff, U[ri])]
-    if any(xx):
+    k = _kernel(code)
+    x = np.array(k.expand(x), dtype=k.H.dtype)
+    if not k.is_codeword(x):
         return None
-    return tuple(c % m for c in coeff[:n])
+    w = k.V @ (k.U @ x % k.m // k.pv) % k.m
+    if k.f == 2:
+        w = w[0::2] + k.p * w[1::2]
+    return tuple(int(v) for v in w)
+
+
+def _dtype(m: int, k: int):
+    # int64 while k products of residues mod m sum without overflow
+    return np.int64 if k * m * m < 2**63 else object
+
+
+class _Kernel:
+    """Smith form U G^T V = diag(p^v) (mod m = p^e) of a code's generator
+    matrix G, each pivot the first entry of least p-valuation left.
+
+    A code over F_{p^2} is read through its F_p-expansion: the symbol
+    c0 + c1*p is (c0, c1), and each generator row g gives the rows g and
+    t*g (t the element of index p).  x is a codeword iff H x = 0 (mod m),
+    H holding p^(e-v_i) U_i for the non-unit pivots and U_i beyond the rank.
+    """
+
+    def __init__(self, code: LinearCode):
+        A = code.alphabet
+        p, m, f = self.p, self.m, self.f = A.p, A.char, 2 if A.size != A.char else 1
+        self.N = code.N
+        gens = [g for row in code.G for g in ([row, [A.mul(p, x) for x in row]] if f == 2 else [row])]
+        a = [list(col) for col in zip(*map(self.expand, gens))] or [[] for _ in range(f * code.N)]
+        rows, cols = len(a), f * code.n
+        U = [[int(i == j) for j in range(rows)] for i in range(rows)]
+        V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        pv = []  # the pivots p^v_i, each gcd(entry, m)
+        for k in range(min(rows, cols)):
+            entries = [(math.gcd(a[i][j], m), i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j]]
+            if not entries:
+                break
+            d, i, j = min(entries)
+            a[k], a[i], U[k], U[i] = a[i], a[k], U[i], U[k]
+            for r in (*a, *V):
+                r[k], r[j] = r[j], r[k]
+            unit = pow(a[k][k] // d, -1, m)
+            a[k] = [x * unit % m for x in a[k]]
+            U[k] = [x * unit % m for x in U[k]]
+            for i in range(k + 1, rows):
+                c = a[i][k] // d
+                a[i] = [(x - c * y) % m for x, y in zip(a[i], a[k])]
+                U[i] = [(x - c * y) % m for x, y in zip(U[i], U[k])]
+            for j in range(k + 1, cols):
+                c, a[k][j] = a[k][j] // d, 0
+                for r in V:
+                    r[j] = (r[j] - c * r[k]) % m
+            pv.append(d)
+        self.rank = r = len(pv)
+        H = [[m // d * x % m for x in U[i]] for i, d in enumerate(pv) if d > 1] + U[r:]
+        dt = _dtype(m, max(rows, cols))
+        self.H = np.array(H, dtype=dt).reshape(len(H), rows)
+        self.U = np.array(U[:r], dtype=dt).reshape(r, rows)
+        self.V = np.array([row[:r] for row in V], dtype=dt).reshape(cols, r)
+        self.pv = np.array(pv, dtype=dt)
+
+    def expand(self, x) -> list:
+        """x reduced into the alphabet, each F_{p^2} symbol as (c0, c1)."""
+        if len(x) != self.N:
+            raise ValueError(f"vector length {len(x)} != N={self.N}")
+        x = [int(v) % self.m**self.f for v in x]
+        return [c for s in x for c in divmod(s, self.p)[::-1]] if self.f == 2 else x
+
+    def is_codeword(self, x) -> bool:
+        """H x = 0 (mod m) for x as `expand` gives it (or in H's dtype)."""
+        return not any(s % self.m for s in (self.H @ np.asarray(x, dtype=self.H.dtype)).tolist())
+
+
+def _kernel(code: LinearCode) -> _Kernel:
+    """The code's Smith-form kernel, built on first use and cached."""
+    if code._kernel is None:
+        code._kernel = _Kernel(code)
+    return code._kernel
 
 
 class NestedCodeChain:
@@ -191,7 +186,7 @@ class NestedCodeChain:
         N = len(basis[0])
         if len(basis) != N or any(len(r) != N for r in basis):
             raise ValueError(f"basis must be {N} vectors of length {N}")
-        if _rank_mod_p(basis, p) != N:
+        if _kernel(LinearCode(PrimeField(p), basis)).rank != N:
             raise ValueError("basis does not span the full space")
         dims = tuple(int(d) for d in dims)
         if not dims:
@@ -216,25 +211,6 @@ class NestedCodeChain:
 
     def __repr__(self):
         return f"NestedCodeChain(p={self.p}, N={self.N}, dims={self.dims})"
-
-
-def _rank_mod_p(rows, p):
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        pr = next((i for i in range(rank, len(mat)) if mat[i][c] % p), None)
-        if pr is None:
-            continue
-        mat[rank], mat[pr] = mat[pr], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        mat[rank] = [v * inv % p for v in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][c] % p:
-                f = mat[i][c]
-                mat[i] = [(v - f * pv) % p for v, pv in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
 
 
 def build_nested_chain(p: int, basis, dims) -> NestedCodeChain:

@@ -7,14 +7,15 @@ The single-code constructions (one prime, one prime power) and the
 multi-level ones differ only in how the levels are assembled, so
 membership, enumeration and quantization share one code path.  Complex-
 ambient lattices (A_OK) replace q Z^N by the N-fold product of a prime
-ideal P of a quadratic integer ring; quantization shares its path with
-the real lattices too, the nearest point of r + q Z and of rep(r) + P
-being the only step that differs.
+ideal P of a quadratic integer ring.  Membership is one parity check
+H v = 0 (mod Q) for both ambients, on the integer coordinates (Q = q) or
+on the ring coordinates of each entry (Q = p); quantization shares its
+path too, the nearest point of r + q Z and of rep(r) + P being the only
+step that differs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 
@@ -28,9 +29,10 @@ from .algebra import (
     factorize,
     residue_field_map,
 )
-from .codes import LinearCode, NestedCodeChain, codebook, contains_codeword, lift_chain_to_ring_code
+from .codes import LinearCode, NestedCodeChain, _dtype, _kernel, codebook, lift_chain_to_ring_code
 
 _BOX_CAP = 10**6
+_BOX_BLOCK = 1 << 16
 _COSET_CAP = 10**6
 
 
@@ -61,6 +63,7 @@ class LatticeDescriptor:
             self.moduli = crt.moduli
             self.q = crt.q
         self._cosets = None
+        self._checks = None
 
     def __repr__(self):
         tail = f"ideal={self.ideal!r}" if self.ambient == "complex" else f"q={self.q}"
@@ -174,32 +177,52 @@ def construction_a_ok(code: LinearCode, ideal: PrimeIdeal) -> LatticeDescriptor:
 
 
 def contains(lat: LatticeDescriptor, v) -> bool:
-    """True iff the per-level reductions of v are all codewords."""
+    """True iff v is a lattice point: H v = 0 (mod Q) on its integer
+    coordinates, the ring coordinates (a, b) of each entry for A_OK."""
     if len(v) != lat.N:
         raise ValueError(f"vector length {len(v)} != N={lat.N}")
     if lat.ambient == "complex":
         ring = lat.ideal.ring
-        xs = [ring.coerce(x) for x in v]
-        sigma = tuple(lat.map.to_field(x) for x in xs)
-        return contains_codeword(lat.codes[0], sigma)
-    w = []
-    for x in v:
-        if not isinstance(x, numbers.Integral) and not float(x).is_integer():
-            raise ValueError(f"non-integer entry {x}")
-        w.append(int(x))
-    return all(
-        contains_codeword(code, [x % m for x in w])
-        for code, m in zip(lat.codes, lat.moduli)
-    )
+        coords = [c for x in map(ring.coerce, v) for c in (x.a, x.b)]
+    else:
+        coords = []
+        for x in v:
+            if not isinstance(x, numbers.Integral) and not float(x).is_integer():
+                raise ValueError(f"non-integer entry {x}")
+            coords.append(int(x))
+    H, Q = _checks(lat)
+    syndrome = H @ np.array([c % Q for c in coords], dtype=H.dtype)
+    return not any(s % Q for s in syndrome.tolist())
+
+
+def _checks(lat: LatticeDescriptor):
+    """Parity checks H and modulus Q, v in the lattice iff H v = 0 (mod Q),
+    built once per lattice.  Real lattices stack (q/m_l) H_l over the
+    levels (Q = q); A_OK composes the code's checks with the residue map of
+    a + b*xi, a + b*root (f = 1) or the F_p-expansion (a, b) (f = 2), Q = p.
+    """
+    if lat._checks is None:
+        if lat.ambient == "complex":
+            ideal, width = lat.ideal, 2
+            Q, H = ideal.p, _kernel(lat.codes[0]).H.tolist()
+            if ideal.f == 1:
+                H = [[h * c % Q for h in row for c in (1, ideal.root)] for row in H]
+        else:
+            Q, width = lat.q, 1
+            H = [[Q // m * h for h in row] for c, m in zip(lat.codes, lat.moduli) for row in _kernel(c).H.tolist()]
+        lat._checks = np.array(H, dtype=_dtype(Q, width * lat.N)).reshape(len(H), width * lat.N), Q
+    return lat._checks
 
 
 def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
-    """All lattice points with coordinates in the inclusive bounds.
+    """All lattice points with coordinates in the inclusive bounds, in
+    lexicographic order of their integer coordinates.
 
     bounds is one (lo, hi) pair for every coordinate or a per-coordinate
     list; for complex lattices the pair bounds both integer coordinates
-    of each entry.  Scans through `contains`, so it doubles as a test
-    oracle only when checked against an independent construction.
+    of each entry.  The whole box goes through the parity check of
+    `contains` at once, so it doubles as a test oracle only when checked
+    against an independent construction.
     """
     if len(bounds) == 2 and isinstance(bounds[0], (int, float)):
         bounds = [tuple(bounds)] * lat.N
@@ -208,23 +231,22 @@ def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
         raise ValueError("need one bound pair per coordinate")
     if any(hi < lo for lo, hi in bounds):
         raise ValueError("empty bounds")
+    if lat.ambient == "complex":  # the (a, b) coordinates of each entry
+        bounds = [b for b in bounds for _ in range(2)]
     sides = [hi - lo + 1 for lo, hi in bounds]
     count = math.prod(sides)
-    if lat.ambient == "complex":
-        count = count**2
     if count > _BOX_CAP:
         raise ValueError(f"box holds {count} points, cap is {_BOX_CAP}")
+    H, Q = _checks(lat)
+    lows = [lo for lo, _ in bounds]
+    shift, pts = np.array([lo % Q for lo in lows])[:, None], []
+    for start in range(0, count, _BOX_BLOCK):  # box offsets in C order, in bounded memory
+        idx = np.array(np.unravel_index(np.arange(start, min(start + _BOX_BLOCK, count)), sides))
+        hit = ~(H @ ((idx + shift) % Q).astype(H.dtype) % Q).any(axis=0)
+        pts += [[i + lo for i, lo in zip(row, lows)] for row in idx[:, hit].T.tolist()]
     if lat.ambient == "complex":
-        ring = lat.ideal.ring
-        ranges = []
-        for lo, hi in bounds:
-            ranges.append([ring.element(a, b) for a in range(lo, hi + 1) for b in range(lo, hi + 1)])
-        return [pt for pt in itertools.product(*ranges) if contains(lat, pt)]
-    out = []
-    for pt in itertools.product(*[range(lo, hi + 1) for lo, hi in bounds]):
-        if contains(lat, pt):
-            out.append(tuple(pt))
-    return out
+        return [tuple(map(lat.ideal.ring.element, pt[0::2], pt[1::2])) for pt in pts]
+    return [tuple(pt) for pt in pts]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +275,8 @@ def quantize(lat: LatticeDescriptor, y):
     over an ideal).  One tie rule, per coordinate and across cosets:
     squared distances within 1e-9*max(1, dmin) of the minimum tie, and the
     lexicographically smallest integer coordinates win (ring coordinates
-    (a, b) for A_OK; real coordinate ties round down).
+    (a, b) for A_OK; real coordinate ties round down).  Entries must be
+    finite with |y_j| <= 2**53, beyond which float64 misses integer points.
     """
     complex_ambient = lat.ambient == "complex"
     y = np.asarray(y, dtype=complex if complex_ambient else float)
@@ -261,6 +284,8 @@ def quantize(lat: LatticeDescriptor, y):
         raise ValueError(f"expected shape ({lat.N},), got {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("y must be finite")
+    if (np.abs(y) > 2.0**53).any():
+        raise ValueError("y must satisfy |y| <= 2**53")
     reps = _coset_reps(lat)
     cands, d2 = (_nearest_mod_ideal if complex_ambient else _nearest_mod_q)(lat, reps, y)
     dmin = float(d2.min())
@@ -282,11 +307,9 @@ def _nearest_mod_ideal(lat: LatticeDescriptor, reps, y):
     # ResidueFieldMap: index i0 + i1*p stands for the ring element i0 + i1*xi
     xi = lat.ideal.ring.xi_numeric
     b, a = np.divmod(reps, lat.ideal.p)
-    u, v = _reduced_ideal_basis(lat.ideal)
-    basis = np.array([[u.a, u.b], [v.a, v.b]])
-    zu, zv = u.to_complex(), v.to_complex()
+    basis, B = _ideal_basis(lat.ideal)
     w = (y - (a + b * xi)).ravel()
-    k = np.floor(np.linalg.solve([[zu.real, zv.real], [zu.imag, zv.imag]], [w.real, w.imag]))
+    k = np.floor(np.linalg.solve(B, [w.real, w.imag]))
     base = np.stack([a, b], axis=-1) + (k.T.astype(np.int64) @ basis).reshape(a.shape + (2,))
     offsets = (np.indices((4, 4)).reshape(2, 16).T - 1) @ basis
     offsets = offsets[np.lexsort(offsets.T[::-1])]  # ring coordinates, lexicographic
@@ -297,6 +320,14 @@ def _nearest_mod_ideal(lat: LatticeDescriptor, reps, y):
     pick = (dist <= dmin + 1e-9 * np.maximum(1.0, dmin)).argmax(axis=2)
     dist = np.take_along_axis(dist, pick[..., None], axis=2)[..., 0]
     return base + offsets[pick], dist.cumsum(axis=1)[:, -1]  # summed in coordinate order
+
+
+def _ideal_basis(ideal: PrimeIdeal):
+    """The reduced ideal basis as integer rows of ring coordinates and as
+    the columns of a real 2x2 matrix."""
+    uv = _reduced_ideal_basis(ideal)
+    z = [x.to_complex() for x in uv]
+    return np.array([[x.a, x.b] for x in uv]), np.array([[c.real for c in z], [c.imag for c in z]])
 
 
 def _reduced_ideal_basis(ideal: PrimeIdeal):
@@ -318,24 +349,15 @@ def mod_coarse(pair: LatticePair, v):
     Over a real lattice a complex input reduces its two real parts
     independently (the simulator sends one real lattice point per part).
     """
-    if pair.fine.ambient == "complex":
-        return _mod_coarse_complex(pair, v)
+    if pair.fine.ambient == "complex":  # floor in the reduced ideal basis
+        v = np.asarray(v, dtype=complex)
+        B = _ideal_basis(pair.fine.ideal)[1] * pair.scale
+        x = np.linalg.solve(B, np.stack([v.real, v.imag]))
+        re, im = B @ (x - np.floor(x))
+        return re + 1j * im
     v = np.asarray(v)
     cell = pair.q * pair.scale
     if np.iscomplexobj(v):
         return np.mod(v.real, cell) + 1j * np.mod(v.imag, cell)
     return np.mod(v.astype(float), cell)
 
-
-def _mod_coarse_complex(pair: LatticePair, v):
-    v = np.asarray(v, dtype=complex)
-    u, w = _reduced_ideal_basis(pair.fine.ideal)
-    zu, zw = u.to_complex(), w.to_complex()
-    B = np.array([[zu.real, zw.real], [zu.imag, zw.imag]]) * pair.scale
-    out = np.empty_like(v)
-    for j, vj in enumerate(v):
-        x = np.linalg.solve(B, np.array([vj.real, vj.imag]))
-        frac = x - np.floor(x)
-        re, im = B @ frac
-        out[j] = complex(re, im)
-    return out

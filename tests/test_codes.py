@@ -88,6 +88,9 @@ def test_contains_repetition_examples():
     assert not contains_codeword(rep, (1, 0))
     with pytest.raises(ValueError):
         contains_codeword(rep, (1, 0, 0))
+    for x in ((1, 0, 0), (1,)):  # a wrong length is named, not truncated or indexed past
+        with pytest.raises(ValueError, match="vector length"):
+            solve_encoding(rep, x)
 
 
 def test_zero_generator_code():

@@ -5,7 +5,14 @@ import random
 import numpy as np
 import pytest
 
-from latcf.algebra import ChainRing, CrtMap, PrimeField, factor_rational_prime, make_quadratic_ring
+from latcf.algebra import (
+    ChainRing,
+    CrtMap,
+    PrimeField,
+    factor_rational_prime,
+    make_quadratic_ring,
+    residue_field_map,
+)
 from latcf.codes import LinearCode, build_nested_chain, codebook, lift_chain_to_ring_code
 from latcf.lattices import (
     LatticePair,
@@ -301,6 +308,8 @@ def test_contains_input_checks():
             contains(lat, np.array([x, x], dtype=dtype))
     assert contains(lat, (3.0, 5.0))  # integral floats accepted
     assert contains(lat, np.array([3.0, 5.0], dtype=np.float32))
+    assert contains(lat, [2**70, 2**70])  # beyond int64: reduced as Python ints
+    assert not contains(lat, [2**70 + 1, 2**70])
 
 
 def test_enumerate_box_examples():
@@ -416,6 +425,18 @@ def test_quantize_complex_fixes_lattice_points():
         assert got[0] == x
 
 
+def test_quantize_refuses_entries_beyond_2_53():
+    rep = construction_a(REP2)
+    ok = construction_a_ok(LinearCode(PrimeField(7), [[1, 3, 5]]),
+                           factor_rational_prime(make_quadratic_ring(-3), 7)[0])
+    for lat, y in ((rep, [1e20, 0.0]), (ok, [1e19, 0, 0]), (ok, [0, 1j * 2.0**54, 0])):
+        with pytest.raises(ValueError, match=r"\|y\| <= 2\*\*53"):
+            quantize(lat, y)
+    assert tuple(quantize(rep, [2.0**53, 0.0])) == (2**53, 0)
+    assert contains(ok, quantize(ok, [2.0**53, 0, 0]))
+    assert quantize(ok, [7.0 * 2**50, 0, 0])[0] == make_quadratic_ring(-3).element(7 * 2**50)
+
+
 # -------------------- mod_coarse --------------------
 
 
@@ -477,3 +498,27 @@ def test_nested_pair_coarse_inside_fine():
     pair = LatticePair(lat)
     for pt in enumerate_box(pair.coarse, (-12, 12)):
         assert contains(lat, pt)
+
+
+def test_mod_coarse_complex_matches_per_coordinate_solve():
+    from latcf.lattices import _reduced_ideal_basis
+
+    rng = np.random.default_rng(29)
+    for d, p, scale in ((-1, 5, 1.0), (-3, 7, 0.37), (-15, 17, 2.5), (-1, 3, 1.0)):
+        ideal = factor_rational_prime(make_quadratic_ring(d), p)[0]
+        lat = construction_a_ok(LinearCode(residue_field_map(ideal).field, [[1, 1, 1]]), ideal)
+        pair = LatticePair(lat, scale=scale)
+        u, w = _reduced_ideal_basis(ideal)
+        zu, zw = u.to_complex(), w.to_complex()
+        B = np.array([[zu.real, zw.real], [zu.imag, zw.imag]]) * scale
+        for _ in range(100):
+            v = 20 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+            want = np.empty_like(v)  # the per-coordinate loop it replaced
+            for j, vj in enumerate(v):
+                x = np.linalg.solve(B, np.array([vj.real, vj.imag]))
+                re, im = B @ (x - np.floor(x))
+                want[j] = complex(re, im)
+            got = mod_coarse(pair, v)
+            assert np.allclose(got, want, rtol=0, atol=1e-12)
+            x = np.linalg.solve(B, np.stack([got.real, got.imag]))
+            assert np.all(x >= -1e-12) and np.all(x < 1 + 1e-12)  # in the cell
