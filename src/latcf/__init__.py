@@ -11,8 +11,9 @@ The pieces, bottom to top:
 - `lattices`: five constructions turning codes into lattices, plus
   membership, enumeration, nearest-point quantization, and the coarse
   modulo operation.
-- `cfsim`: the compute-and-forward rate formula, exhaustive coefficient
-  search, and a deterministic Monte Carlo relay simulator.
+- `cfsim`: the compute-and-forward rate formula, an exact coefficient
+  search (Schnorr-Euchner enumeration of the ellipsoid of rate > 0), and a
+  deterministic Monte Carlo relay simulator.
 - `cli`: `latcf construct|member|rate|search|simulate`.
 """
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -68,17 +69,25 @@ class BestCoefficients(NamedTuple):
 
 
 def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficients:
-    """Exhaustive rate maximization over nonzero coefficient vectors with
-    squared norm at most 1 + P|h|^2 (larger norms cannot beat rate 0).
+    """Rate maximization over nonzero coefficient vectors with squared
+    norm at most 1 + P|h|^2 (larger norms cannot beat rate 0).
 
     ring selects the coefficient alphabet: "Z" for rational integers,
     "Zi" for Gaussian integers, or a QuadraticRing with d < 0.  The
-    candidates are the K-tuples of ring elements whose norms sum to at
-    most the bound.  Those within 1e-9 of the best vectorised rate are
-    re-ranked by (-rate, norm, per component x + y*xi (|x|, x < 0, |y|,
-    y < 0)), with the rate recomputed exactly: vectorised for "Z" and
-    "Zi", by computation_rate for a QuadraticRing.
+    search is exact.  It enumerates the ellipsoid
+    Q(a) = |a|^2 - P|sum_k a_k conj(h_k)|^2/(1+P|h|^2) < 1, where the
+    rate is -log2 Q, over the integer coordinates of a (Schnorr-Euchner
+    order), and refuses with "search space too large" once it visits
+    more than _SEARCH_HARD_CAP (5e6) nodes.  Among the K-tuples of ring
+    elements whose norms sum to at most the bound, those within 1e-9 of
+    the best vectorised rate are re-ranked by (-rate, norm, per
+    component x + y*xi (|x|, x < 0, |y|, y < 0)), with the rate
+    recomputed exactly: vectorised for "Z" and "Zi", by
+    computation_rate for a QuadraticRing.  So when every rate is 0 the
+    norm decides.
     If max_norm_cap trims the bound the result is flagged truncated.
+    Non-finite h or P, and P|h|^2 so large (about 1e15) that Q is no
+    longer positive definite in floating point, raise ValueError.
     """
     h = np.asarray(h, dtype=complex)
     if not np.any(h):
@@ -87,22 +96,55 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
         raise ValueError("P must be positive")
     nh = float(np.vdot(h, h).real)
     bound = 1.0 + P * nh
+    if not math.isfinite(bound):
+        raise ValueError("h and P must be finite")
     truncated = False
     if max_norm_cap is not None and bound > max_norm_cap:
         bound = float(max_norm_cap)
         truncated = True
-    x, y, values, norms = _components(ring, bound)
-    if len(norms) ** len(h) > _SEARCH_HARD_CAP:
-        raise ValueError("search space too large; lower max_norm_cap")
-    near = _search(values, norms, h, P, nh, bound)
-    n2 = norms[near].sum(axis=1)
-    xs, ys = x[near].tolist(), y[near].tolist()
+    if ring == "Z":
+        t, u, xi = 0, 0, None
+    else:
+        quad = QuadraticRing(-1) if ring == "Zi" else ring
+        if not isinstance(quad, QuadraticRing):
+            raise ValueError(f"unsupported coefficient ring {ring!r}")
+        if quad.d > 0:
+            raise ValueError("coefficient search needs an imaginary quadratic ring")
+        t, u = quad.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
+        xi = quad.xi_numeric
+    if bound < 1:
+        raise ValueError("empty search space; raise max_norm_cap")
+    # rounding moves Q by about 1e-16 (1 + P|h|^2) Q; 1e-6 covers the
+    # 1e-9 rate tolerance
+    margin = 1e-6 + 1e-12 * (1.0 + P * nh)
+    points, n2 = zip(*_ellipsoid_points(h.tolist(), P / (1.0 + P * nh), bound, margin, t, u, xi))
+
+    # the tie rule's vectorised rate and 1e-9 filter, in the arithmetic
+    # tests/test_search_oracle.py pins: values x + y*xi, cross grown one
+    # coordinate at a time
+    hc = np.conj(h)
+    if xi is None:
+        values = np.array(points, dtype=float)
+        xs, ys = points, [(0,) * len(h)] * len(points)
+    else:
+        xy = np.array(points, dtype=np.int64)
+        values = xy[:, 0::2] + xy[:, 1::2] * xi
+        xs, ys = [p[0::2] for p in points], [p[1::2] for p in points]
+    n2 = np.array(n2, dtype=np.int64)
+    cross = 0j
+    for col, hk in zip(values.T, hc):
+        cross = cross + col * hk
+    rates = _rate_vector(cross, n2, P, nh)
+    near = (rates >= rates.max() - 1e-9).nonzero()[0]
+    n2 = n2[near]
+    keep = near.tolist()
+    xs, ys = [xs[i] for i in keep], [ys[i] for i in keep]
     if isinstance(ring, QuadraticRing):
         cands = [tuple(map(ring.element, xr, yr)) for xr, yr in zip(xs, ys)]
         rates = [computation_rate(h, a, P) for a in cands]
     else:
         cands = values[near].tolist() if ring == "Zi" else xs
-        rates = _rate_vector(values[near] @ np.conj(h), n2, P, nh)
+        rates = _rate_vector(values[near] @ hc, n2, P, nh)
     best = min(
         range(len(near)),
         key=lambda i: (
@@ -121,57 +163,109 @@ def _rate_vector(cross, n2, P, nh):
     return rates
 
 
-def _components(ring, bound):
-    """Coordinates x and y in the Z-basis (1, xi), values x + y*xi and
-    integer norms of every ring element with norm <= bound.  Z has y = 0
-    and real values; "Zi" is QuadraticRing(-1)."""
-    if ring == "Z":
-        t, u, ymax, xi = 0, 0, 0, 0.0
-    else:
-        quad = QuadraticRing(-1) if ring == "Zi" else ring
-        if not isinstance(quad, QuadraticRing):
-            raise ValueError(f"unsupported coefficient ring {ring!r}")
-        if quad.d > 0:
-            raise ValueError("coefficient search needs an imaginary quadratic ring")
-        t, u = quad.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
-        ymax = int(math.sqrt(4.0 * max(bound, 0.0) / -quad.d)) + 1
-        xi = quad.xi_numeric
-    r = int(math.sqrt(max(bound, 0.0))) + ymax  # |x + t*y/2| <= sqrt(bound)
-    x = np.arange(-r, r + 1)
-    y = np.arange(-ymax, ymax + 1)[:, None]
-    grid = x * x + t * x * y - u * y * y
-    iy, ix = np.nonzero(grid <= bound)
-    x, y = x[ix], y[iy, 0]
-    return x, y, x + y * xi, grid[iy, ix]
+def _ellipsoid_points(h, c, bound, margin, t, u, xi):
+    """(integer coordinates, norm) of the nonzero coefficient vectors
+    with norm <= bound whose Q = norm - c|sum_k a_k conj(h_k)|^2 is
+    within a factor 1 + margin of the least.
 
+    That holds every vector the 1e-9 rate filter can keep, the rate-0
+    case included: when no vector has rate > 1e-9, P|h|^2 < 1, so the
+    ball holds only norm-1 vectors, and their Q all lie between the
+    least (> 1 - 1e-9) and 1, inside the margin.
 
-def _search(values, norms, h, P, nh, bound):
-    """Component indices, one row per candidate, of the K-tuples with
-    total norm in (0, bound] whose vectorised rate is within 1e-9 of the
-    best.
-
-    The K-fold product grows one coordinate at a time: a prefix survives
-    only while its norm is within the bound, and it carries
-    sum_k a_k conj(h_k), so no candidate matrix is built.
+    Z has one coordinate x per component; a quadratic ring has (x, y),
+    a = x + y*xi, interleaved.  Q is the real quadratic form G of those
+    coordinates, factored G = R^T diag(D) R with R unit upper
+    triangular, and enumerated depth first from the last coordinate,
+    each level in Schnorr-Euchner (zig-zag) order from its centre,
+    inside the interval the norm bound leaves for that coordinate.
     """
-    levels = []
-    n2 = np.zeros(1, dtype=np.int64)
-    cross = np.zeros(1, dtype=complex)
-    for hk in np.conj(h):
-        parent, comp = np.nonzero(norms <= (bound - n2)[:, None])
-        levels.append((parent, comp))
-        n2 = n2[parent] + norms[comp]
-        cross = cross[parent] + values[comp] * hk
-    if not n2.any():
-        raise ValueError("empty search space; raise max_norm_cap")
-    rates = _rate_vector(cross, n2, P, nh)
-    rates[n2 == 0] = -math.inf
-    rows = np.flatnonzero(rates >= rates.max() - 1e-9)
-    cols = []
-    for parent, comp in reversed(levels):
-        cols.append(comp[rows])
-        rows = parent[rows]
-    return np.stack(cols[::-1], axis=1)
+    basis = (1.0,) if xi is None else (1.0, xi)
+    m = len(basis)
+    g = [hk.conjugate() * b for hk in h for b in basis]
+    n = len(g)
+    G = [[-c * (a.real * b.real + a.imag * b.imag) for b in g] for a in g]
+    for k in range(0, n, m):
+        G[k][k] += 1.0
+        if m == 2:
+            G[k][k + 1] += t / 2
+            G[k + 1][k] += t / 2
+            G[k + 1][k + 1] -= u
+    D = []
+    R = []  # R[i] = row i of R right of the diagonal
+    for i in range(n):
+        col = [R[k][i - k - 1] for k in range(i)]
+        Di = G[i][i] - sum([D[k] * col[k] * col[k] for k in range(i)])
+        if not Di > 0:
+            # G's least eigenvalue is about 1/(1 + P|h|^2)
+            raise ValueError("P*|h|^2 too large for an exact coefficient search")
+        D.append(Di)
+        R.append([
+            (G[i][j] - sum([D[k] * col[k] * R[k][j - k - 1] for k in range(i)])) / Di
+            for j in range(i + 1, n)
+        ])
+    e = -u - t * t / 4  # norm(x + y*xi) = (x + t*y/2)^2 + e*y^2
+
+    z = [0] * (n + 1)  # z[n] = 0 is the y of Z's top level
+    centre = [0.0] * n
+    step = [0] * n
+    lo = [0] * n  # the norm bound's interval for z[i]
+    hi = [0] * n
+    zlo = [0] * n  # every zig-zag value beyond these is outside [lo, hi]
+    zhi = [0] * n
+    dist = [0.0] * (n + 1)  # Q of the levels above
+    norm = [0] * (n + 1)  # norm of the components above
+    radius = bound * (1 + margin)  # Q <= norm on the whole ball
+    leaves = []
+    nodes, budget = 0, _SEARCH_HARD_CAP
+    floor, ceil, sqrt = math.floor, math.ceil, math.sqrt
+    i, down = n, True
+    while True:
+        if down:  # enter level i - 1 at the admissible value nearest its centre
+            i -= 1
+            ce = -sum(map(mul, R[i], z[i + 1:n]))
+            rem = bound - norm[i + 1]
+            if i % m:
+                cn, w = 0.0, sqrt(rem / e)
+            else:
+                y = z[i + 1]
+                cn, w2 = -t * y / 2, rem - e * y * y
+                w = sqrt(w2) if w2 > 0 else 0.0
+            bot, top = floor(cn - w), ceil(cn + w)
+            x = round(ce)
+            x = bot if x < bot else top if x > top else x
+            r = top - x if top - x > x - bot else x - bot
+            lo[i], hi[i], zlo[i], zhi[i] = bot, top, x - r, x + r
+            centre[i], z[i] = ce, x
+            step[i] = 1 if ce >= x else -1
+            down = False
+        nodes += 1
+        if nodes > budget:
+            raise ValueError("search space too large; lower max_norm_cap")
+        x = z[i]
+        d = x - centre[i]
+        q = dist[i + 1] + D[i] * d * d
+        if q > radius or not zlo[i] <= x <= zhi[i]:  # and every later sibling
+            i += 1
+            if i == n:
+                break
+        elif lo[i] <= x <= hi[i]:
+            nr = norm[i + 1]
+            if i % m == 0:  # x completes its component
+                y = z[i + 1]
+                nr += x * x + t * x * y - u * y * y
+            if nr <= bound:
+                if i:
+                    dist[i], norm[i] = q, nr
+                    down = True
+                    continue
+                if nr:
+                    leaves.append((q, tuple(z[:n]), nr))
+                    radius = min(radius, q * (1 + margin))
+        s = step[i]  # next sibling, in zig-zag order from the centre
+        z[i] += s
+        step[i] = -s - 1 if s > 0 else 1 - s
+    return [(v, nr) for q, v, nr in leaves if q <= radius]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Subcommands: construct (config -> lattice descriptor JSON), member
 (descriptor + vector -> in/out verdict via exit code), rate (closed-form
-computation rate), search (exhaustive coefficient search), simulate
+computation rate), search (exact coefficient search by enumeration), simulate
 (Monte Carlo trials -> CSV).
 
 Config document layout (strict: unknown keys are rejected)::
@@ -31,8 +31,8 @@ take `a+bi` tokens whose two integers are coordinates in the ring basis
 
 Exit codes: 0 success (member: vector is in the lattice), 1 member
 verdict "out", 2 schema or literal violation, or a search or simulation
-the inputs make impossible (e.g. a coefficient search space too large),
-3 construction failure.
+the inputs make impossible (e.g. a coefficient search that visits too
+many nodes, or whose cap leaves it empty), 3 construction failure.
 """
 
 from __future__ import annotations
@@ -563,7 +563,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=float, required=True)
     p.set_defaults(func=cmd_rate)
 
-    p = sub.add_parser("search", help="exhaustive best-coefficient search")
+    p = sub.add_parser("search", help="exact best-coefficient search (enumeration)")
     p.add_argument("--h", required=True)
     p.add_argument("--power", type=float, required=True)
     p.add_argument("--config", help="optional config providing search.max_norm_cap")

@@ -224,7 +224,7 @@ def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
     `contains` at once, so it doubles as a test oracle only when checked
     against an independent construction.
     """
-    if len(bounds) == 2 and isinstance(bounds[0], (int, float)):
+    if len(bounds) == 2 and isinstance(bounds[0], numbers.Real):
         bounds = [tuple(bounds)] * lat.N
     bounds = [(int(lo), int(hi)) for lo, hi in bounds]
     if len(bounds) != lat.N:

@@ -3,8 +3,10 @@ exit codes, and the CSV contract."""
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,12 +284,23 @@ def test_max_norm_cap_errors_are_the_same_for_search_and_simulate(tmp_path, caps
 
 
 def test_simulate_search_failure_names_the_simulation(tmp_path, capsys):
-    # a valid construction whose K=6 coefficient search is too large to run
-    cfg = _write(tmp_path, "c.json", _sim_config(K=6, M=1, P=10.0, trials=20, seed=1))
+    # a valid construction whose coefficient search the cap leaves empty
+    doc = dict(_sim_config(), search={"max_norm_cap": 0.5})
+    cfg = _write(tmp_path, "c.json", doc)
     code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: simulation: search space too large")
+    assert err == "error: simulation: empty search space; raise max_norm_cap\n"
+
+
+def test_simulate_k6_runs_to_completion(tmp_path, capsys):
+    # bounds up to ~60 over Z^6: the box count refused these searches
+    cfg = _write(tmp_path, "c.json", _sim_config(K=6, M=1, P=10.0, trials=20, seed=1))
+    out = tmp_path / "x.csv"
+    assert _run(capsys, ["simulate", "--config", cfg, "--out", str(out)])[0] == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 20
+    assert all(r.split(",")[2].count(";") == 5 for r in rows)
 
 
 def test_simulate_noiseless_integer_H_all_decode(tmp_path, capsys):
@@ -363,10 +376,14 @@ def test_construct_a_ok_power_mismatch(tmp_path, capsys):
 
 
 def test_module_entry_point():
+    # the child does not see pytest's pythonpath: give it this checkout's src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "latcf.cli", "rate", "--h", "1+0i", "--a", "1", "--power", "3"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2.000000000"

@@ -319,6 +319,8 @@ def test_enumerate_box_examples():
     assert set(enumerate_box(two_z2, (0, 2))) == {(0, 0), (0, 2), (2, 0), (2, 2)}
     rep = construction_a(REP2)
     assert set(enumerate_box(rep, (0, 1))) == {(0, 0), (1, 1)}
+    assert len(enumerate_box(rep, (0, 2))) == 5
+    assert enumerate_box(rep, (np.int64(0), np.int64(2))) == enumerate_box(rep, (0, 2))
 
 
 def test_enumerate_box_caps_and_bounds():

@@ -1,7 +1,9 @@
-"""Differential test of best_coefficients against the exhaustive
-searchers it replaced: a meshgrid box for Z and Z[i] and a scalar
-itertools.product loop for quadratic rings, kept here verbatim as the
-oracle.  Results must agree exactly in a, rate and truncated."""
+"""Differential test of best_coefficients against two exhaustive
+oracles, kept here verbatim: the original searchers (a meshgrid box for
+Z and Z[i] and a scalar itertools.product loop for quadratic rings) and
+the norm-pruned product search that replaced them, without its
+box-count refusal.  Results must agree exactly in a, rate and
+truncated."""
 
 import itertools
 import math
@@ -10,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from latcf import cfsim
 from latcf.algebra import QuadraticRing
 from latcf.cfsim import BestCoefficients, best_coefficients, computation_rate
 
@@ -130,6 +133,105 @@ def _search_ok(h, P, nh, bound, truncated, ring):
 
 
 # ---------------------------------------------------------------------------
+# the second oracle: the norm-pruned product search, as it was, without
+# its refusal of len(components)**K > _SEARCH_HARD_CAP
+# ---------------------------------------------------------------------------
+
+
+def pruned_best_coefficients(h, P, ring="Z", max_norm_cap=None):
+    h = np.asarray(h, dtype=complex)
+    if not np.any(h):
+        raise ValueError("h must be nonzero")
+    if P <= 0:
+        raise ValueError("P must be positive")
+    nh = float(np.vdot(h, h).real)
+    bound = 1.0 + P * nh
+    truncated = False
+    if max_norm_cap is not None and bound > max_norm_cap:
+        bound = float(max_norm_cap)
+        truncated = True
+    x, y, values, norms = _components(ring, bound)
+    near = _search(values, norms, h, P, nh, bound)
+    n2 = norms[near].sum(axis=1)
+    xs, ys = x[near].tolist(), y[near].tolist()
+    if isinstance(ring, QuadraticRing):
+        cands = [tuple(map(ring.element, xr, yr)) for xr, yr in zip(xs, ys)]
+        rates = [computation_rate(h, a, P) for a in cands]
+    else:
+        cands = values[near].tolist() if ring == "Zi" else xs
+        rates = _cross_rate_vector(values[near] @ np.conj(h), n2, P, nh)
+    best = min(
+        range(len(near)),
+        key=lambda i: (
+            -rates[i],
+            n2[i],
+            tuple((abs(a), a < 0, abs(b), b < 0) for a, b in zip(xs[i], ys[i])),
+        ),
+    )
+    return BestCoefficients(tuple(cands[best]), float(rates[best]), truncated)
+
+
+def _cross_rate_vector(cross, n2, P, nh):
+    inner = n2 - P * np.abs(cross) ** 2 / (1.0 + P * nh)
+    rates = np.maximum(0.0, -np.log2(np.maximum(inner, 1e-300)))
+    rates[inner <= 1e-15 * n2] = math.inf
+    return rates
+
+
+def _components(ring, bound):
+    """Coordinates x and y in the Z-basis (1, xi), values x + y*xi and
+    integer norms of every ring element with norm <= bound.  Z has y = 0
+    and real values; "Zi" is QuadraticRing(-1)."""
+    if ring == "Z":
+        t, u, ymax, xi = 0, 0, 0, 0.0
+    else:
+        quad = QuadraticRing(-1) if ring == "Zi" else ring
+        if not isinstance(quad, QuadraticRing):
+            raise ValueError(f"unsupported coefficient ring {ring!r}")
+        if quad.d > 0:
+            raise ValueError("coefficient search needs an imaginary quadratic ring")
+        t, u = quad.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
+        ymax = int(math.sqrt(4.0 * max(bound, 0.0) / -quad.d)) + 1
+        xi = quad.xi_numeric
+    r = int(math.sqrt(max(bound, 0.0))) + ymax  # |x + t*y/2| <= sqrt(bound)
+    x = np.arange(-r, r + 1)
+    y = np.arange(-ymax, ymax + 1)[:, None]
+    grid = x * x + t * x * y - u * y * y
+    iy, ix = np.nonzero(grid <= bound)
+    x, y = x[ix], y[iy, 0]
+    return x, y, x + y * xi, grid[iy, ix]
+
+
+def _search(values, norms, h, P, nh, bound):
+    """Component indices, one row per candidate, of the K-tuples with
+    total norm in (0, bound] whose vectorised rate is within 1e-9 of the
+    best.
+
+    The K-fold product grows one coordinate at a time: a prefix survives
+    only while its norm is within the bound, and it carries
+    sum_k a_k conj(h_k), so no candidate matrix is built.
+    """
+    levels = []
+    n2 = np.zeros(1, dtype=np.int64)
+    cross = np.zeros(1, dtype=complex)
+    for hk in np.conj(h):
+        parent, comp = np.nonzero(norms <= (bound - n2)[:, None])
+        levels.append((parent, comp))
+        n2 = n2[parent] + norms[comp]
+        cross = cross[parent] + values[comp] * hk
+    if not n2.any():
+        raise ValueError("empty search space; raise max_norm_cap")
+    rates = _cross_rate_vector(cross, n2, P, nh)
+    rates[n2 == 0] = -math.inf
+    rows = np.flatnonzero(rates >= rates.max() - 1e-9)
+    cols = []
+    for parent, comp in reversed(levels):
+        cols.append(comp[rows])
+        rows = parent[rows]
+    return np.stack(cols[::-1], axis=1)
+
+
+# ---------------------------------------------------------------------------
 # differential checks
 # ---------------------------------------------------------------------------
 
@@ -214,12 +316,31 @@ def test_unsupported_inputs_raise_as_oracle():
                 search(h, P, ring=ring)
 
 
-def test_refusal_for_k6_is_unchanged():
-    # bound 1 + 10*6*(56/60) = 57 gives B = 7 and 15^6 points per search
+def test_k6_search_the_box_count_refused_now_runs():
+    # bound 1 + 10*6*(56/60) = 57 gives B = 7 and 15^6 box points, which
+    # the box count refused; the ball holds 9.8e5 of them
     h = np.full(6, math.sqrt(56 / 60))
-    for search in (best_coefficients, reference_best_coefficients):
-        with pytest.raises(ValueError, match="search space too large"):
-            search(h, 10.0)
+    with pytest.raises(ValueError, match="search space too large"):
+        reference_best_coefficients(h, 10.0)
+    _same_as_pruned(h, 10.0)
+
+
+def test_non_finite_and_degenerate_inputs_raise():
+    # the oracles failed here with numpy's own errors, or ran out of memory
+    for h, P in (([np.nan, 1.0], 2.0), ([1.0, np.inf], 2.0), ([1.0], math.inf), ([1.0], math.nan)):
+        with pytest.raises(ValueError, match="h and P must be finite"):
+            best_coefficients(h, P, max_norm_cap=4.0)
+    # Q's least eigenvalue 1/(1 + 1e17) rounds to 0
+    with pytest.raises(ValueError, match="too large for an exact coefficient search"):
+        best_coefficients([1.0], 1e17)
+
+
+def test_node_budget_refuses(monkeypatch):
+    h = np.array([0.3 + 0.8j, -1.1 + 0.2j, 0.5 - 0.4j])
+    assert best_coefficients(h, 64.0).rate > 0
+    monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 5)
+    with pytest.raises(ValueError, match="search space too large; lower max_norm_cap"):
+        best_coefficients(h, 64.0)
 
 
 @pytest.mark.parametrize("ring", ["Z", "Zi", QuadraticRing(-3)])
@@ -239,3 +360,67 @@ def test_k6_search_stays_small():
         tracemalloc.stop()
     assert res.a == (1, 1, 1, 1, 1, 1)
     assert peak < 100 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# against the pruned oracle, where the box oracle refuses or is too slow
+# ---------------------------------------------------------------------------
+
+
+def _same_as_pruned(h, P, ring="Z", cap=None):
+    want = pruned_best_coefficients(h, P, ring=ring, max_norm_cap=cap)
+    got = best_coefficients(h, P, ring=ring, max_norm_cap=cap)
+    assert got.a == want.a, (h, P, ring, cap)
+    assert got.rate == want.rate, (h, P, ring, cap)
+    assert got.truncated == want.truncated
+    assert type(got.a[0]) is type(want.a[0])
+
+
+@pytest.mark.parametrize("K, powers, count", [(4, (2.0, 8.0, 16.0), 6), (5, (2.0, 8.0), 4), (6, (2.0, 10.0), 3)])
+def test_integer_search_k4_to_k6_matches_pruned(K, powers, count):
+    rng = np.random.default_rng(200 + K)
+    H = (rng.standard_normal((count, K)) + 1j * rng.standard_normal((count, K))) / math.sqrt(2)
+    for h in list(H) + [H[0].real, np.ones(K)]:
+        for P in powers:
+            for cap in CAPS:
+                _same_as_pruned(h, P, "Z", cap)
+
+
+def test_gaussian_search_k3_matches_pruned():
+    rng = np.random.default_rng(303)
+    for h in _channels(rng, 3, 4):
+        for P in (0.5, 2.0, 8.0):
+            for cap in CAPS:
+                _same_as_pruned(h, P, "Zi", cap)
+
+
+def test_eisenstein_search_above_bound_41_matches_pruned():
+    ring = QuadraticRing(-3)
+    rng = np.random.default_rng(41)
+    H = (rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))) / math.sqrt(2)
+    bounds = []
+    for h in list(H) + TIE_CHANNELS_OF[2]:
+        for P in (16.0, 32.0, 64.0):
+            bounds.append(1 + P * float(np.vdot(h, h).real))
+            for cap in CAPS:
+                _same_as_pruned(h, P, ring, cap)
+    assert sum(b > 41 for b in bounds) >= 20
+
+
+def test_sim_search_draws_match_pruned():
+    # h ~ CN(0, I_3) at P = 64, as every relay of sim-search sees it
+    rng = np.random.default_rng(64)
+    H = (rng.standard_normal((300, 3)) + 1j * rng.standard_normal((300, 3))) / math.sqrt(2)
+    for h in H:
+        for cap in CAPS:
+            _same_as_pruned(h, 64.0, "Z", cap)
+
+
+@pytest.mark.parametrize("ring", ["Z", "Zi", QuadraticRing(-3), QuadraticRing(-7)])
+def test_rate_near_zero_matches_pruned(ring):
+    # at P|h|^2 ~ 1e-17 every rate rounds to 0 and the norm key decides
+    # among all ball vectors; at 1e-10 every rate is within the 1e-9
+    # tolerance of the best
+    for h in ([1.0, 1j], [0.5 + 0.5j, 1.0], [1.0, 1.0, 1.0]):
+        for P in (1e-17, 1e-10, 1e-3):
+            _same_as_pruned(np.asarray(h), P, ring)
