@@ -326,6 +326,9 @@ def relay_process(y, a, dithers, h, P, pair: LatticePair, alpha_mode="mmse") -> 
     of the effective noise alpha*z + sum_k (alpha*h_k - a_k) x_k."""
     h = np.asarray(h, dtype=complex)
     av = _coeffs_to_complex(a)
+    if not len(av) == len(h) == len(dithers):
+        raise ValueError(f"a, h and dithers have lengths {len(av)}, {len(h)}, {len(dithers)}; "
+                         "need one per source")
     if alpha_mode == "mmse":
         alpha = mmse_alpha(h, a, P)
     elif alpha_mode == "unit":
@@ -479,6 +482,8 @@ class TrialRecord:
 
 def make_pair(fine, P: float) -> LatticePair:
     """Nested pair scaled so transmit symbols have variance P."""
+    if not (math.isfinite(P) and P > 0):
+        raise ValueError("P must be positive")
     return LatticePair(fine, scale=math.sqrt(P / (fine.q**2 / 6.0)))
 
 

@@ -9,9 +9,12 @@ membership, enumeration and quantization share one code path.  Complex-
 ambient lattices (A_OK) replace q Z^N by the N-fold product of a prime
 ideal P of a quadratic integer ring.  Membership is one parity check
 H v = 0 (mod Q) for both ambients, on the integer coordinates (Q = q) or
-on the ring coordinates of each entry (Q = p); quantization shares its
-path too, the nearest point of r + q Z and of rep(r) + P being the only
-step that differs.
+on the ring coordinates of each entry (Q = p).  Quantization shares its
+path too: the nearest point of a coset splits into one nearest point per
+coordinate that depends only on the coordinate's residue, so one table
+per (coordinate, residue) -- the nearest point of r + q Z or of
+rep(r) + P, the only step that differs -- and one gather-sum per coset,
+in coordinate order, score every coset.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ class LatticeDescriptor:
             self.moduli = crt.moduli
             self.q = crt.q
         self._cosets = None
+        self._index = None
         self._checks = None
 
     def __repr__(self):
@@ -256,7 +260,10 @@ def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
 
 def _coset_reps(lat: LatticeDescriptor):
     """One row per codebook coset, in itertools.product order over the
-    levels: CRT residues in [0, q)^N (real) or residue-field indices (A_OK)."""
+    levels: CRT residues in [0, q)^N (real) or residue-field indices (A_OK).
+    quantize never scores these rows one by one: `_coset_index` turns them
+    into positions in its per-call (coordinate, residue) table, and each
+    coset's distance is a gather-sum over them in coordinate order."""
     if lat._cosets is None:
         books = [np.array(list(codebook(c)), dtype=np.int64) for c in lat.codes]
         total = math.prod(len(b) for b in books)
@@ -268,17 +275,45 @@ def _coset_reps(lat: LatticeDescriptor):
     return lat._cosets
 
 
+def _coset_index(lat: LatticeDescriptor):
+    """The residues quantize tabulates per call and, per coordinate j and
+    coset i, the flat position of coset i's residue at j in that N x width
+    table; built once per lattice from the coset table.  The residues are
+    all of them, 0..q-1 (0..p^f-1 for A_OK) for every coordinate, when they
+    are no more than the cosets, else each coordinate's coset residues, so
+    the table never outgrows the cosets x N work it saves."""
+    if lat._index is None:
+        reps = _coset_reps(lat)
+        total, N = reps.shape
+        count = lat.ideal.residue_size if lat.ambient == "complex" else lat.q
+        if count <= total:
+            residues, cols = np.arange(count)[None, :], reps.T
+        else:
+            residues, cols = np.ascontiguousarray(reps.T), np.arange(total)[None, :]
+        width = residues.shape[1]
+        lat._index = residues, (cols + width * np.arange(N)[:, None]).astype(np.intp, copy=False)
+    return lat._index
+
+
 def quantize(lat: LatticeDescriptor, y):
     """A nearest lattice point to y: an int64 array, or a tuple of QuadInt
-    for A_OK.  Each coset rep + Lambda_c^N gives its nearest point per
-    coordinate (rounding over q Z, a Babai floor and its 4x4 neighbourhood
-    over an ideal).  One tie rule, per coordinate and across cosets:
-    squared distances within 1e-9*max(1, dmin) of the minimum tie, and the
-    lexicographically smallest integer coordinates win (ring coordinates
-    (a, b) for A_OK; real coordinate ties round down).  Entries must be
-    finite with |y_j| <= 2**53, beyond which float64 misses integer points.
+    for A_OK.  The lattice is a union of cosets rep + Lambda_c^N, so the
+    nearest point of a coset splits into one nearest point per coordinate,
+    which depends only on that coordinate's residue.  One table per call
+    holds, for each (coordinate, residue), that point and its squared
+    distance (rounding over q Z, a Babai floor and its 4x4 neighbourhood
+    over an ideal); each coset's distance is then one gather-sum through
+    an index built once per lattice, summed in coordinate order.  One tie
+    rule, per coordinate and across cosets: squared distances within
+    1e-9*max(1, dmin) of the minimum tie, and the lexicographically
+    smallest integer coordinates win (ring coordinates (a, b) for A_OK;
+    real coordinate ties round down).  Entries must be finite with
+    |y_j| <= 2**53, beyond which float64 misses integer points, and real
+    for a real-ambient lattice.
     """
     complex_ambient = lat.ambient == "complex"
+    if not complex_ambient and np.iscomplexobj(y):
+        raise ValueError("y must be real for a real-ambient lattice; quantize .real and .imag apart")
     y = np.asarray(y, dtype=complex if complex_ambient else float)
     if y.shape != (lat.N,):
         raise ValueError(f"expected shape ({lat.N},), got {y.shape}")
@@ -286,40 +321,57 @@ def quantize(lat: LatticeDescriptor, y):
         raise ValueError("y must be finite")
     if (np.abs(y) > 2.0**53).any():
         raise ValueError("y must satisfy |y| <= 2**53")
-    reps = _coset_reps(lat)
-    cands, d2 = (_nearest_mod_ideal if complex_ambient else _nearest_mod_q)(lat, reps, y)
-    dmin = float(d2.min())
+    residues, index = _coset_index(lat)
+    points, d2 = (_table_mod_ideal if complex_ambient else _table_mod_q)(lat, residues, y[:, None])
+    dist = _gather_sum(d2, index)
+    dmin = float(dist.min())
     tol = 1e-9 * max(1.0, dmin)
-    tied = np.flatnonzero(d2 <= dmin + tol)
-    best = min(tied, key=lambda i: tuple(cands[i].ravel()))
+    tied = np.flatnonzero(dist <= dmin + tol)
+    points = points.reshape(d2.size, *points.shape[2:])  # x, or (a, b), per table entry
+    best = min(points[index[:, i]].tolist() for i in tied)  # lexicographic integer coordinates
     if complex_ambient:
-        return tuple(lat.ideal.ring.element(a, b) for a, b in cands[best])
-    return cands[best].copy()
+        return tuple(lat.ideal.ring.element(a, b) for a, b in best)
+    return np.array(best, dtype=np.int64)
 
 
-def _nearest_mod_q(lat: LatticeDescriptor, reps, y):
-    steps = np.ceil((y[None, :] - reps) / lat.q - 0.5)
-    cands = reps + lat.q * steps.astype(np.int64)
-    return cands, ((cands - y[None, :]) ** 2).sum(axis=1)
+def _gather_sum(table, index):
+    """Each coset's squared distance: its residues' table entries summed
+    over the coordinates in order (numpy's sum(axis=0) over the gathered
+    N x cosets array would go pairwise for N >= 8)."""
+    table = table.ravel()
+    dist = table[index[0]]
+    for at in index[1:]:
+        dist += table[at]
+    return dist
 
 
-def _nearest_mod_ideal(lat: LatticeDescriptor, reps, y):
+def _table_mod_q(lat: LatticeDescriptor, residues, y):
+    """Nearest point of r + q Z to y_j and its squared distance, for each
+    coordinate j (y is a column) and residue r in that row of residues."""
+    steps = np.ceil((y - residues) / lat.q - 0.5)
+    points = residues + lat.q * steps.astype(np.int64)
+    return points, (points - y) ** 2
+
+
+def _table_mod_ideal(lat: LatticeDescriptor, residues, y):
+    """Nearest point of rep(r) + P to y_j, as ring coordinates (a, b), and
+    its squared distance, for each coordinate j (y is a column) and
+    residue-field index r in that row of residues."""
     # ResidueFieldMap: index i0 + i1*p stands for the ring element i0 + i1*xi
     xi = lat.ideal.ring.xi_numeric
-    b, a = np.divmod(reps, lat.ideal.p)
+    b, a = np.divmod(residues, lat.ideal.p)
     basis, B = _ideal_basis(lat.ideal)
-    w = (y - (a + b * xi)).ravel()
-    k = np.floor(np.linalg.solve(B, [w.real, w.imag]))
-    base = np.stack([a, b], axis=-1) + (k.T.astype(np.int64) @ basis).reshape(a.shape + (2,))
+    w = y - (a + b * xi)
+    k = np.floor(np.linalg.solve(B, [w.real.ravel(), w.imag.ravel()]))
+    base = np.stack([a, b], axis=-1) + (k.T.astype(np.int64) @ basis).reshape(w.shape + (2,))
     offsets = (np.indices((4, 4)).reshape(2, 16).T - 1) @ basis
     offsets = offsets[np.lexsort(offsets.T[::-1])]  # ring coordinates, lexicographic
-    cands = base[:, :, None, :] + offsets  # cosets x N x 16 x (a, b)
-    diff = cands[..., 0] + cands[..., 1] * xi - y[:, None]
+    cands = base[:, :, None, :] + offsets  # N x width x 16 x (a, b)
+    diff = cands[..., 0] + cands[..., 1] * xi - y[..., None]
     dist = diff.real**2 + diff.imag**2
     dmin = dist.min(axis=2, keepdims=True)
     pick = (dist <= dmin + 1e-9 * np.maximum(1.0, dmin)).argmax(axis=2)
-    dist = np.take_along_axis(dist, pick[..., None], axis=2)[..., 0]
-    return base + offsets[pick], dist.cumsum(axis=1)[:, -1]  # summed in coordinate order
+    return base + offsets[pick], np.take_along_axis(dist, pick[..., None], axis=2)[..., 0]
 
 
 def _ideal_basis(ideal: PrimeIdeal):

@@ -220,6 +220,24 @@ def test_relay_process_reports_variance():
     assert out.alpha == pytest.approx(alpha)
 
 
+def test_relay_process_checks_lengths():
+    pair = _rep6_pair()
+    h, y = np.array([1.2 + 0.3j, -0.7 + 1.1j]), np.zeros(2, dtype=complex)
+    for a, dithers, mode in (((1, -1), [np.zeros(2)] * 3, "mmse"),
+                             ((1,), [np.zeros(2)] * 2, "unit"),
+                             ((1, -1), [np.zeros(2)], "unit")):
+        with pytest.raises(ValueError, match="a, h and dithers have lengths"):
+            relay_process(y, a, dithers, h, 5.0, pair, alpha_mode=mode)
+
+
+def test_make_pair_refuses_non_positive_or_non_finite_power():
+    fine = construction_pi_a([REP2, REP3])
+    for P in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="P must be positive"):
+            make_pair(fine, P)
+    assert make_pair(fine, 6.0).scale == pytest.approx(1.0)  # q^2/6 = P
+
+
 def test_effective_noise_variance_monte_carlo():
     rng = np.random.default_rng(34)
     q = 6

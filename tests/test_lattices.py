@@ -439,6 +439,14 @@ def test_quantize_refuses_entries_beyond_2_53():
     assert quantize(ok, [7.0 * 2**50, 0, 0])[0] == make_quadratic_ring(-3).element(7 * 2**50)
 
 
+def test_quantize_refuses_complex_input_on_a_real_lattice():
+    lat = construction_pi_a([REP2, LinearCode(PrimeField(3), [[1, 1]])])
+    for y in ([0.6 + 5j, 3.4 - 2j], np.array([0.6, 3.4], dtype=complex)):
+        with pytest.raises(ValueError, match="y must be real for a real-ambient lattice"):
+            quantize(lat, y)
+    assert tuple(quantize(lat, np.array([0.6 + 5j, 3.4 - 2j]).real)) == (2, 2)
+
+
 # -------------------- mod_coarse --------------------
 
 

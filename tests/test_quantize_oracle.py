@@ -1,13 +1,17 @@
 """Differential test of `quantize` and `_coset_reps` against the code they
 replaced: a coset table filled one `forward_vec` call per codeword
 combination, and a per-codeword, per-coordinate A_OK quantizer scoring
-QuadInt candidates, kept here verbatim as the oracle.  Results must agree
-exactly: the same int64 points for real lattices, the same QuadInt
-tuples for A_OK."""
+QuadInt candidates, kept here verbatim as the oracle.  A second oracle,
+`cosetwise_quantize`, is the quantizer that scored every coset on every
+coordinate (cosets x N rounding over q Z, cosets x N x 16 candidates over
+an ideal) before quantize moved to one table per (coordinate, residue)
+and a gather-sum per coset.  Results must agree exactly: the same int64
+points for real lattices, the same QuadInt tuples for A_OK."""
 
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,7 @@ import pytest
 
 from latcf import cli
 from latcf.algebra import (
+    ChainRing,
     PrimeField,
     PrimeIdeal,
     QuadInt,
@@ -24,10 +29,17 @@ from latcf.algebra import (
 )
 from latcf.codes import LinearCode, build_nested_chain, codebook
 from latcf.lattices import (
+    LatticeDescriptor,
+    _coset_index,
     _coset_reps,
+    _gather_sum,
+    _ideal_basis,
+    _table_mod_ideal,
+    _table_mod_q,
     construction_a,
     construction_a_ok,
     construction_d,
+    construction_pi_d,
     quantize,
 )
 
@@ -117,6 +129,65 @@ def _quantize_complex(lat, y):
         if best is None or key < best[0]:
             best = (key, cand)
     return tuple(best[1])
+
+
+# ---------------------------------------------------------------------------
+# the coset-wise quantizer, verbatim: every coset scored on every coordinate
+# ---------------------------------------------------------------------------
+
+
+def cosetwise_quantize(lat: LatticeDescriptor, y):
+    """A nearest lattice point to y: an int64 array, or a tuple of QuadInt
+    for A_OK.  Each coset rep + Lambda_c^N gives its nearest point per
+    coordinate (rounding over q Z, a Babai floor and its 4x4 neighbourhood
+    over an ideal).  One tie rule, per coordinate and across cosets:
+    squared distances within 1e-9*max(1, dmin) of the minimum tie, and the
+    lexicographically smallest integer coordinates win (ring coordinates
+    (a, b) for A_OK; real coordinate ties round down).  Entries must be
+    finite with |y_j| <= 2**53, beyond which float64 misses integer points.
+    """
+    complex_ambient = lat.ambient == "complex"
+    y = np.asarray(y, dtype=complex if complex_ambient else float)
+    if y.shape != (lat.N,):
+        raise ValueError(f"expected shape ({lat.N},), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
+    if (np.abs(y) > 2.0**53).any():
+        raise ValueError("y must satisfy |y| <= 2**53")
+    reps = _coset_reps(lat)
+    cands, d2 = (_nearest_mod_ideal if complex_ambient else _nearest_mod_q)(lat, reps, y)
+    dmin = float(d2.min())
+    tol = 1e-9 * max(1.0, dmin)
+    tied = np.flatnonzero(d2 <= dmin + tol)
+    best = min(tied, key=lambda i: tuple(cands[i].ravel()))
+    if complex_ambient:
+        return tuple(lat.ideal.ring.element(a, b) for a, b in cands[best])
+    return cands[best].copy()
+
+
+def _nearest_mod_q(lat: LatticeDescriptor, reps, y):
+    steps = np.ceil((y[None, :] - reps) / lat.q - 0.5)
+    cands = reps + lat.q * steps.astype(np.int64)
+    return cands, ((cands - y[None, :]) ** 2).sum(axis=1)
+
+
+def _nearest_mod_ideal(lat: LatticeDescriptor, reps, y):
+    # ResidueFieldMap: index i0 + i1*p stands for the ring element i0 + i1*xi
+    xi = lat.ideal.ring.xi_numeric
+    b, a = np.divmod(reps, lat.ideal.p)
+    basis, B = _ideal_basis(lat.ideal)
+    w = (y - (a + b * xi)).ravel()
+    k = np.floor(np.linalg.solve(B, [w.real, w.imag]))
+    base = np.stack([a, b], axis=-1) + (k.T.astype(np.int64) @ basis).reshape(a.shape + (2,))
+    offsets = (np.indices((4, 4)).reshape(2, 16).T - 1) @ basis
+    offsets = offsets[np.lexsort(offsets.T[::-1])]  # ring coordinates, lexicographic
+    cands = base[:, :, None, :] + offsets  # cosets x N x 16 x (a, b)
+    diff = cands[..., 0] + cands[..., 1] * xi - y[:, None]
+    dist = diff.real**2 + diff.imag**2
+    dmin = dist.min(axis=2, keepdims=True)
+    pick = (dist <= dmin + 1e-9 * np.maximum(1.0, dmin)).argmax(axis=2)
+    dist = np.take_along_axis(dist, pick[..., None], axis=2)[..., 0]
+    return base + offsets[pick], dist.cumsum(axis=1)[:, -1]  # summed in coordinate order
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +311,121 @@ def test_non_finite_input_is_refused_on_both_ambients():
         with pytest.raises(ValueError, match="y must be finite"):
             quantize(ok, y)
 
+
+# ---------------------------------------------------------------------------
+# the per-(coordinate, residue) table against the coset-wise quantizer
+# ---------------------------------------------------------------------------
+
+
+def _zero_code_a(p, N):
+    return lambda: construction_a(LinearCode(PrimeField(p), [], N=N))
+
+
+def _non_free_pi_d():
+    # Z4 and Z9 levels spanned by zero divisors: 2 * 3 = 6 cosets, 36 residues
+    z4 = LinearCode(ChainRing(2, 2), [[2, 2, 0, 2, 2, 0, 0, 2]])
+    z9 = LinearCode(ChainRing(3, 2), [[3, 0, 6, 3, 3, 0, 3, 6]])
+    return construction_pi_d(36, [z4, z9])
+
+
+def _a_ok_zero_code(d, p, N):
+    ideal = factor_rational_prime(make_quadratic_ring(d), p)[0]
+    field = residue_field_map(ideal).field
+    return lambda: construction_a_ok(LinearCode(field, [], N=N), ideal)
+
+
+MORE_REAL = {
+    "A zero code F_(2^31-1) N=8": _zero_code_a(2**31 - 1, 8),
+    "piD q=36 non-free Z4 x Z9": _non_free_pi_d,
+}
+
+MORE_A_OK = {
+    "d=-3 p=7 N=8": _a_ok(-3, 7, [[1, 3, 5, 2, 0, 1, 4, 6], [0, 1, 2, 3, 4, 5, 6, 1]]),
+    "d=-1 p=3 inert zero code": _a_ok_zero_code(-1, 3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted({**REAL, **MORE_REAL}))
+def test_real_quantize_matches_cosetwise(name):
+    make = {**REAL, **MORE_REAL}[name]
+    lat, ref = make(), make()
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    per_class = 60 if len(_coset_reps(lat)) > 1000 else 400
+    for y in _real_inputs(lat, rng, per_class):
+        got, want = quantize(lat, y), cosetwise_quantize(ref, y)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want), y
+
+
+@pytest.mark.parametrize("name", sorted({**A_OK, **MORE_A_OK}))
+def test_a_ok_quantize_matches_cosetwise(name):
+    make = {**A_OK, **MORE_A_OK}[name]
+    lat, ref = make(), make()
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    per_class = max(60, 2000 // len(_coset_reps(lat)) // lat.N)
+    for y in _complex_inputs(lat, rng, per_class):
+        got = quantize(lat, y)
+        assert all(type(x.a) is int and type(x.b) is int for x in got)
+        assert got == cosetwise_quantize(ref, y), y
+
+
+def test_real_quantize_matches_cosetwise_on_fine_grids():
+    # quarter- and third-integer grids put many cosets within the tie tolerance
+    for make in (_workload("sim-cosets"), _non_free_pi_d, REAL["A F5 [3,2]"]):
+        lat, ref = make(), make()
+        rng = np.random.default_rng(7)
+        for den in (3, 4):
+            for _ in range(150):
+                y = rng.integers(-2 * den * lat.q, 2 * den * lat.q + 1, lat.N) / den
+                assert np.array_equal(quantize(lat, y), cosetwise_quantize(ref, y)), y
+
+
+@pytest.mark.parametrize("make, shape", [
+    (REAL["piA sim-small"], (1, 6)),       # 6 residues, 6 cosets
+    (REAL["piD sim-cosets"], (1, 12)),     # 12 residues, 6912 cosets
+    (A_OK["d=-3 p=7 split"], (1, 7)),      # 7 residues, 7 cosets
+    (MORE_A_OK["d=-3 p=7 N=8"], (1, 7)),   # 7 residues, 49 cosets
+    (_non_free_pi_d, (8, 6)),              # 36 residues, 6 cosets
+    (MORE_REAL["A zero code F_(2^31-1) N=8"], (8, 1)),
+    (MORE_A_OK["d=-1 p=3 inert zero code"], (2, 1)),  # 9 residues, 1 coset
+])
+def test_table_is_never_wider_than_the_coset_count(make, shape):
+    lat = make()
+    residues, index = _coset_index(lat)
+    assert residues.shape == shape
+    assert index.shape == (lat.N, len(_coset_reps(lat)))
+    assert index.min() >= 0 and index.max() < lat.N * shape[1]
+
+
+@pytest.mark.parametrize("name", ["d=-3 p=7 N=8", "d=-7 p=2 split"])
+def test_a_ok_coset_distances_are_bit_identical(name):
+    # coordinate-order sums, as the coset-wise cumsum: also for N >= 8
+    lat = {**A_OK, **MORE_A_OK}[name]()
+    residues, index = _coset_index(lat)
+    rng = np.random.default_rng(3)
+    for y in _complex_inputs(lat, rng, 20):
+        got = _gather_sum(_table_mod_ideal(lat, residues, y[:, None])[1], index)
+        assert np.array_equal(got, _nearest_mod_ideal(lat, _coset_reps(lat), y)[1]), y
+
+
+def test_real_coset_distances_sum_in_coordinate_order():
+    lat = REAL["piD sim-cosets"]()
+    residues, index = _coset_index(lat)
+    rng = np.random.default_rng(4)
+    for y in _real_inputs(lat, rng, 5):
+        cands = _nearest_mod_q(lat, _coset_reps(lat), y)[0]
+        want = ((cands - y) ** 2).cumsum(axis=1)[:, -1]
+        assert np.array_equal(_gather_sum(_table_mod_q(lat, residues, y[:, None])[1], index), want)
+
+
+def test_zero_code_over_a_large_prime_quantizes_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        lat = MORE_REAL["A zero code F_(2^31-1) N=8"]()
+        y = np.full(8, 1.5 * (2**31 - 1))
+        got = quantize(lat, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, np.full(8, 2**31 - 1))  # the tie rounds down
+    assert peak < 100 * 2**20, peak
