@@ -10,10 +10,24 @@ Power convention: transmit symbols are uniform over the coarse cell
 [0, q*scale)^2 per complex dimension with scale = sqrt(P/(q^2/6)), so
 their centered variance is exactly P.  The deterministic cell offset is
 known at the relays and does not count as noise.
+
+`run_trials` runs in two phases over chunks of trials.  Phase 1 makes
+each trial's random draws, and nothing else, from its own generator
+default_rng([seed, trial]): H, the messages per source, level and real
+part, the dithers, then Z.  Phase 2 does the arithmetic of the whole
+chunk in numpy: encoding and CRT, the channel, the relays' scaling and
+reduction, one `quantize` over every (trial, relay, real part) row, and
+the decode check.  Per relay only the coefficient search and the scalars
+of (h, a, P) stay in Python, once per relay under a fixed H.  A chunk
+holds at most _TRIAL_BLOCK elements in its widest array, so memory does
+not grow with the trial count, and every element goes through the same
+floating-point operations, in the same order, as a trial run alone: the
+records are a function of (config, seed) only, whatever the chunking.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -22,11 +36,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import ChainRing, QuadraticRing
+from .codes import LinearCode, solve_encoding
 from .codes import encode as encode_codeword
-from .codes import solve_encoding
-from .lattices import LatticePair, contains, mod_coarse, quantize
+from .lattices import LatticePair, _coset_index, contains, mod_coarse, quantize
 
 _SEARCH_HARD_CAP = 5 * 10**6
+# elements of the widest phase-2 arrays, quantize's tables and rows x cosets
+# distances, that one chunk of trials may hold
+_TRIAL_BLOCK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -329,17 +346,30 @@ def relay_process(y, a, dithers, h, P, pair: LatticePair, alpha_mode="mmse") -> 
     if not len(av) == len(h) == len(dithers):
         raise ValueError(f"a, h and dithers have lengths {len(av)}, {len(h)}, {len(dithers)}; "
                          "need one per source")
+    alpha, noise_var = _alpha_and_variance(h, a, av, P, alpha_mode)
+    y_prime = _relay_combine(alpha, np.asarray(y, dtype=complex), av, map(np.asarray, dithers))
+    return RelayOutput(mod_coarse(pair, y_prime), alpha, noise_var)
+
+
+def _alpha_and_variance(h, a, av, P, alpha_mode):
+    """The relay's scaling alpha and the analytic variance of its
+    effective noise, both functions of (h, a, P) only."""
     if alpha_mode == "mmse":
         alpha = mmse_alpha(h, a, P)
     elif alpha_mode == "unit":
         alpha = 1.0 + 0.0j
     else:
         raise ValueError(f"unknown alpha_mode {alpha_mode!r}")
-    noise_var = abs(alpha) ** 2 + P * float(np.sum(np.abs(alpha * h - av) ** 2))
-    acc = alpha * np.asarray(y, dtype=complex)
+    return alpha, abs(alpha) ** 2 + P * float(np.sum(np.abs(alpha * h - av) ** 2))
+
+
+def _relay_combine(alpha, y, av, dithers):
+    """alpha*y + sum_k a_k u_k, the sources added in order; alpha, the
+    a_k and the u_k broadcast against y, so one call serves a block."""
+    acc = alpha * y
     for ak, uk in zip(av, dithers):
-        acc = acc + ak * np.asarray(uk)
-    return RelayOutput(mod_coarse(pair, acc), alpha, noise_var)
+        acc = acc + ak * uk
+    return acc
 
 
 def decode_function(y_prime, pair: LatticePair, a) -> FunctionDecode:
@@ -381,7 +411,7 @@ def decode_function(y_prime, pair: LatticePair, a) -> FunctionDecode:
 def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
     """Whether each real part of y_prime quantizes, mod q, to the
     integer point sum_k a_k t_k mod q, with points[k] = (re, im) of
-    source k's integer CRT point; stops at the first part that misses.
+    source k's integer CRT point.
 
     This is the compute-and-forward function itself: the CRT map is a
     ring isomorphism and every level's encoding is linear, so the point
@@ -389,14 +419,19 @@ def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
     codewords, not messages, which chain-ring levels with non-unique
     messages need.
     """
+    q = pair.fine.q
+    a_mod = np.array([int(x) % q for x in a], dtype=np.int64)
+    want = np.mod(np.tensordot(a_mod, np.asarray(points, dtype=np.int64), axes=1), q)
+    return bool(_parts_decoded(pair, np.asarray(y_prime), want))
+
+
+def _parts_decoded(pair: LatticePair, y_prime, want):
+    """Whether both real parts of each y_prime (... x N) quantize, mod q,
+    to want (... x 2 x N): one quantize over every real part at once."""
     fine = pair.fine
-    a_mod = np.array([int(x) % fine.q for x in a], dtype=np.int64)
-    want = np.mod(np.tensordot(a_mod, np.asarray(points, dtype=np.int64), axes=1), fine.q)
-    y_prime = np.asarray(y_prime)
-    return all(
-        np.array_equal(np.mod(quantize(fine, part / pair.scale), fine.q), w)
-        for part, w in zip((y_prime.real, y_prime.imag), want)
-    )
+    parts = np.stack([y_prime.real, y_prime.imag], axis=-2) / pair.scale
+    got = np.mod(quantize(fine, parts.reshape(-1, fine.N)), fine.q)
+    return (got.reshape(want.shape) == want).all(axis=(-2, -1))
 
 
 def function_coefficients(a, moduli):
@@ -405,14 +440,10 @@ def function_coefficients(a, moduli):
 
 
 def combined_message(code, b_level, messages):
-    """The linear function sum_k b_k * w_k in the code's message space."""
-    A = code.alphabet
-    out = [A.zero] * code.n
-    for bk, wk in zip(b_level, messages):
-        bk = int(bk) % A.size
-        for i, wi in enumerate(wk):
-            out[i] = A.add(out[i], A.mul(bk, int(wi) % A.size))
-    return tuple(out)
+    """The linear function sum_k b_k * w_k in the code's message space:
+    the encoding of b under the code whose generator rows are the w_k."""
+    rows = [[int(x) for x in w] for w in messages]
+    return encode_codeword(LinearCode(code.alphabet, rows, N=code.n), [int(b) for b in b_level])
 
 
 def multistage_roundtrip(pair: LatticePair, messages, a):
@@ -484,25 +515,36 @@ def make_pair(fine, P: float) -> LatticePair:
     """Nested pair scaled so transmit symbols have variance P."""
     if not (math.isfinite(P) and P > 0):
         raise ValueError("P must be positive")
+    if fine.ambient != "real":
+        raise ValueError("make_pair and the simulator need a real-ambient lattice, "
+                         f"got {fine.kind} over {fine.q!r}")
     return LatticePair(fine, scale=math.sqrt(P / (fine.q**2 / 6.0)))
 
 
 def run_trials(config: SimConfig, trials: int, seed: int):
-    """Independent Monte Carlo trials, run one after another and
-    deterministic in (config, seed): each trial seeds its own generator
-    from (seed, trial).  A fixed channel is searched once per relay,
-    before the first trial.
+    """Independent Monte Carlo trials, deterministic in (config, seed):
+    trial t draws from its own generator default_rng([seed, t]).
+
+    Trials run in chunks of at most _chunk_trials(config), each in two
+    phases: the draws of every trial of the chunk, in the order
+    H, messages (per source, level, real part), dithers, Z; then the
+    chunk's arithmetic in numpy, one quantize over all of its rows.  The
+    coefficient search runs once per relay and trial, in trial order, or
+    once per relay before the first trial under a fixed channel; so do
+    alpha, the analytic noise variance and the zero-divisor flag.  The
+    records do not depend on the chunking.
     """
     _check_config(config)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    searched = None
-    if config.fixed_H is not None and not config.noiseless:
-        searched = [
-            best_coefficients(h, config.P, max_norm_cap=config.max_norm_cap)
-            for h in np.asarray(config.fixed_H, dtype=complex)
-        ]
-    return [rec for t in range(trials) for rec in _one_trial(config, seed, t, searched)]
+    fixed = None
+    if config.fixed_H is not None:
+        fixed = [_relay_scalars(config, h) for h in np.asarray(config.fixed_H, dtype=complex)]
+    chunk = _chunk_trials(config)
+    records = []
+    for start in range(0, trials, chunk):
+        records += _run_chunk(config, seed, range(start, min(start + chunk, trials)), fixed)
+    return records
 
 
 def _check_config(config: SimConfig):
@@ -522,89 +564,118 @@ def _check_config(config: SimConfig):
             raise ValueError("fixed_H must be finite")
 
 
-def _one_trial(config: SimConfig, seed: int, trial: int, searched):
-    rng = np.random.default_rng([seed, trial])
+def _chunk_trials(config: SimConfig) -> int:
+    """Trials per chunk: a trial quantizes 2M rows, each scoring every
+    coset through an N x width table."""
+    fine = config.pair.fine
+    residues, index = _coset_index(fine)
+    per_trial = 2 * config.M * (index.shape[1] + fine.N * residues.shape[1])
+    return max(1, _TRIAL_BLOCK // per_trial)
+
+
+class _Relay(NamedTuple):
+    """What a relay's record takes from (h, a, P) alone."""
+
+    a: tuple
+    rate: float
+    alpha: complex
+    noise_var: float
+    zero_divisor_flag: int
+
+
+def _relay_scalars(config: SimConfig, h) -> _Relay:
+    P = config.P
+    if config.noiseless:
+        a = tuple(int(x) for x in np.round(h.real))
+        rate = computation_rate(h, a, P) if any(a) else 0.0
+    else:
+        a, rate, _ = best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
+    if not any(a):
+        raise ValueError("relay coefficient vector is zero")
+    alpha, noise_var = _alpha_and_variance(h, a, _coeffs_to_complex(a), P, config.alpha_mode)
+    fine = config.pair.fine
+    zflag = 0
+    for code, b_l in zip(fine.codes, function_coefficients(a, fine.moduli)):
+        A = code.alphabet
+        if isinstance(A, ChainRing) and A.e > 1 and any(b != 0 and b % A.p == 0 for b in b_l):
+            zflag = 1
+    return _Relay(a, rate, alpha, noise_var, zflag)
+
+
+def _run_chunk(config: SimConfig, seed: int, trials: range, fixed):
     pair = config.pair
     fine = pair.fine
-    K, M, P = config.K, config.M, config.P
-    N = fine.N
+    K, M, N, T = config.K, config.M, fine.N, len(trials)
     cell = fine.q * pair.scale
 
-    if config.fixed_H is not None:
+    # phase 1: each trial's draws from its own generator, in the order of a
+    # trial run alone.  One call makes a run of draws and consumes the
+    # generator exactly as one call per draw would: integers takes a bound
+    # per message symbol (per source, level, real part), and the dithers
+    # come from random(), scaled below as uniform(0, cell) scales them
+    bounds = np.concatenate([np.full(2 * code.n, code.alphabet.size) for code in fine.codes] * K)
+    H2 = None if fixed is not None else np.empty((T, 2, M, K))
+    W = np.empty((T, len(bounds)), dtype=np.int64)
+    D = np.empty((T, K, 2, N))
+    Z2 = np.zeros((T, 2, M, N))  # stays zero when noiseless
+    for i, trial in enumerate(trials):
+        rng = np.random.default_rng([seed, trial])
+        if H2 is not None:
+            rng.standard_normal(out=H2[i])  # real parts, then imaginary parts
+        W[i] = rng.integers(0, bounds)
+        rng.random(out=D[i])
+        if not config.noiseless:
+            rng.standard_normal(out=Z2[i])
+
+    # phase 2: the chunk's arithmetic, each element as a lone trial computes it
+    if fixed is None:
+        H = (H2[:, 0] + 1j * H2[:, 1]) / math.sqrt(2)
+        relays = [_relay_scalars(config, h) for Hi in H for h in Hi]
+    else:
         H = np.asarray(config.fixed_H, dtype=complex)
-    else:
-        H = (rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))) / math.sqrt(2)
-
-    # per source, per level, one message for each real part (this draw
-    # order fixes the output for a seed); points[k, part] is the integer
-    # CRT point of source k's codewords
-    crt = fine.map
-    points = np.empty((K, 2, N), dtype=np.int64)
-    for k in range(K):
-        words = [[], []]
-        for code in fine.codes:
-            for part in (0, 1):
-                w = rng.integers(0, code.alphabet.size, size=code.n)
-                words[part].append(encode_codeword(code, w.tolist()))
-        points[k] = [crt.forward_vec(w) for w in words]
-
-    dithers = [
-        rng.uniform(0.0, cell, size=N) + 1j * rng.uniform(0.0, cell, size=N)
-        for _ in range(K)
-    ]
-    if config.noiseless:
-        Z = np.zeros((M, N), dtype=complex)
-    else:
-        Z = (rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))) / math.sqrt(2)
-
-    X = np.empty((K, N), dtype=complex)
-    for k in range(K):
-        t = (points[k, 0] + 1j * points[k, 1]) * pair.scale
-        X[k] = encode_source(SourceState(None, t, dithers[k]), pair)
-
+        relays = fixed * T
+    cuts = np.cumsum([2 * code.n for code in fine.codes])[:-1]
+    words = [encode_codeword(code, w.reshape(T, K, 2, code.n))
+             for code, w in zip(fine.codes, np.split(W.reshape(T, K, -1), cuts, axis=2))]
+    points = fine.map.forward_vec(words)  # T x K x (re, im) x N integer CRT points
+    D = 0.0 + cell * D  # uniform(0, cell) is 0 + cell * random()
+    U = D[:, :, 0] + 1j * D[:, :, 1]
+    t = (points[:, :, 0] + 1j * points[:, :, 1]) * pair.scale
+    X = mod_coarse(pair, t - U)
+    Z = (Z2[:, 0] + 1j * Z2[:, 1]) / math.sqrt(2)
     Y = H @ X + Z
 
-    mean_x = cell / 2.0 * (1 + 1j)  # deterministic offset of the coarse cell
-    records = []
-    for m in range(M):
-        h = H[m]
-        if config.noiseless:
-            a = tuple(int(x) for x in np.round(h.real))
-            rate = computation_rate(h, a, P) if any(a) else 0.0
-        elif searched is not None:
-            a, rate, _ = searched[m]
-        else:
-            a, rate, _ = best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
-        if not any(a):
-            raise ValueError("relay coefficient vector is zero")
+    a = np.array([r.a for r in relays], dtype=np.int64).reshape(T, M, K)
+    av = a.astype(complex)
+    alpha = np.array([r.alpha for r in relays], dtype=complex).reshape(T, M, 1)
+    c = alpha * H - av  # alpha*h - a per relay
+    z_eq = (c[:, :, None, :] @ X[:, None])[:, :, 0] + alpha * Z
+    # the half-open cell gives every x_k the known mean cell/2*(1+1j); its
+    # deterministic contribution to the effective noise scales with the
+    # cell, so it must come off before quantizing
+    # sum_k (alpha*h_k - a_k) times that mean, as numpy's scalar complex
+    # product rounds it (an array product can round the last bit otherwise)
+    s = np.sum(c, axis=-1, keepdims=True)
+    mean = cell / 2.0 * (1 + 1j)
+    offset = (s.real * mean.real - s.imag * mean.imag) + 1j * (s.real * mean.imag + s.imag * mean.real)
+    noise_var_emp = np.mean(np.abs(z_eq - offset) ** 2, axis=-1)
+    y_prime = mod_coarse(pair, _relay_combine(
+        alpha, Y, np.moveaxis(av, 2, 0)[..., None], np.moveaxis(U, 1, 0)[:, :, None]))
+    want = np.mod(np.mod(a, fine.q) @ points.reshape(T, K, 2 * N), fine.q).reshape(T, M, 2, N)
+    ok = _parts_decoded(pair, mod_coarse(pair, y_prime - offset), want)
 
-        out = relay_process(Y[m], a, dithers, h, P, pair, alpha_mode=config.alpha_mode)
-        av = np.array(a, dtype=complex)
-        z_eq = (out.alpha * h - av) @ X + out.alpha * Z[m]
-        offset = np.sum(out.alpha * h - av) * mean_x
-        noise_var_emp = float(np.mean(np.abs(z_eq - offset) ** 2))
-
-        # the half-open cell gives every x_k the known mean cell/2*(1+1j);
-        # its deterministic contribution to the effective noise scales with
-        # the cell, so it must come off before quantizing
-        ok = function_decoded(mod_coarse(pair, out.y_prime - offset), pair, a, points)
-        zflag = 0
-        for code, b_l in zip(fine.codes, function_coefficients(a, fine.moduli)):
-            A = code.alphabet
-            if isinstance(A, ChainRing) and A.e > 1:
-                if any(b != 0 and b % A.p == 0 for b in b_l):
-                    zflag = 1
-        records.append(
-            TrialRecord(
-                trial=trial,
-                relay=m,
-                a=tuple(int(x) for x in a),
-                rate_bits=rate,
-                alpha=complex(out.alpha),
-                noise_var_analytic=out.noise_var_analytic,
-                noise_var_emp=noise_var_emp,
-                decode_ok=int(ok),
-                zero_divisor_flag=zflag,
-            )
+    return [
+        TrialRecord(
+            trial=trial,
+            relay=m,
+            a=tuple(int(x) for x in r.a),
+            rate_bits=r.rate,
+            alpha=complex(r.alpha),
+            noise_var_analytic=r.noise_var,
+            noise_var_emp=v,
+            decode_ok=int(d),
+            zero_divisor_flag=r.zero_divisor_flag,
         )
-    return records
+        for (trial, m), r, v, d in zip(itertools.product(trials, range(M)), relays,
+                                       noise_var_emp.ravel().tolist(), ok.ravel().tolist())
+    ]

@@ -3,16 +3,18 @@ codes sharing one generator basis, and the lift of a chain to a single
 chain-ring code.
 
 Generator matrices are stored row per generator; `encode` left-multiplies
-by the message, so outputs have length N.  Each code builds one Smith-form
-kernel on first use, its parity checks and systematic inverse serving
-membership (`contains_codeword`), message recovery (`solve_encoding`) and
-the rank check of `NestedCodeChain`.  Codebooks up to 2^16 words are
-enumerated once and cached for the lattice coset tables.
+by the message, so outputs have length N.  Every code is linear over
+Z/m (m = p^e) once an F_{p^2} symbol c0 + c1*p is read as the pair
+(c0, c1), so encoding is one integer matmul w G mod m on message rows,
+and a codebook is that matmul over every message.  Each code builds one
+Smith-form kernel on first use, its parity checks and systematic inverse
+serving membership (`contains_codeword`), message recovery
+(`solve_encoding`) and the rank check of `NestedCodeChain`.  Codebooks up
+to 2^16 words are enumerated once and cached for the lattice coset tables.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -39,7 +41,9 @@ class LinearCode:
         self.n = len(rows)
         self.N = int(N)
         self._cb = None
+        self._words = None
         self._kernel = None
+        self._gx = None
 
     def codebook_bound(self) -> int:
         return self.alphabet.size**self.n
@@ -49,30 +53,53 @@ class LinearCode:
 
 
 def encode(code: LinearCode, w):
-    """Codeword w*G with all arithmetic in the code's alphabet."""
-    if len(w) != code.n:
-        raise ValueError(f"message length {len(w)} != n={code.n}")
-    A = code.alphabet
-    out = [A.zero] * code.N
-    for wi, row in zip(w, code.G):
-        wi = int(wi) % A.size
-        if wi == A.zero:
-            continue
-        for j, g in enumerate(row):
-            out[j] = A.add(out[j], A.mul(wi, g))
-    return tuple(out)
+    """Codeword w*G of a message w, or of each row of an array of messages.
+
+    One integer matmul mod m on the F_p-expansion (`_generator`): w is
+    reduced into the alphabet, each F_{p^2} symbol split into (c0, c1) and
+    joined back after the product.  A 1-D message gives a tuple of ints;
+    an array of shape (..., n) gives an int64 array of shape (..., N).
+    """
+    w = np.asarray(w)
+    if w.shape[-1:] != (code.n,):
+        raise ValueError(f"message length {w.shape[-1] if w.ndim else 0} != n={code.n}")
+    p, m, f = _expansion(code.alphabet)
+    G = _generator(code)
+    w = w % code.alphabet.size
+    if f == 2:
+        w = np.stack([w % p, w // p], axis=-1).reshape(*w.shape[:-1], 2 * code.n)
+    x = w.astype(G.dtype, copy=False) @ G % m
+    if f == 2:
+        x = x[..., 0::2] + p * x[..., 1::2]
+    return tuple(x.tolist()) if x.ndim == 1 else x.astype(np.int64, copy=False)
 
 
 def codebook(code: LinearCode) -> dict:
     """Map codeword -> one preimage message; enumerated once, cached."""
     if code._cb is None:
+        words, msgs = _codewords(code)
+        code._cb = dict(zip(map(tuple, words.tolist()), map(tuple, msgs.tolist())))
+    return code._cb
+
+
+def _codewords(code: LinearCode):
+    """The distinct codewords as int64 rows and, for each, the first of its
+    messages in lexicographic order: one `encode` matmul over every
+    message, enumerated once and cached."""
+    if code._words is None:
         if code.codebook_bound() > _ENUM_CAP:
             raise ValueError("codebook too large to enumerate")
-        cb = {}
-        for w in itertools.product(code.alphabet.elements(), repeat=code.n):
-            cb.setdefault(encode(code, w), w)
-        code._cb = cb
-    return code._cb
+        dims = (code.alphabet.size,) * code.n
+        msgs = np.indices(dims).reshape(code.n, math.prod(dims)).T
+        words = encode(code, msgs)
+        first = {}
+        for i, word in enumerate(map(tuple, words.tolist())):
+            first.setdefault(word, i)
+        if len(first) < len(words):
+            keep = list(first.values())
+            words, msgs = words[keep], msgs[keep]
+        code._words = words, msgs
+    return code._words
 
 
 def contains_codeword(code: LinearCode, x) -> bool:
@@ -107,18 +134,15 @@ class _Kernel:
     """Smith form U G^T V = diag(p^v) (mod m = p^e) of a code's generator
     matrix G, each pivot the first entry of least p-valuation left.
 
-    A code over F_{p^2} is read through its F_p-expansion: the symbol
-    c0 + c1*p is (c0, c1), and each generator row g gives the rows g and
-    t*g (t the element of index p).  x is a codeword iff H x = 0 (mod m),
+    A code over F_{p^2} is read through its F_p-expansion (`_generator`).
+    x is a codeword iff H x = 0 (mod m),
     H holding p^(e-v_i) U_i for the non-unit pivots and U_i beyond the rank.
     """
 
     def __init__(self, code: LinearCode):
-        A = code.alphabet
-        p, m, f = self.p, self.m, self.f = A.p, A.char, 2 if A.size != A.char else 1
+        p, m, f = self.p, self.m, self.f = _expansion(code.alphabet)
         self.N = code.N
-        gens = [g for row in code.G for g in ([row, [A.mul(p, x) for x in row]] if f == 2 else [row])]
-        a = [list(col) for col in zip(*map(self.expand, gens))] or [[] for _ in range(f * code.N)]
+        a = _generator(code).T.tolist()
         rows, cols = len(a), f * code.n
         U = [[int(i == j) for j in range(rows)] for i in range(rows)]
         V = [[int(i == j) for j in range(cols)] for i in range(cols)]
@@ -161,6 +185,28 @@ class _Kernel:
     def is_codeword(self, x) -> bool:
         """H x = 0 (mod m) for x as `expand` gives it (or in H's dtype)."""
         return not any(s % self.m for s in (self.H @ np.asarray(x, dtype=self.H.dtype)).tolist())
+
+
+def _expansion(A):
+    """(p, m, f): the alphabet is Z/m with m = p^e (f = 1) or F_{p^2} (f = 2)."""
+    return A.p, A.char, 2 if A.size != A.char else 1
+
+
+def _generator(code: LinearCode) -> np.ndarray:
+    """The generator matrix as integers mod m, one row per generator, built
+    once per code.  Over F_{p^2} it is the F_p-expansion: the symbol
+    c0 + c1*p is the column pair (c0, c1), and each generator row g gives
+    the rows g and t*g (t the element of index p), so a message symbol
+    c0 + c1*p weighs them by c0 and c1."""
+    if code._gx is None:
+        A = code.alphabet
+        p, m, f = _expansion(A)
+        rows = code.G
+        if f == 2:
+            rows = [[c for s in g for c in (s % p, s // p)]
+                    for row in rows for g in (row, [A.mul(p, x) for x in row])]
+        code._gx = np.array(rows, dtype=_dtype(m, f * code.n)).reshape(len(rows), f * code.N)
+    return code._gx
 
 
 def _kernel(code: LinearCode) -> _Kernel:

@@ -14,7 +14,8 @@ path too: the nearest point of a coset splits into one nearest point per
 coordinate that depends only on the coordinate's residue, so one table
 per (coordinate, residue) -- the nearest point of r + q Z or of
 rep(r) + P, the only step that differs -- and one gather-sum per coset,
-in coordinate order, score every coset.
+in coordinate order, score every coset, for one row or for many rows at
+once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .algebra import (
     factorize,
     residue_field_map,
 )
-from .codes import LinearCode, NestedCodeChain, _dtype, _kernel, codebook, lift_chain_to_ring_code
+from .codes import LinearCode, NestedCodeChain, _codewords, _dtype, _kernel, lift_chain_to_ring_code
 
 _BOX_CAP = 10**6
 _BOX_BLOCK = 1 << 16
@@ -67,6 +68,7 @@ class LatticeDescriptor:
             self.q = crt.q
         self._cosets = None
         self._index = None
+        self._geometry = None
         self._checks = None
 
     def __repr__(self):
@@ -265,13 +267,17 @@ def _coset_reps(lat: LatticeDescriptor):
     into positions in its per-call (coordinate, residue) table, and each
     coset's distance is a gather-sum over them in coordinate order."""
     if lat._cosets is None:
-        books = [np.array(list(codebook(c)), dtype=np.int64) for c in lat.codes]
+        books = [_codewords(c)[0] for c in lat.codes]
         total = math.prod(len(b) for b in books)
         if total > _COSET_CAP:
             raise ValueError(f"{total} cosets exceed the enumeration cap")
-        idx = np.indices([len(b) for b in books]).reshape(len(books), total)
-        rows = [b[i] for b, i in zip(books, idx)]
-        lat._cosets = rows[0] if lat.ambient == "complex" else lat.map.forward_vec(rows)
+        if lat.ambient == "complex":
+            lat._cosets = books[0]
+        else:  # level l's codewords along axis l: forward_vec broadcasts the product
+            L = len(books)
+            axes = [b.reshape((1,) * l + b.shape[:1] + (1,) * (L - 1 - l) + b.shape[1:])
+                    for l, b in enumerate(books)]
+            lat._cosets = lat.map.forward_vec(axes).reshape(total, lat.N)
     return lat._cosets
 
 
@@ -291,63 +297,85 @@ def _coset_index(lat: LatticeDescriptor):
         else:
             residues, cols = np.ascontiguousarray(reps.T), np.arange(total)[None, :]
         width = residues.shape[1]
-        lat._index = residues, (cols + width * np.arange(N)[:, None]).astype(np.intp, copy=False)
+        lat._index = residues, (cols + width * np.arange(N)[:, None]).astype(np.intp, order="C")
     return lat._index
 
 
 def quantize(lat: LatticeDescriptor, y):
-    """A nearest lattice point to y: an int64 array, or a tuple of QuadInt
-    for A_OK.  The lattice is a union of cosets rep + Lambda_c^N, so the
-    nearest point of a coset splits into one nearest point per coordinate,
-    which depends only on that coordinate's residue.  One table per call
-    holds, for each (coordinate, residue), that point and its squared
-    distance (rounding over q Z, a Babai floor and its 4x4 neighbourhood
-    over an ideal); each coset's distance is then one gather-sum through
-    an index built once per lattice, summed in coordinate order.  One tie
-    rule, per coordinate and across cosets: squared distances within
-    1e-9*max(1, dmin) of the minimum tie, and the lexicographically
-    smallest integer coordinates win (ring coordinates (a, b) for A_OK;
-    real coordinate ties round down).  Entries must be finite with
-    |y_j| <= 2**53, beyond which float64 misses integer points, and real
-    for a real-ambient lattice.
+    """A nearest lattice point to y, or to each row of y.
+
+    y is one vector of length N or an array of rows (R, N).  A real lattice
+    gives an int64 array of y's shape; A_OK gives a tuple of QuadInt, or a
+    list of them, one per row.  The lattice is a union of cosets
+    rep + Lambda_c^N, so the nearest point of a coset splits into one
+    nearest point per coordinate, which depends only on that coordinate's
+    residue.  One table per row holds, for each (coordinate, residue), that
+    point and its squared distance (rounding over q Z, a Babai floor and
+    its 4x4 neighbourhood over an ideal); each coset's distance is then one
+    gather-sum through an index built once per lattice, summed in
+    coordinate order.  One tie rule, per coordinate and across cosets:
+    squared distances within 1e-9*max(1, dmin) of the row's minimum tie,
+    and the lexicographically smallest integer coordinates win (ring
+    coordinates (a, b) for A_OK; real coordinate ties round down).  Every
+    row is scored at once; only a row with several tied cosets picks its
+    winner in Python.  Entries must be finite with |y_j| <= 2**53, beyond
+    which float64 misses integer points, and real for a real-ambient
+    lattice.
     """
     complex_ambient = lat.ambient == "complex"
     if not complex_ambient and np.iscomplexobj(y):
         raise ValueError("y must be real for a real-ambient lattice; quantize .real and .imag apart")
     y = np.asarray(y, dtype=complex if complex_ambient else float)
-    if y.shape != (lat.N,):
-        raise ValueError(f"expected shape ({lat.N},), got {y.shape}")
-    if not np.isfinite(y).all():
-        raise ValueError("y must be finite")
-    if (np.abs(y) > 2.0**53).any():
-        raise ValueError("y must satisfy |y| <= 2**53")
-    residues, index = _coset_index(lat)
-    points, d2 = (_table_mod_ideal if complex_ambient else _table_mod_q)(lat, residues, y[:, None])
-    dist = _gather_sum(d2, index)
-    dmin = float(dist.min())
-    tol = 1e-9 * max(1.0, dmin)
-    tied = np.flatnonzero(dist <= dmin + tol)
-    points = points.reshape(d2.size, *points.shape[2:])  # x, or (a, b), per table entry
-    best = min(points[index[:, i]].tolist() for i in tied)  # lexicographic integer coordinates
+    if y.shape[-1:] != (lat.N,) or y.ndim > 2:
+        raise ValueError(f"expected shape ({lat.N},) or (rows, {lat.N}), got {y.shape}")
+    if not (np.abs(y) <= 2.0**53).all():  # false for nan too
+        raise ValueError("y must be finite" if not np.isfinite(y).all() else "y must satisfy |y| <= 2**53")
+    best = _quantize_rows(lat, y.reshape(-1, lat.N))
     if complex_ambient:
-        return tuple(lat.ideal.ring.element(a, b) for a, b in best)
-    return np.array(best, dtype=np.int64)
+        element = lat.ideal.ring.element
+        rows = [tuple(element(a, b) for a, b in row) for row in best.tolist()]
+        return rows[0] if y.ndim == 1 else rows
+    return best.reshape(y.shape)
+
+
+def _quantize_rows(lat: LatticeDescriptor, y):
+    """The nearest point to each row of y (R x N): int64 R x N, or R x N x 2
+    ring coordinates for A_OK.  The rows ride along the last axis of the
+    tables, so each coset's gather takes one contiguous run of R entries;
+    the distances take cosets x R entries."""
+    residues, index = _coset_index(lat)
+    points, d2 = (_table_mod_ideal if lat.ambient == "complex" else _table_mod_q)(
+        lat, residues[..., None], y.T[:, None])  # N x width x R
+    dist = _gather_sum(d2, index)  # cosets x R
+    pick = dist.argmin(axis=0)
+    rows = np.arange(len(y))
+    dmin = dist[pick, rows]
+    tied = dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
+    points = points.reshape(-1, *points.shape[2:])  # x, or (a, b), per table entry and row
+    best = points[index[:, pick], rows]  # N x R, each row's least distance
+    if np.count_nonzero(tied) > len(y):  # rows with several tied cosets
+        for r in np.flatnonzero(np.count_nonzero(tied, axis=0) > 1).tolist():
+            # lexicographic integer coordinates
+            best[:, r] = min(points[index[:, i], r].tolist() for i in np.flatnonzero(tied[:, r]))
+    return best.swapaxes(0, 1)
 
 
 def _gather_sum(table, index):
     """Each coset's squared distance: its residues' table entries summed
     over the coordinates in order (numpy's sum(axis=0) over the gathered
-    N x cosets array would go pairwise for N >= 8)."""
-    table = table.ravel()
-    dist = table[index[0]]
+    N x cosets array would go pairwise for N >= 8).  table is N x width,
+    or N x width x R for a distance per coset and row (cosets x R)."""
+    table = table.reshape(-1, *table.shape[2:])
+    dist = table.take(index[0], axis=0)
     for at in index[1:]:
-        dist += table[at]
+        dist += table.take(at, axis=0)
     return dist
 
 
 def _table_mod_q(lat: LatticeDescriptor, residues, y):
     """Nearest point of r + q Z to y_j and its squared distance, for each
-    coordinate j (y is a column) and residue r in that row of residues."""
+    coordinate j (y is N x 1, or N x 1 x R with residues[..., None]) and
+    residue r in that row of residues."""
     steps = np.ceil((y - residues) / lat.q - 0.5)
     points = residues + lat.q * steps.astype(np.int64)
     return points, (points - y) ** 2
@@ -355,23 +383,33 @@ def _table_mod_q(lat: LatticeDescriptor, residues, y):
 
 def _table_mod_ideal(lat: LatticeDescriptor, residues, y):
     """Nearest point of rep(r) + P to y_j, as ring coordinates (a, b), and
-    its squared distance, for each coordinate j (y is a column) and
-    residue-field index r in that row of residues."""
+    its squared distance, for each coordinate j (y is N x 1, or N x 1 x R
+    with residues[..., None]) and residue-field index r in that row of
+    residues."""
     # ResidueFieldMap: index i0 + i1*p stands for the ring element i0 + i1*xi
     xi = lat.ideal.ring.xi_numeric
     b, a = np.divmod(residues, lat.ideal.p)
-    basis, B = _ideal_basis(lat.ideal)
+    basis, B, offsets = _ideal_geometry(lat)
     w = y - (a + b * xi)
     k = np.floor(np.linalg.solve(B, [w.real.ravel(), w.imag.ravel()]))
     base = np.stack([a, b], axis=-1) + (k.T.astype(np.int64) @ basis).reshape(w.shape + (2,))
-    offsets = (np.indices((4, 4)).reshape(2, 16).T - 1) @ basis
-    offsets = offsets[np.lexsort(offsets.T[::-1])]  # ring coordinates, lexicographic
-    cands = base[:, :, None, :] + offsets  # N x width x 16 x (a, b)
+    cands = base[..., None, :] + offsets  # ... x N x width x 16 x (a, b)
     diff = cands[..., 0] + cands[..., 1] * xi - y[..., None]
     dist = diff.real**2 + diff.imag**2
-    dmin = dist.min(axis=2, keepdims=True)
-    pick = (dist <= dmin + 1e-9 * np.maximum(1.0, dmin)).argmax(axis=2)
-    return base + offsets[pick], np.take_along_axis(dist, pick[..., None], axis=2)[..., 0]
+    dmin = dist.min(axis=-1, keepdims=True)
+    pick = (dist <= dmin + 1e-9 * np.maximum(1.0, dmin)).argmax(axis=-1)
+    return base + offsets[pick], np.take_along_axis(dist, pick[..., None], axis=-1)[..., 0]
+
+
+def _ideal_geometry(lat: LatticeDescriptor):
+    """The reduced ideal basis of an A_OK lattice (`_ideal_basis`) and the
+    Babai neighbourhood, the 4x4 basis offsets from -1 to 2 sorted by ring
+    coordinates; built once per lattice."""
+    if lat._geometry is None:
+        basis, B = _ideal_basis(lat.ideal)
+        offsets = (np.indices((4, 4)).reshape(2, 16).T - 1) @ basis
+        lat._geometry = basis, B, offsets[np.lexsort(offsets.T[::-1])]
+    return lat._geometry
 
 
 def _ideal_basis(ideal: PrimeIdeal):
@@ -403,7 +441,7 @@ def mod_coarse(pair: LatticePair, v):
     """
     if pair.fine.ambient == "complex":  # floor in the reduced ideal basis
         v = np.asarray(v, dtype=complex)
-        B = _ideal_basis(pair.fine.ideal)[1] * pair.scale
+        B = _ideal_geometry(pair.fine)[1] * pair.scale
         x = np.linalg.solve(B, np.stack([v.real, v.imag]))
         re, im = B @ (x - np.floor(x))
         return re + 1j * im

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from latcf.algebra import CrtMap, PrimeField, make_quadratic_ring
+from latcf.algebra import CrtMap, PrimeField, factor_rational_prime, make_quadratic_ring
 from latcf.cfsim import (
     SimConfig,
     SourceState,
@@ -22,7 +22,13 @@ from latcf.cfsim import (
     run_trials,
 )
 from latcf.codes import LinearCode, encode
-from latcf.lattices import LatticePair, construction_a, construction_pi_a, mod_coarse
+from latcf.lattices import (
+    LatticePair,
+    construction_a,
+    construction_a_ok,
+    construction_pi_a,
+    mod_coarse,
+)
 
 REP2 = LinearCode(PrimeField(2), [[1, 1]])
 REP3 = LinearCode(PrimeField(3), [[1, 1]])
@@ -236,6 +242,14 @@ def test_make_pair_refuses_non_positive_or_non_finite_power():
         with pytest.raises(ValueError, match="P must be positive"):
             make_pair(fine, P)
     assert make_pair(fine, 6.0).scale == pytest.approx(1.0)  # q^2/6 = P
+
+
+def test_make_pair_names_a_complex_ambient_lattice_as_the_cause():
+    # an A_OK lattice tiles by a prime ideal, which has no q^2/6 power scale
+    ideal = factor_rational_prime(make_quadratic_ring(-3), 7)[0]
+    fine = construction_a_ok(LinearCode(PrimeField(7), [[1, 3, 5]]), ideal)
+    with pytest.raises(ValueError, match="make_pair and the simulator need a real-ambient lattice"):
+        make_pair(fine, 8.0)
 
 
 def test_effective_noise_variance_monte_carlo():

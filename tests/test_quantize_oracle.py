@@ -429,3 +429,58 @@ def test_zero_code_over_a_large_prime_quantizes_in_bounded_memory():
         tracemalloc.stop()
     assert np.array_equal(got, np.full(8, 2**31 - 1))  # the tie rounds down
     assert peak < 100 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# rows: one call over many rows against the oracle row by row
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted({**REAL, **MORE_REAL}))
+def test_real_rows_match_reference_row_by_row(name):
+    make = {**REAL, **MORE_REAL}[name]
+    lat, ref = make(), make()
+    rng = np.random.default_rng(sum(map(ord, name)) + 2)
+    rows = np.array(list(_real_inputs(lat, rng, 20)))  # ties on the half-integer grid
+    got = quantize(lat, rows)
+    assert got.dtype == np.int64 and got.shape == rows.shape
+    for y, x in zip(rows, got):
+        assert np.array_equal(x, reference_quantize(ref, y)), y
+
+
+@pytest.mark.parametrize("name", sorted({**A_OK, **MORE_A_OK}))
+def test_a_ok_rows_match_reference_row_by_row(name):
+    make = {**A_OK, **MORE_A_OK}[name]
+    lat, ref = make(), make()
+    rng = np.random.default_rng(sum(map(ord, name)) + 2)
+    rows = np.array(list(_complex_inputs(lat, rng, 6)))
+    got = quantize(lat, rows)
+    assert type(got) is list and len(got) == len(rows)
+    for y, x in zip(rows, got):
+        assert x == reference_quantize(ref, y), y
+
+
+def test_rows_keep_the_shape_checks():
+    lat = REAL["piA sim-small"]()
+    for bad in (np.zeros((2, 3)), np.zeros((2, 2, 2)), np.zeros(3)):
+        with pytest.raises(ValueError, match="expected shape"):
+            quantize(lat, bad)
+    with pytest.raises(ValueError, match="y must be finite"):
+        quantize(lat, [[0.0, 0.0], [math.nan, 0.0]])
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        quantize(lat, [[0.0, 0.0], [2.0**54, 0.0]])
+
+
+def test_a_ok_ideal_geometry_is_built_once(monkeypatch):
+    import latcf.lattices as lattices
+
+    lat = A_OK["d=-3 p=7 split"]()
+    pair = lattices.LatticePair(lat, scale=0.5)
+    calls = []
+    real_basis = lattices._ideal_basis
+    monkeypatch.setattr(lattices, "_ideal_basis", lambda ideal: calls.append(ideal) or real_basis(ideal))
+    y = np.array([0.3 + 1.1j, -2.0 + 0.5j, 4.2 - 3.3j])
+    for _ in range(3):
+        quantize(lat, y)
+        lattices.mod_coarse(pair, y)
+    assert len(calls) == 1
