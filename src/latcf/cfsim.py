@@ -16,9 +16,12 @@ each trial's random draws, and nothing else, from its own generator
 default_rng([seed, trial]): H, the messages per source, level and real
 part, the dithers, then Z.  Phase 2 does the arithmetic of the whole
 chunk in numpy: encoding and CRT, the channel, the relays' scaling and
-reduction, one `quantize` over every (trial, relay, real part) row, and
-the decode check.  Per relay only the coefficient search and the scalars
-of (h, a, P) stay in Python, once per relay under a fixed H.  A chunk
+reduction, the relays' scalars of (h, a, P) (alpha, the analytic noise
+variance, the zero-divisor flag), and the decode check, one `quantize`
+over the real parts and one over the imaginary parts of the relays whose
+real part matched.  Per relay, in trial order, stay the coefficient
+search and its nonzero check, the np.vdot calls of alpha and
+abs(alpha)**2, once per relay under a fixed H.  A chunk
 holds at most _TRIAL_BLOCK elements in its widest array, so memory does
 not grow with the trial count, and every element goes through the same
 floating-point operations, in the same order, as a trial run alone: the
@@ -54,19 +57,33 @@ _TRIAL_BLOCK = 1 << 17
 def computation_rate(h, a, P: float) -> float:
     """Achievable rate log2+(1/(|a|^2 - P|h*a|^2/(1+P|h|^2))) in bits
     per complex channel use; +inf when the inner term vanishes (a
-    proportional to h at working precision)."""
+    proportional to h at working precision).  Non-finite h or P raise
+    ValueError."""
     if P <= 0:
         raise ValueError("P must be positive")
     h = np.asarray(h, dtype=complex)
     av = _coeffs_to_complex(a)
     if h.shape != av.shape:
         raise ValueError(f"h and a have different lengths {h.shape} vs {av.shape}")
+    return _exact_rate(h, av, P, _rate_denominator(h, P))
+
+
+def _rate_denominator(h, P):
+    """1 + P|h|^2, refusing a non-finite h or P."""
+    den = 1.0 + P * float(np.vdot(h, h).real)
+    if not math.isfinite(den):
+        raise ValueError("h and P must be finite")
+    return den
+
+
+def _exact_rate(h, av, P, den):
+    """computation_rate for the complex array av, given den = 1 + P|h|^2.
+    numpy's vdot and its scalar abs and power set these bits."""
     na = float(np.vdot(av, av).real)
     if na == 0.0:
         raise ValueError("a must be nonzero")
-    nh = float(np.vdot(h, h).real)
     cross = np.vdot(h, av)
-    inner = na - P * abs(cross) ** 2 / (1.0 + P * nh)
+    inner = na - P * abs(cross) ** 2 / den
     if inner <= 1e-15 * na:
         return math.inf
     return max(0.0, -math.log2(inner))
@@ -85,6 +102,9 @@ class BestCoefficients(NamedTuple):
     truncated: bool
 
 
+_GAUSSIAN = QuadraticRing(-1)
+
+
 def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficients:
     """Rate maximization over nonzero coefficient vectors with squared
     norm at most 1 + P|h|^2 (larger norms cannot beat rate 0).
@@ -97,24 +117,33 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     order), and refuses with "search space too large" once it visits
     more than _SEARCH_HARD_CAP (5e6) nodes.  Among the K-tuples of ring
     elements whose norms sum to at most the bound, those within 1e-9 of
-    the best vectorised rate are re-ranked by (-rate, norm, per
-    component x + y*xi (|x|, x < 0, |y|, y < 0)), with the rate
-    recomputed exactly: vectorised for "Z" and "Zi", by
-    computation_rate for a QuadraticRing.  So when every rate is 0 the
-    norm decides.
+    the best filter rate are re-ranked by (-rate, norm, per component
+    x + y*xi (|x|, x < 0, |y|, y < 0)), with the rate recomputed
+    exactly.  So when every rate is 0 the norm decides.
+
+    The rate bits are fixed by this arithmetic.  The filter rate grows
+    cross = sum_k a_k conj(h_k) one component at a time from 0j: in
+    Python complex arithmetic over Z, from numpy's array products
+    a_k conj(h_k) over Z[i] and O_K (numpy fuses a multiply-add there,
+    Python does not).  It takes numpy's array abs and log2 and does the
+    rest in Python floats: the 1e-300 floor, max(0, r) keeping r = -0.0
+    as np.maximum does, the 1e-15 test for +inf and the 1e-9 filter.  A
+    lone pair +-a over Z skips the filter, since -a's cross is a's
+    negated exactly.  The exact rate is the numpy matrix product
+    values @ conj(h), then the same steps, for "Z" and "Zi"; for a
+    QuadraticRing it is computation_rate's arithmetic (numpy's vdot and
+    its scalar abs and power).
     If max_norm_cap trims the bound the result is flagged truncated.
     Non-finite h or P, and P|h|^2 so large (about 1e15) that Q is no
     longer positive definite in floating point, raise ValueError.
     """
     h = np.asarray(h, dtype=complex)
-    if not np.any(h):
+    if not h.any():
         raise ValueError("h must be nonzero")
     if P <= 0:
         raise ValueError("P must be positive")
-    nh = float(np.vdot(h, h).real)
-    bound = 1.0 + P * nh
-    if not math.isfinite(bound):
-        raise ValueError("h and P must be finite")
+    den = _rate_denominator(h, P)
+    bound = den
     truncated = False
     if max_norm_cap is not None and bound > max_norm_cap:
         bound = float(max_norm_cap)
@@ -122,7 +151,7 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     if ring == "Z":
         t, u, xi = 0, 0, None
     else:
-        quad = QuadraticRing(-1) if ring == "Zi" else ring
+        quad = _GAUSSIAN if ring == "Zi" else ring
         if not isinstance(quad, QuadraticRing):
             raise ValueError(f"unsupported coefficient ring {ring!r}")
         if quad.d > 0:
@@ -133,51 +162,72 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
         raise ValueError("empty search space; raise max_norm_cap")
     # rounding moves Q by about 1e-16 (1 + P|h|^2) Q; 1e-6 covers the
     # 1e-9 rate tolerance
-    margin = 1e-6 + 1e-12 * (1.0 + P * nh)
-    points, n2 = zip(*_ellipsoid_points(h.tolist(), P / (1.0 + P * nh), bound, margin, t, u, xi))
+    margin = 1e-6 + 1e-12 * den
+    points, n2 = zip(*_ellipsoid_points(h.tolist(), P / den, bound, margin, t, u, xi))
 
-    # the tie rule's vectorised rate and 1e-9 filter, in the arithmetic
-    # tests/test_search_oracle.py pins: values x + y*xi, cross grown one
-    # coordinate at a time
+    # the filter: cross grown one component at a time.  Over Z, -a has
+    # the exact negative of a's cross, so a lone pair +-a passes whole
     hc = np.conj(h)
     if xi is None:
-        values = np.array(points, dtype=float)
-        xs, ys = points, [(0,) * len(h)] * len(points)
+        if len(points) == 2 and points[1] == tuple(-x for x in points[0]):
+            near = range(2)
+        else:
+            hcl = hc.tolist()
+            near = _near(_rates([_grown([x * hk for x, hk in zip(v, hcl)]) for v in points],
+                                n2, P, den))
     else:
         xy = np.array(points, dtype=np.int64)
         values = xy[:, 0::2] + xy[:, 1::2] * xi
-        xs, ys = [p[0::2] for p in points], [p[1::2] for p in points]
-    n2 = np.array(n2, dtype=np.int64)
-    cross = 0j
-    for col, hk in zip(values.T, hc):
-        cross = cross + col * hk
-    rates = _rate_vector(cross, n2, P, nh)
-    near = (rates >= rates.max() - 1e-9).nonzero()[0]
-    n2 = n2[near]
-    keep = near.tolist()
-    xs, ys = [xs[i] for i in keep], [ys[i] for i in keep]
+        near = _near(_rates([_grown(row) for row in (values * hc).tolist()], n2, P, den))
+
+    # the exact re-rank
     if isinstance(ring, QuadraticRing):
-        cands = [tuple(map(ring.element, xr, yr)) for xr, yr in zip(xs, ys)]
-        rates = [computation_rate(h, a, P) for a in cands]
+        rates = [_exact_rate(h, values[i], P, den) for i in near]
     else:
-        cands = values[near].tolist() if ring == "Zi" else xs
-        rates = _rate_vector(values[near] @ hc, n2, P, nh)
-    best = min(
-        range(len(near)),
-        key=lambda i: (
-            -rates[i],
-            n2[i],
-            tuple((abs(a), a < 0, abs(b), b < 0) for a, b in zip(xs[i], ys[i])),
-        ),
-    )
-    return BestCoefficients(tuple(cands[best]), float(rates[best]), truncated)
+        exact = np.array([points[i] for i in near], dtype=float) if xi is None else values[near]
+        rates = _rates(exact @ hc, [n2[i] for i in near], P, den)
+    # the tie rule among the best rates: least norm, then per coordinate
+    # (|x|, x < 0), which orders components as (|x|, x < 0, |y|, y < 0)
+    top = max(rates)
+    tied = [(i, r) for i, r in zip(near, rates) if r == top]
+    best, rate = tied[0] if len(tied) == 1 else min(
+        tied, key=lambda ir: (n2[ir[0]], tuple((abs(x), x < 0) for x in points[ir[0]])))
+    v = points[best]
+    if isinstance(ring, QuadraticRing):
+        a = tuple(map(ring.element, v[0::2], v[1::2]))
+    elif xi is None:
+        a = v
+    else:
+        a = tuple(values[best].tolist())
+    return BestCoefficients(a, rate, truncated)
 
 
-def _rate_vector(cross, n2, P, nh):
-    inner = n2 - P * np.abs(cross) ** 2 / (1.0 + P * nh)
-    rates = np.maximum(0.0, -np.log2(np.maximum(inner, 1e-300)))
-    rates[inner <= 1e-15 * n2] = math.inf
-    return rates
+def _grown(terms):
+    """sum_k terms[k], added in order from 0j."""
+    cross = 0j
+    for term in terms:
+        cross = cross + term
+    return cross
+
+
+def _near(rates):
+    """Indices of the rates within 1e-9 of the best."""
+    top = max(rates) - 1e-9
+    return [i for i, r in enumerate(rates) if r >= top]
+
+
+def _rates(cross, n2, P, den):
+    """Rates max(0, -log2 max(inner, 1e-300)), +inf where inner <= 1e-15
+    |a|^2, with inner = |a|^2 - P|cross|^2/den and |a|^2 = n2: numpy's abs
+    and log2 over all of cross at once, the rest in Python floats.
+    np.maximum(0.0, r) keeps r = -0.0, and so does this."""
+    inner = [n - P * (m * m) / den for n, m in zip(n2, np.abs(cross).tolist())]
+    logs = np.log2([x if x > 1e-300 else 1e-300 for x in inner]).tolist()
+    out = []
+    for x, n, lg in zip(inner, n2, logs):
+        r = -lg
+        out.append(math.inf if x <= 1e-15 * n else r if r >= 0.0 else 0.0)
+    return out
 
 
 def _ellipsoid_points(h, c, bound, margin, t, u, xi):
@@ -332,10 +382,12 @@ def _require_fine_point(pair: LatticePair, t):
 
 
 def mmse_alpha(h, a, P: float) -> complex:
-    """Minimizer of |alpha|^2 + P|alpha*h - a|^2."""
+    """Minimizer of |alpha|^2 + P|alpha*h - a|^2.  Non-finite h or P
+    raise ValueError."""
     h = np.asarray(h, dtype=complex)
     av = _coeffs_to_complex(a)
-    return complex(P * np.vdot(h, av) / (1.0 + P * float(np.vdot(h, h).real)))
+    den = _rate_denominator(h, P)
+    return complex(P * np.vdot(h, av) / den)
 
 
 def relay_process(y, a, dithers, h, P, pair: LatticePair, alpha_mode="mmse") -> RelayOutput:
@@ -427,11 +479,17 @@ def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
 
 def _parts_decoded(pair: LatticePair, y_prime, want):
     """Whether both real parts of each y_prime (... x N) quantize, mod q,
-    to want (... x 2 x N): one quantize over every real part at once."""
+    to want (... x 2 x N): one quantize over the real parts, then one over
+    the imaginary parts of the rows whose real part matched."""
     fine = pair.fine
-    parts = np.stack([y_prime.real, y_prime.imag], axis=-2) / pair.scale
-    got = np.mod(quantize(fine, parts.reshape(-1, fine.N)), fine.q)
-    return (got.reshape(want.shape) == want).all(axis=(-2, -1))
+    y = y_prime.reshape(-1, fine.N)
+    want = want.reshape(-1, 2, fine.N)
+    ok = (np.mod(quantize(fine, y.real / pair.scale), fine.q) == want[:, 0]).all(axis=-1)
+    rows = ok.nonzero()[0]
+    if len(rows):
+        got = np.mod(quantize(fine, y.imag[rows] / pair.scale), fine.q)
+        ok[rows] = (got == want[rows, 1]).all(axis=-1)
+    return ok.reshape(y_prime.shape[:-1])
 
 
 def function_coefficients(a, moduli):
@@ -528,18 +586,21 @@ def run_trials(config: SimConfig, trials: int, seed: int):
     Trials run in chunks of at most _chunk_trials(config), each in two
     phases: the draws of every trial of the chunk, in the order
     H, messages (per source, level, real part), dithers, Z; then the
-    chunk's arithmetic in numpy, one quantize over all of its rows.  The
-    coefficient search runs once per relay and trial, in trial order, or
-    once per relay before the first trial under a fixed channel; so do
-    alpha, the analytic noise variance and the zero-divisor flag.  The
-    records do not depend on the chunking.
+    chunk's arithmetic in numpy.  The coefficient search runs once per
+    relay and trial, in trial order, or once per relay before the first
+    trial under a fixed channel, and each relay's vector is checked
+    nonzero right after its search, so errors come in trial order.
+    alpha, the analytic noise variance and the zero-divisor flag take one
+    numpy pass over the chunk's relays; only their np.vdot calls and
+    abs(alpha)**2 stay per relay.  The records do not depend on the
+    chunking.
     """
     _check_config(config)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     fixed = None
     if config.fixed_H is not None:
-        fixed = [_relay_scalars(config, h) for h in np.asarray(config.fixed_H, dtype=complex)]
+        fixed = _relay_scalars(config, np.asarray(config.fixed_H, dtype=complex))
     chunk = _chunk_trials(config)
     records = []
     for start in range(0, trials, chunk):
@@ -573,33 +634,55 @@ def _chunk_trials(config: SimConfig) -> int:
     return max(1, _TRIAL_BLOCK // per_trial)
 
 
-class _Relay(NamedTuple):
-    """What a relay's record takes from (h, a, P) alone."""
+class _Relays(NamedTuple):
+    """What the relays' records take from (h, a, P) alone, one row per
+    relay."""
 
-    a: tuple
-    rate: float
-    alpha: complex
-    noise_var: float
-    zero_divisor_flag: int
+    a: np.ndarray  # R x K int64
+    rate: np.ndarray
+    alpha: np.ndarray
+    noise_var: np.ndarray
+    zero_divisor_flag: np.ndarray
 
 
-def _relay_scalars(config: SimConfig, h) -> _Relay:
+def _relay_scalars(config: SimConfig, H) -> _Relays:
+    """Coefficient vector, rate, alpha, analytic noise variance and
+    zero-divisor flag of each relay h of H (R x K), with
+    _alpha_and_variance's bits.
+
+    In relay order, each relay is searched and its vector checked nonzero,
+    so a relay's error comes before any later relay's; np.vdot (its bits
+    are BLAS's) and abs(alpha)**2 (Python's hypot and pow) stay per relay.
+    The rest is one numpy pass over all relays."""
     P = config.P
-    if config.noiseless:
-        a = tuple(int(x) for x in np.round(h.real))
-        rate = computation_rate(h, a, P) if any(a) else 0.0
+    coeffs, rates = [], []
+    for h in H:
+        if config.noiseless:
+            a = tuple(int(x) for x in np.round(h.real))
+            rate = computation_rate(h, a, P) if any(a) else 0.0
+        else:
+            a, rate, _ = best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
+        if not any(a):
+            raise ValueError("relay coefficient vector is zero")
+        coeffs.append(a)
+        rates.append(rate)
+    a = np.array(coeffs, dtype=np.int64).reshape(len(H), config.K)
+    av = a.astype(complex)
+    if config.alpha_mode == "mmse":  # as mmse_alpha
+        alpha = P * np.array([np.vdot(h, v) for h, v in zip(H, av)])
+        alpha = alpha / np.array([_rate_denominator(h, P) for h in H])
     else:
-        a, rate, _ = best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
-    if not any(a):
-        raise ValueError("relay coefficient vector is zero")
-    alpha, noise_var = _alpha_and_variance(h, a, _coeffs_to_complex(a), P, config.alpha_mode)
+        alpha = np.full(len(H), 1.0 + 0.0j)
+    spread = np.sum(np.abs(alpha[:, None] * H - av) ** 2, axis=-1).tolist()
+    noise_var = [abs(al) ** 2 + P * s for al, s in zip(alpha.tolist(), spread)]
     fine = config.pair.fine
-    zflag = 0
-    for code, b_l in zip(fine.codes, function_coefficients(a, fine.moduli)):
+    zflag = np.zeros(len(H), dtype=np.int64)
+    for code, m in zip(fine.codes, fine.moduli):
         A = code.alphabet
-        if isinstance(A, ChainRing) and A.e > 1 and any(b != 0 and b % A.p == 0 for b in b_l):
-            zflag = 1
-    return _Relay(a, rate, alpha, noise_var, zflag)
+        if isinstance(A, ChainRing) and A.e > 1:
+            b = a % m
+            zflag |= ((b != 0) & (b % A.p == 0)).any(axis=1)
+    return _Relays(a, np.array(rates, dtype=float), alpha, np.array(noise_var), zflag)
 
 
 def _run_chunk(config: SimConfig, seed: int, trials: range, fixed):
@@ -630,10 +713,10 @@ def _run_chunk(config: SimConfig, seed: int, trials: range, fixed):
     # phase 2: the chunk's arithmetic, each element as a lone trial computes it
     if fixed is None:
         H = (H2[:, 0] + 1j * H2[:, 1]) / math.sqrt(2)
-        relays = [_relay_scalars(config, h) for Hi in H for h in Hi]
+        relays = _relay_scalars(config, H.reshape(T * M, K))
     else:
         H = np.asarray(config.fixed_H, dtype=complex)
-        relays = fixed * T
+        relays = _Relays(*(np.concatenate([x] * T) for x in fixed))
     cuts = np.cumsum([2 * code.n for code in fine.codes])[:-1]
     words = [encode_codeword(code, w.reshape(T, K, 2, code.n))
              for code, w in zip(fine.codes, np.split(W.reshape(T, K, -1), cuts, axis=2))]
@@ -645,9 +728,9 @@ def _run_chunk(config: SimConfig, seed: int, trials: range, fixed):
     Z = (Z2[:, 0] + 1j * Z2[:, 1]) / math.sqrt(2)
     Y = H @ X + Z
 
-    a = np.array([r.a for r in relays], dtype=np.int64).reshape(T, M, K)
+    a = relays.a.reshape(T, M, K)
     av = a.astype(complex)
-    alpha = np.array([r.alpha for r in relays], dtype=complex).reshape(T, M, 1)
+    alpha = relays.alpha.reshape(T, M, 1)
     c = alpha * H - av  # alpha*h - a per relay
     z_eq = (c[:, :, None, :] @ X[:, None])[:, :, 0] + alpha * Z
     # the half-open cell gives every x_k the known mean cell/2*(1+1j); its
@@ -668,14 +751,15 @@ def _run_chunk(config: SimConfig, seed: int, trials: range, fixed):
         TrialRecord(
             trial=trial,
             relay=m,
-            a=tuple(int(x) for x in r.a),
-            rate_bits=r.rate,
-            alpha=complex(r.alpha),
-            noise_var_analytic=r.noise_var,
+            a=tuple(a_r),
+            rate_bits=rate,
+            alpha=al,
+            noise_var_analytic=var,
             noise_var_emp=v,
             decode_ok=int(d),
-            zero_divisor_flag=r.zero_divisor_flag,
+            zero_divisor_flag=z,
         )
-        for (trial, m), r, v, d in zip(itertools.product(trials, range(M)), relays,
-                                       noise_var_emp.ravel().tolist(), ok.ravel().tolist())
+        for (trial, m), a_r, rate, al, var, z, v, d in zip(
+            itertools.product(trials, range(M)), *(x.tolist() for x in relays),
+            noise_var_emp.ravel().tolist(), ok.ravel().tolist())
     ]

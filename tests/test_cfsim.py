@@ -77,6 +77,19 @@ def test_rate_rejects_degenerate_inputs():
         computation_rate([1.0, 1.0], [1], 1.0)
 
 
+def test_non_finite_h_or_power_names_the_cause():
+    # computation_rate returned 0.0, and mmse_alpha nan, for these
+    cases = (([1.0, math.nan], 16.0), ([1.0, math.inf], 16.0), ([1.0 + 1j * math.nan], 2.0),
+             ([1.0], math.nan), ([1.0], math.inf))
+    for h, P in cases:
+        a = [1] * len(h)
+        for fn in (computation_rate, mmse_alpha):
+            with pytest.raises(ValueError, match="h and P must be finite"):
+                fn(h, a, P)
+        with pytest.raises(ValueError, match="h and P must be finite"):
+            best_coefficients(h, P)
+
+
 def test_rate_accepts_ring_coefficients():
     ring = make_quadratic_ring(-1)
     a = (ring.element(0, 1),)  # the unit i

@@ -166,6 +166,15 @@ def test_rate_rejects_bad_input(capsys):
     assert _run(capsys, ["rate", "--h", "1+0i", "--a", "1.5", "--power", "3"])[0] == 2
 
 
+def test_rate_rejects_non_finite_h_and_power_as_search_does(capsys):
+    # rate printed 0.000000000 and exited 0 here
+    for h, a, power in (("1+0i,nan", "1,1", "16"), ("1+0i", "1", "nan"), ("1+0i", "1", "inf")):
+        code = cli.main(["rate", "--h", h, "--a", a, "--power", power])
+        assert (code, capsys.readouterr().err.strip()) == (2, "error: h and P must be finite")
+        code = cli.main(["search", "--h", h, "--power", power])
+        assert (code, capsys.readouterr().err.strip()) == (2, "error: h and P must be finite")
+
+
 def test_complex_literal_grammar():
     assert cli.parse_complex_token("1.5-2i") == complex(1.5, -2.0)
     assert cli.parse_complex_token("-0.25+3e-1i") == complex(-0.25, 0.3)

@@ -1,9 +1,11 @@
-"""Differential test of best_coefficients against two exhaustive
-oracles, kept here verbatim: the original searchers (a meshgrid box for
-Z and Z[i] and a scalar itertools.product loop for quadratic rings) and
-the norm-pruned product search that replaced them, without its
-box-count refusal.  Results must agree exactly in a, rate and
-truncated."""
+"""Differential test of best_coefficients against three oracles, kept
+here verbatim: the original searchers (a meshgrid box for Z and Z[i] and
+a scalar itertools.product loop for quadratic rings), the norm-pruned
+product search that replaced them, without its box-count refusal, and
+the two-pass tail that filtered and re-ranked the enumerator's survivors
+with vectorised rates.  Results must agree exactly in a, rate and
+truncated; against the two-pass tail also in the sign of the rate and
+the repr of a."""
 
 import itertools
 import math
@@ -232,6 +234,105 @@ def _search(values, norms, h, P, nh, bound):
 
 
 # ---------------------------------------------------------------------------
+# the third oracle: the two-pass tail after the Schnorr-Euchner walk, as it
+# was, with the computation_rate its quadratic re-rank called
+# ---------------------------------------------------------------------------
+
+
+def twopass_best_coefficients(h, P, ring="Z", max_norm_cap=None):
+    h = np.asarray(h, dtype=complex)
+    if not np.any(h):
+        raise ValueError("h must be nonzero")
+    if P <= 0:
+        raise ValueError("P must be positive")
+    nh = float(np.vdot(h, h).real)
+    bound = 1.0 + P * nh
+    if not math.isfinite(bound):
+        raise ValueError("h and P must be finite")
+    truncated = False
+    if max_norm_cap is not None and bound > max_norm_cap:
+        bound = float(max_norm_cap)
+        truncated = True
+    if ring == "Z":
+        t, u, xi = 0, 0, None
+    else:
+        quad = QuadraticRing(-1) if ring == "Zi" else ring
+        if not isinstance(quad, QuadraticRing):
+            raise ValueError(f"unsupported coefficient ring {ring!r}")
+        if quad.d > 0:
+            raise ValueError("coefficient search needs an imaginary quadratic ring")
+        t, u = quad.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
+        xi = quad.xi_numeric
+    if bound < 1:
+        raise ValueError("empty search space; raise max_norm_cap")
+    # rounding moves Q by about 1e-16 (1 + P|h|^2) Q; 1e-6 covers the
+    # 1e-9 rate tolerance
+    margin = 1e-6 + 1e-12 * (1.0 + P * nh)
+    points, n2 = zip(*cfsim._ellipsoid_points(h.tolist(), P / (1.0 + P * nh), bound, margin, t, u, xi))
+
+    # the tie rule's vectorised rate and 1e-9 filter, in the arithmetic
+    # tests/test_search_oracle.py pins: values x + y*xi, cross grown one
+    # coordinate at a time
+    hc = np.conj(h)
+    if xi is None:
+        values = np.array(points, dtype=float)
+        xs, ys = points, [(0,) * len(h)] * len(points)
+    else:
+        xy = np.array(points, dtype=np.int64)
+        values = xy[:, 0::2] + xy[:, 1::2] * xi
+        xs, ys = [p[0::2] for p in points], [p[1::2] for p in points]
+    n2 = np.array(n2, dtype=np.int64)
+    cross = 0j
+    for col, hk in zip(values.T, hc):
+        cross = cross + col * hk
+    rates = _twopass_rate_vector(cross, n2, P, nh)
+    near = (rates >= rates.max() - 1e-9).nonzero()[0]
+    n2 = n2[near]
+    keep = near.tolist()
+    xs, ys = [xs[i] for i in keep], [ys[i] for i in keep]
+    if isinstance(ring, QuadraticRing):
+        cands = [tuple(map(ring.element, xr, yr)) for xr, yr in zip(xs, ys)]
+        rates = [twopass_computation_rate(h, a, P) for a in cands]
+    else:
+        cands = values[near].tolist() if ring == "Zi" else xs
+        rates = _twopass_rate_vector(values[near] @ hc, n2, P, nh)
+    best = min(
+        range(len(near)),
+        key=lambda i: (
+            -rates[i],
+            n2[i],
+            tuple((abs(a), a < 0, abs(b), b < 0) for a, b in zip(xs[i], ys[i])),
+        ),
+    )
+    return BestCoefficients(tuple(cands[best]), float(rates[best]), truncated)
+
+
+def _twopass_rate_vector(cross, n2, P, nh):
+    inner = n2 - P * np.abs(cross) ** 2 / (1.0 + P * nh)
+    rates = np.maximum(0.0, -np.log2(np.maximum(inner, 1e-300)))
+    rates[inner <= 1e-15 * n2] = math.inf
+    return rates
+
+
+def twopass_computation_rate(h, a, P: float) -> float:
+    if P <= 0:
+        raise ValueError("P must be positive")
+    h = np.asarray(h, dtype=complex)
+    av = np.array([x.to_complex() if hasattr(x, "to_complex") else complex(x) for x in a], dtype=complex)
+    if h.shape != av.shape:
+        raise ValueError(f"h and a have different lengths {h.shape} vs {av.shape}")
+    na = float(np.vdot(av, av).real)
+    if na == 0.0:
+        raise ValueError("a must be nonzero")
+    nh = float(np.vdot(h, h).real)
+    cross = np.vdot(h, av)
+    inner = na - P * abs(cross) ** 2 / (1.0 + P * nh)
+    if inner <= 1e-15 * na:
+        return math.inf
+    return max(0.0, -math.log2(inner))
+
+
+# ---------------------------------------------------------------------------
 # differential checks
 # ---------------------------------------------------------------------------
 
@@ -424,3 +525,95 @@ def test_rate_near_zero_matches_pruned(ring):
     for h in ([1.0, 1j], [0.5 + 0.5j, 1.0], [1.0, 1.0, 1.0]):
         for P in (1e-17, 1e-10, 1e-3):
             _same_as_pruned(np.asarray(h), P, ring)
+
+
+# ---------------------------------------------------------------------------
+# against the two-pass tail: every bit of the result
+# ---------------------------------------------------------------------------
+
+TEN_RINGS = [QuadraticRing(d) for d in (-1, -2, -3, -5, -6, -7, -11, -15, -19, -43)]
+TAIL_CAPS = (None, 1.0, 4.0, 20.0)
+
+
+def _outcome(search, h, P, ring, cap):
+    try:
+        return search(h, P, ring=ring, max_norm_cap=cap)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _same_bits(h, P, ring, cap):
+    """Whether best_coefficients gives the two-pass tail's result, bit for
+    bit (or its error); returns the result."""
+    want = _outcome(twopass_best_coefficients, h, P, ring, cap)
+    got = _outcome(best_coefficients, h, P, ring, cap)
+    case = (h.tolist(), P, ring, cap)
+    if isinstance(want, str):
+        assert got == want, case
+        return got
+    assert got.a == want.a and repr(got.a) == repr(want.a), case
+    assert type(got.a[0]) is type(want.a[0]), case
+    assert got.rate == want.rate and math.copysign(1, got.rate) == math.copysign(1, want.rate), case
+    assert type(got.rate) is float, case
+    assert got.truncated == want.truncated, case
+    if isinstance(ring, QuadraticRing):
+        assert computation_rate(h, got.a, P) == got.rate, case
+    return got
+
+
+def _tail_inputs(rng, Ks, count):
+    """count (h, P, cap): h ~ CN(0, I), real, scaled or a tie channel; P
+    log-uniform on [1e-17, 1e3] for a third, on [0.1, 1e3] otherwise."""
+    for i in range(count):
+        K = Ks[i % len(Ks)]
+        kind = rng.integers(6)
+        if kind == 0:
+            h = rng.standard_normal(K) + 0j
+        elif kind == 1 and TIE_CHANNELS_OF.get(K):
+            ties = TIE_CHANNELS_OF[K]
+            h = np.asarray(ties[rng.integers(len(ties))], dtype=complex)
+        else:
+            h = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / math.sqrt(2)
+            if kind == 2:
+                h *= 10.0 ** rng.uniform(-2, 1)
+        P = 10.0 ** (rng.uniform(-17, 3) if rng.integers(3) == 0 else rng.uniform(-1, 3))
+        yield h, float(P), TAIL_CAPS[rng.integers(len(TAIL_CAPS))]
+
+
+def _check_tail(ring, Ks, count, seed):
+    # over all tests here: 7800 Z, 4200 Z[i] and 8000 quadratic-ring inputs,
+    # and 128 at rate 0 and rate inf
+    results = [_same_bits(h, P, ring, cap) for h, P, cap in _tail_inputs(np.random.default_rng(seed), Ks, count)]
+    found = [r for r in results if not isinstance(r, str)]
+    assert len(found) > 0.9 * count
+    rates = [r.rate for r in found]
+    assert min(rates) < 1e-9 and max(rates) > 3  # the rate-0 end and the high end
+    return found
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6])
+def test_integer_tail_is_bit_identical(K):
+    _check_tail("Z", [K], {1: 1500, 2: 1500, 3: 1500, 4: 1200, 5: 1100, 6: 1000}[K], 900 + K)
+
+
+def test_gaussian_tail_is_bit_identical():
+    _check_tail("Zi", [1, 2, 3], 4200, 910)
+
+
+@pytest.mark.parametrize("ring", TEN_RINGS, ids=lambda r: f"d{r.d}")
+def test_quadratic_tail_is_bit_identical(ring):
+    _check_tail(ring, [1, 2, 3], 800, 920 - ring.d)
+
+
+def test_tail_at_rate_zero_and_rate_inf_is_bit_identical():
+    # at P|h|^2 near 1e15 the best vector's inner term falls under
+    # 1e-15 |a|^2 (rate inf), or Q stops being positive definite
+    P_inf = [float(P) for P in np.geomspace(7e14, 2e15, 6)]
+    rates = []
+    for h in ([1.0], [1j], [0.5 + 0.5j], [1.0, 0.0]):
+        for ring in ("Z", "Zi", QuadraticRing(-3), QuadraticRing(-2)):
+            for P in P_inf + [1e-17, 1e-12]:
+                res = _same_bits(np.asarray(h, dtype=complex), P, ring, None)
+                if not isinstance(res, str):
+                    rates.append(res.rate)
+    assert math.inf in rates and 0.0 in rates

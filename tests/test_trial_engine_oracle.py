@@ -18,6 +18,7 @@ import pytest
 from latcf import cfsim, cli
 from latcf.algebra import ChainRing, PrimeField
 from latcf.cfsim import (
+    BestCoefficients,
     RelayOutput,
     SimConfig,
     SourceState,
@@ -372,6 +373,92 @@ def test_one_search_per_relay_and_trial(monkeypatch, mode, calls):
     monkeypatch.setattr(cfsim, "best_coefficients", counting)
     run_trials(config, 5, seed=2)
     assert len(counted) == calls
+
+
+# ---------------------------------------------------------------------------
+# the relays' scalars, a chunk at a time
+# ---------------------------------------------------------------------------
+
+
+def reference_relay_scalars(config: SimConfig, h):
+    """One relay's (a, rate, alpha, noise_var, zero-divisor flag) as
+    _one_trial computes them."""
+    P, fine, N = config.P, config.pair.fine, config.pair.fine.N
+    if config.noiseless:
+        a = tuple(int(x) for x in np.round(h.real))
+        rate = computation_rate(h, a, P) if any(a) else 0.0
+    else:
+        a, rate, _ = cfsim.best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
+    if not any(a):
+        raise ValueError("relay coefficient vector is zero")
+    out = reference_relay_process(np.zeros(N), a, [np.zeros(N)] * len(h), h, P, config.pair,
+                                  alpha_mode=config.alpha_mode)
+    zflag = 0
+    for code, b_l in zip(fine.codes, function_coefficients(a, fine.moduli)):
+        A = code.alphabet
+        if isinstance(A, ChainRing) and A.e > 1:
+            if any(b != 0 and b % A.p == 0 for b in b_l):
+                zflag = 1
+    return tuple(int(x) for x in a), rate, complex(out.alpha), out.noise_var_analytic, zflag
+
+
+@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("mode", MODES)
+def test_relay_scalars_match_the_per_relay_path(name, mode):
+    flags = set()
+    for K in (1, 2, 3, 4):
+        for M in (1, 3):
+            config = _config(LATTICES[name], K, M, mode)
+            if config.fixed_H is not None:
+                H = np.asarray(config.fixed_H, dtype=complex)
+            else:
+                rng = np.random.default_rng([K, M, 7])
+                H = (rng.standard_normal((40 * M, K)) + 1j * rng.standard_normal((40 * M, K))) / math.sqrt(2)
+            got = cfsim._relay_scalars(config, H)
+            flags.update(got.zero_divisor_flag.tolist())
+            rows = zip(*(x.tolist() for x in got))
+            for h, row in zip(H, rows):
+                want = reference_relay_scalars(config, h)
+                row = (tuple(row[0]),) + tuple(row[1:])
+                assert repr(row) == repr(want), (name, mode, K, M, h)
+    if name.startswith("piD") and mode == "random":
+        assert flags == {0, 1}
+
+
+def test_a_zero_vector_raises_before_a_later_relays_search_refusal(tmp_path, monkeypatch):
+    monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 25)  # a search visiting more nodes refuses
+    config = _config(LATTICES["piA"], 3, 2, "random", P=64.0)
+    real = cfsim.best_coefficients
+    calls = []
+
+    def counted(h, P, **kwargs):
+        calls.append(h)
+        return real(h, P, **kwargs)
+
+    def zero_first(h, P, **kwargs):
+        calls.append(h)
+        if len(calls) == 1:
+            return BestCoefficients((0,) * len(h), 0.0, False)
+        return real(h, P, **kwargs)
+
+    later = []
+    for seed in range(20):
+        calls.clear()
+        monkeypatch.setattr(cfsim, "best_coefficients", counted)
+        try:
+            reference_run_trials(config, 3, seed)
+        except ValueError as exc:
+            # the first relay passes and a later relay's search refuses
+            if len(calls) > 1 and "search space too large" in str(exc):
+                later.append(seed)
+    assert later
+    monkeypatch.setattr(cfsim, "best_coefficients", zero_first)
+    for seed in later:
+        outcomes = []
+        for run in (reference_run_trials, run_trials):
+            calls.clear()
+            outcomes.append(_outcome(run, config, 3, seed, tmp_path / "out.csv"))
+        assert outcomes == ["ValueError: relay coefficient vector is zero"] * 2, seed
 
 
 # ---------------------------------------------------------------------------
