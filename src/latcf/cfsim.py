@@ -17,12 +17,11 @@ default_rng([seed, trial]): H, the messages per source, level and real
 part, the dithers, then Z.  Phase 2 does the arithmetic of the whole
 chunk in numpy: encoding and CRT, the channel, the relays' scaling and
 reduction, the relays' scalars of (h, a, P) (alpha, the analytic noise
-variance, the zero-divisor flag), and the decode check, one `quantize`
-over the real parts and one over the imaginary parts of the relays whose
-real part matched.  Per relay, in trial order, stay the coefficient
-search and its nonzero check, the np.vdot calls of alpha and
-abs(alpha)**2, once per relay under a fixed H.  A chunk
-holds at most _TRIAL_BLOCK elements in its widest array, so memory does
+variance, the zero-divisor flag), one `quantize` over every (trial,
+relay, real part) row, and the decode check.  Per relay, in trial order,
+stay the coefficient search and its nonzero check, the np.vdot calls of
+alpha and abs(alpha)**2, once per relay under a fixed H.  A chunk holds
+at most _TRIAL_BLOCK elements in its widest array, so memory does
 not grow with the trial count, and every element goes through the same
 floating-point operations, in the same order, as a trial run alone: the
 records are a function of (config, seed) only, whatever the chunking.
@@ -127,12 +126,11 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     a_k conj(h_k) over Z[i] and O_K (numpy fuses a multiply-add there,
     Python does not).  It takes numpy's array abs and log2 and does the
     rest in Python floats: the 1e-300 floor, max(0, r) keeping r = -0.0
-    as np.maximum does, the 1e-15 test for +inf and the 1e-9 filter.  A
-    lone pair +-a over Z skips the filter, since -a's cross is a's
-    negated exactly.  The exact rate is the numpy matrix product
-    values @ conj(h), then the same steps, for "Z" and "Zi"; for a
-    QuadraticRing it is computation_rate's arithmetic (numpy's vdot and
-    its scalar abs and power).
+    as np.maximum does, the 1e-15 test for +inf and the 1e-9 filter.
+    The exact rate is the numpy matrix product values @ conj(h), then the
+    same steps, for "Z" and "Zi"; for a QuadraticRing it is
+    computation_rate's arithmetic (numpy's vdot and its scalar abs and
+    power).
     If max_norm_cap trims the bound the result is flagged truncated.
     Non-finite h or P, and P|h|^2 so large (about 1e15) that Q is no
     longer positive definite in floating point, raise ValueError.
@@ -165,16 +163,11 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     margin = 1e-6 + 1e-12 * den
     points, n2 = zip(*_ellipsoid_points(h.tolist(), P / den, bound, margin, t, u, xi))
 
-    # the filter: cross grown one component at a time.  Over Z, -a has
-    # the exact negative of a's cross, so a lone pair +-a passes whole
+    # the filter: cross grown one component at a time
     hc = np.conj(h)
     if xi is None:
-        if len(points) == 2 and points[1] == tuple(-x for x in points[0]):
-            near = range(2)
-        else:
-            hcl = hc.tolist()
-            near = _near(_rates([_grown([x * hk for x, hk in zip(v, hcl)]) for v in points],
-                                n2, P, den))
+        hcl = hc.tolist()
+        near = _near(_rates([_grown([x * hk for x, hk in zip(v, hcl)]) for v in points], n2, P, den))
     else:
         xy = np.array(points, dtype=np.int64)
         values = xy[:, 0::2] + xy[:, 1::2] * xi
@@ -385,9 +378,7 @@ def mmse_alpha(h, a, P: float) -> complex:
     """Minimizer of |alpha|^2 + P|alpha*h - a|^2.  Non-finite h or P
     raise ValueError."""
     h = np.asarray(h, dtype=complex)
-    av = _coeffs_to_complex(a)
-    den = _rate_denominator(h, P)
-    return complex(P * np.vdot(h, av) / den)
+    return _alphas_and_variances(h[None], _coeffs_to_complex(a)[None], P, "mmse")[0].item()
 
 
 def relay_process(y, a, dithers, h, P, pair: LatticePair, alpha_mode="mmse") -> RelayOutput:
@@ -398,21 +389,27 @@ def relay_process(y, a, dithers, h, P, pair: LatticePair, alpha_mode="mmse") -> 
     if not len(av) == len(h) == len(dithers):
         raise ValueError(f"a, h and dithers have lengths {len(av)}, {len(h)}, {len(dithers)}; "
                          "need one per source")
-    alpha, noise_var = _alpha_and_variance(h, a, av, P, alpha_mode)
+    alpha, noise_var = _alphas_and_variances(h[None], av[None], P, alpha_mode)
+    alpha = alpha.item()
     y_prime = _relay_combine(alpha, np.asarray(y, dtype=complex), av, map(np.asarray, dithers))
-    return RelayOutput(mod_coarse(pair, y_prime), alpha, noise_var)
+    return RelayOutput(mod_coarse(pair, y_prime), alpha, noise_var[0])
 
 
-def _alpha_and_variance(h, a, av, P, alpha_mode):
-    """The relay's scaling alpha and the analytic variance of its
-    effective noise, both functions of (h, a, P) only."""
+def _alphas_and_variances(H, av, P, alpha_mode):
+    """Each relay's scaling alpha and the analytic variance of its
+    effective noise, for the rows h of H and a of av (R x K), both
+    functions of (h, a, P) only.  np.vdot (its bits are BLAS's) and
+    abs(alpha)**2 (Python's hypot and pow) run per row, the rest over all
+    rows at once."""
     if alpha_mode == "mmse":
-        alpha = mmse_alpha(h, a, P)
+        den = np.array([_rate_denominator(h, P) for h in H])
+        alpha = P * np.array([np.vdot(h, v) for h, v in zip(H, av)]) / den
     elif alpha_mode == "unit":
-        alpha = 1.0 + 0.0j
+        alpha = np.full(len(H), 1.0 + 0.0j)
     else:
         raise ValueError(f"unknown alpha_mode {alpha_mode!r}")
-    return alpha, abs(alpha) ** 2 + P * float(np.sum(np.abs(alpha * h - av) ** 2))
+    spread = np.sum(np.abs(alpha[:, None] * H - av) ** 2, axis=-1).tolist()
+    return alpha, [abs(al) ** 2 + P * s for al, s in zip(alpha.tolist(), spread)]
 
 
 def _relay_combine(alpha, y, av, dithers):
@@ -479,17 +476,11 @@ def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
 
 def _parts_decoded(pair: LatticePair, y_prime, want):
     """Whether both real parts of each y_prime (... x N) quantize, mod q,
-    to want (... x 2 x N): one quantize over the real parts, then one over
-    the imaginary parts of the rows whose real part matched."""
+    to want (... x 2 x N): one quantize over every real part at once."""
     fine = pair.fine
-    y = y_prime.reshape(-1, fine.N)
-    want = want.reshape(-1, 2, fine.N)
-    ok = (np.mod(quantize(fine, y.real / pair.scale), fine.q) == want[:, 0]).all(axis=-1)
-    rows = ok.nonzero()[0]
-    if len(rows):
-        got = np.mod(quantize(fine, y.imag[rows] / pair.scale), fine.q)
-        ok[rows] = (got == want[rows, 1]).all(axis=-1)
-    return ok.reshape(y_prime.shape[:-1])
+    parts = np.stack([y_prime.real, y_prime.imag], axis=-2) / pair.scale
+    got = np.mod(quantize(fine, parts.reshape(-1, fine.N)), fine.q)
+    return (got.reshape(want.shape) == want).all(axis=(-2, -1))
 
 
 def function_coefficients(a, moduli):
@@ -647,13 +638,11 @@ class _Relays(NamedTuple):
 
 def _relay_scalars(config: SimConfig, H) -> _Relays:
     """Coefficient vector, rate, alpha, analytic noise variance and
-    zero-divisor flag of each relay h of H (R x K), with
-    _alpha_and_variance's bits.
+    zero-divisor flag of each relay h of H (R x K).
 
     In relay order, each relay is searched and its vector checked nonzero,
-    so a relay's error comes before any later relay's; np.vdot (its bits
-    are BLAS's) and abs(alpha)**2 (Python's hypot and pow) stay per relay.
-    The rest is one numpy pass over all relays."""
+    so a relay's error comes before any later relay's; the rest takes
+    _alphas_and_variances and one numpy pass over all relays."""
     P = config.P
     coeffs, rates = [], []
     for h in H:
@@ -667,14 +656,7 @@ def _relay_scalars(config: SimConfig, H) -> _Relays:
         coeffs.append(a)
         rates.append(rate)
     a = np.array(coeffs, dtype=np.int64).reshape(len(H), config.K)
-    av = a.astype(complex)
-    if config.alpha_mode == "mmse":  # as mmse_alpha
-        alpha = P * np.array([np.vdot(h, v) for h, v in zip(H, av)])
-        alpha = alpha / np.array([_rate_denominator(h, P) for h in H])
-    else:
-        alpha = np.full(len(H), 1.0 + 0.0j)
-    spread = np.sum(np.abs(alpha[:, None] * H - av) ** 2, axis=-1).tolist()
-    noise_var = [abs(al) ** 2 + P * s for al, s in zip(alpha.tolist(), spread)]
+    alpha, noise_var = _alphas_and_variances(H, a.astype(complex), P, config.alpha_mode)
     fine = config.pair.fine
     zflag = np.zeros(len(H), dtype=np.int64)
     for code, m in zip(fine.codes, fine.moduli):

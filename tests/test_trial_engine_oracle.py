@@ -29,7 +29,6 @@ from latcf.cfsim import (
     encode_source,
     function_coefficients,
     make_pair,
-    mmse_alpha,
     run_trials,
 )
 from latcf.codes import LinearCode, NestedCodeChain
@@ -66,6 +65,13 @@ def reference_encode(code: LinearCode, w):
     return tuple(out)
 
 
+def reference_mmse_alpha(h, a, P: float) -> complex:
+    """Minimizer of |alpha|^2 + P|alpha*h - a|^2."""
+    h = np.asarray(h, dtype=complex)
+    av = _coeffs_to_complex(a)
+    return complex(P * np.vdot(h, av) / (1.0 + P * float(np.vdot(h, h).real)))
+
+
 def reference_relay_process(y, a, dithers, h, P, pair: LatticePair, alpha_mode="mmse") -> RelayOutput:
     """(alpha*y + sum_k a_k u_k) mod coarse, plus the analytic variance
     of the effective noise alpha*z + sum_k (alpha*h_k - a_k) x_k."""
@@ -75,7 +81,7 @@ def reference_relay_process(y, a, dithers, h, P, pair: LatticePair, alpha_mode="
         raise ValueError(f"a, h and dithers have lengths {len(av)}, {len(h)}, {len(dithers)}; "
                          "need one per source")
     if alpha_mode == "mmse":
-        alpha = mmse_alpha(h, a, P)
+        alpha = reference_mmse_alpha(h, a, P)
     elif alpha_mode == "unit":
         alpha = 1.0 + 0.0j
     else:
@@ -423,6 +429,24 @@ def test_relay_scalars_match_the_per_relay_path(name, mode):
                 assert repr(row) == repr(want), (name, mode, K, M, h)
     if name.startswith("piD") and mode == "random":
         assert flags == {0, 1}
+
+
+@pytest.mark.parametrize("alpha_mode", ["mmse", "unit"])
+def test_relay_process_and_mmse_alpha_match_the_oracle(alpha_mode):
+    pair = make_pair(LATTICES["piA"], 16.0)
+    rng = np.random.default_rng(11)
+    for K in (1, 2, 3, 5):
+        for _ in range(200):
+            h = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / math.sqrt(2)
+            a = tuple(int(x) for x in rng.integers(-4, 5, K))
+            P = float(10.0 ** rng.uniform(-3, 4))
+            y = rng.standard_normal(pair.fine.N) + 1j * rng.standard_normal(pair.fine.N)
+            dithers = [rng.random(pair.fine.N) for _ in range(K)]
+            got = cfsim.relay_process(y, a, dithers, h, P, pair, alpha_mode=alpha_mode)
+            want = reference_relay_process(y, a, dithers, h, P, pair, alpha_mode=alpha_mode)
+            assert repr((got.alpha, got.noise_var_analytic)) == repr((want.alpha, want.noise_var_analytic))
+            assert np.array_equal(got.y_prime, want.y_prime)
+            assert repr(cfsim.mmse_alpha(h, a, P)) == repr(reference_mmse_alpha(h, a, P))
 
 
 def test_a_zero_vector_raises_before_a_later_relays_search_refusal(tmp_path, monkeypatch):
