@@ -11,6 +11,8 @@ The pieces, bottom to top:
 - `lattices`: five constructions turning codes into lattices, plus
   membership, enumeration, nearest-point quantization, and the coarse
   modulo operation.
+- `seeding`: each simulator trial's generator, numpy's
+  default_rng([seed, t]) seeded for many trials in one vectorised pass.
 - `cfsim`: the compute-and-forward rate formula, an exact coefficient
   search (Schnorr-Euchner enumeration of the ellipsoid of rate > 0), and a
   deterministic Monte Carlo relay simulator.

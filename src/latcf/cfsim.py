@@ -14,7 +14,9 @@ known at the relays and does not count as noise.
 `run_trials` runs in two phases over chunks of trials.  Phase 1 makes
 each trial's random draws, and nothing else, from its own generator
 default_rng([seed, trial]): H, the messages per source, level and real
-part, the dithers, then Z.  Phase 2 does the arithmetic of the whole
+part, the dithers, then Z.  Each generator is exactly default_rng's but
+seeded by one vectorised SeedSequence pass over many trials (`seeding`).
+Phase 2 does the arithmetic of the whole
 chunk in numpy: encoding and CRT, the channel, the relays' scaling and
 reduction, the relays' scalars of (h, a, P) (alpha, the analytic noise
 variance, the zero-divisor flag), one `quantize` over every (trial,
@@ -41,6 +43,7 @@ from .algebra import ChainRing, QuadraticRing
 from .codes import LinearCode, solve_encoding
 from .codes import encode as encode_codeword
 from .lattices import LatticePair, _coset_index, contains, mod_coarse, quantize
+from .seeding import seed_words, trial_generators
 
 _SEARCH_HARD_CAP = 5 * 10**6
 # elements of the widest phase-2 arrays, quantize's tables and rows x cosets
@@ -572,7 +575,11 @@ def make_pair(fine, P: float) -> LatticePair:
 
 def run_trials(config: SimConfig, trials: int, seed: int):
     """Independent Monte Carlo trials, deterministic in (config, seed):
-    trial t draws from its own generator default_rng([seed, t]).
+    trial t draws from its own generator, exactly default_rng([seed, t]),
+    seeded by one vectorised SeedSequence pass over up to
+    seeding.SEED_SLICE trials.  seed must be a non-negative integer and
+    trials at most 2**32, so that every trial index is one 32-bit seed
+    word; both are checked before any work.
 
     Trials run in chunks of at most _chunk_trials(config), each in two
     phases: the draws of every trial of the chunk, in the order
@@ -586,16 +593,20 @@ def run_trials(config: SimConfig, trials: int, seed: int):
     abs(alpha)**2 stay per relay.  The records do not depend on the
     chunking.
     """
+    words = seed_words(seed)
     _check_config(config)
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if trials > 1 << 32:
+        raise ValueError(f"trial index {trials - 1} is 2**32 or more; trials must be <= 2**32")
     fixed = None
     if config.fixed_H is not None:
         fixed = _relay_scalars(config, np.asarray(config.fixed_H, dtype=complex))
     chunk = _chunk_trials(config)
+    rngs = trial_generators(words, trials)
     records = []
     for start in range(0, trials, chunk):
-        records += _run_chunk(config, seed, range(start, min(start + chunk, trials)), fixed)
+        records += _run_chunk(config, rngs, range(start, min(start + chunk, trials)), fixed)
     return records
 
 
@@ -667,7 +678,7 @@ def _relay_scalars(config: SimConfig, H) -> _Relays:
     return _Relays(a, np.array(rates, dtype=float), alpha, np.array(noise_var), zflag)
 
 
-def _run_chunk(config: SimConfig, seed: int, trials: range, fixed):
+def _run_chunk(config: SimConfig, rngs, trials: range, fixed):
     pair = config.pair
     fine = pair.fine
     K, M, N, T = config.K, config.M, fine.N, len(trials)
@@ -683,8 +694,7 @@ def _run_chunk(config: SimConfig, seed: int, trials: range, fixed):
     W = np.empty((T, len(bounds)), dtype=np.int64)
     D = np.empty((T, K, 2, N))
     Z2 = np.zeros((T, 2, M, N))  # stays zero when noiseless
-    for i, trial in enumerate(trials):
-        rng = np.random.default_rng([seed, trial])
+    for i, rng in zip(range(T), rngs):
         if H2 is not None:
             rng.standard_normal(out=H2[i])  # real parts, then imaginary parts
         W[i] = rng.integers(0, bounds)

@@ -526,6 +526,8 @@ def cmd_simulate(args) -> int:
             raise SchemaError("--trials must be >= 1")
         trials = args.trials
     if args.seed is not None:
+        if args.seed < 0:
+            raise SchemaError("--seed must be >= 0")
         seed = args.seed
     try:
         records = run_trials(config, trials, seed)

@@ -213,11 +213,14 @@ def test_04_crt_exhaustive():
         assert np.array_equal(image, x), q
         assert np.array_equal(crt.forward_vec([S[:, l] for l in range(len(m))]), x), q
 
-        # ring laws on every pair (a, b)
-        add_idx = (x[:, None] + x[None, :]) % q
-        mul_idx = (x[:, None] * x[None, :]) % q
-        for l, ml in enumerate(m):
-            col = S[:, l]
+        # ring laws on every pair (a, b), computed in int32 (q^2 < 2^31 here,
+        # and int32 % is the cheaper); the index tables are widened to intp
+        # once, so the gathers need not convert them
+        x32 = x.astype(np.int32)
+        add_idx = ((x32[:, None] + x32[None, :]) % q).astype(np.intp)
+        mul_idx = ((x32[:, None] * x32[None, :]) % q).astype(np.intp)
+        for l, ml in enumerate(m.tolist()):
+            col = S[:, l].astype(np.int32)
             assert np.array_equal(col[add_idx], (col[:, None] + col[None, :]) % ml), q
             assert np.array_equal(col[mul_idx], (col[:, None] * col[None, :]) % ml), q
         tested += 1

@@ -253,6 +253,16 @@ def test_simulate_seed_determinism(tmp_path, capsys):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+def test_simulate_negative_seed_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", _sim_config())
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+    assert not out.exists()
+    cfg = _write(tmp_path, "c.json", _sim_config(seed=-1))
+    assert _run(capsys, ["simulate", "--config", cfg, "--out", str(out)])[0] == 2
+
+
 def test_simulate_trials_zero_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", _sim_config(trials=0))
     assert _run(capsys, ["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])[0] == 2

@@ -248,6 +248,9 @@ LATTICES = {
     "piD Z4 free x Z9 non-free": construction_pi_d(36, [Z4_FREE, Z9_NON_FREE]),
 }
 MODES = ("random", "fixed", "noiseless", "unit", "cap")
+# one-word seeds, and seeds of 2, 3 and 4 32-bit words: with the trial's
+# word, 3, 4 and 5 words of entropy, the last one past SeedSequence's pool of 4
+SEEDS = [*range(20), 2**32 + 1, 2**64 + 5, 2**96 + 7]
 
 
 def _config(fine, K, M, mode, P=16.0):
@@ -294,7 +297,7 @@ def _assert_same(config, trials, seed, tmp_path):
 def test_engine_matches_oracle(tmp_path, name, K, M):
     for mode in MODES:
         config = _config(LATTICES[name], K, M, mode)
-        for seed in range(20):
+        for seed in SEEDS:
             out = _assert_same(config, 1 + seed % 2, seed, tmp_path)
             assert isinstance(out, bytes), (mode, seed, out)
 
@@ -314,7 +317,7 @@ def test_chunk_boundaries_match_oracle(tmp_path, monkeypatch, name):
     for mode in ("random", "fixed"):
         config = _config(LATTICES[name], 2, 3, mode)
         chunk = _small_chunks(monkeypatch, config)
-        for seed in range(20):
+        for seed in SEEDS:
             for trials in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):
                 _assert_same(config, trials, seed, tmp_path)
 
@@ -329,7 +332,7 @@ def test_chunk_boundaries_at_the_real_budget(tmp_path):
     config = _sim_cosets()
     chunk = cfsim._chunk_trials(config)
     assert chunk >= 2
-    for seed in range(20):
+    for seed in SEEDS:
         for trials in (1, chunk - 1, chunk, chunk + 1):
             _assert_same(config, trials, seed, tmp_path)
 
@@ -351,7 +354,7 @@ def test_zero_coefficient_vector_raises_as_the_oracle(tmp_path):
     fixed = replace(_config(fine, 2, 2, "noiseless"), fixed_H=np.array([[1, 1], [0.3, -0.4]]) + 0j)
     errors = set()
     for config in (fixed, replace(fixed, fixed_H=None)):  # a random H rounds to 0 now and then
-        for seed in range(20):
+        for seed in SEEDS:
             out = _assert_same(config, 4, seed, tmp_path)
             if not isinstance(out, bytes):
                 errors.add(out)
@@ -361,7 +364,7 @@ def test_zero_coefficient_vector_raises_as_the_oracle(tmp_path):
 def test_search_refusal_raises_as_the_oracle(tmp_path, monkeypatch):
     monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 25)  # a search visiting more nodes refuses
     config = _config(LATTICES["piA"], 3, 2, "random", P=64.0)
-    outcomes = [_assert_same(config, 3, seed, tmp_path) for seed in range(20)]
+    outcomes = [_assert_same(config, 3, seed, tmp_path) for seed in SEEDS]
     refused = [o for o in outcomes if not isinstance(o, bytes)]
     assert refused and len(refused) < len(outcomes)
     assert set(refused) == {"ValueError: search space too large; lower max_norm_cap"}
@@ -466,7 +469,7 @@ def test_a_zero_vector_raises_before_a_later_relays_search_refusal(tmp_path, mon
         return real(h, P, **kwargs)
 
     later = []
-    for seed in range(20):
+    for seed in SEEDS:
         calls.clear()
         monkeypatch.setattr(cfsim, "best_coefficients", counted)
         try:
