@@ -22,11 +22,16 @@ reduction, the relays' scalars of (h, a, P) (alpha, the analytic noise
 variance, the zero-divisor flag), one `quantize` over every (trial,
 relay, real part) row, and the decode check.  Per relay, in trial order,
 stay the coefficient search and its nonzero check, the np.vdot calls of
-alpha and abs(alpha)**2, once per relay under a fixed H.  A chunk holds
-at most _TRIAL_BLOCK elements in its widest array, so memory does
-not grow with the trial count, and every element goes through the same
-floating-point operations, in the same order, as a trial run alone: the
-records are a function of (config, seed) only, whatever the chunking.
+alpha and abs(alpha)**2, once per relay under a fixed H.  `quantize`
+bounds the memory of its own passes, and a chunk is one pass of relay
+rows (`rows_per_pass`), so memory does not grow with the trial count.
+Every element goes through the same floating-point operations, in the
+same order, as a trial run alone: the records are a function of
+(config, seed) only, whatever the chunking.
+
+The engine and the per-relay functions share one body per decode step:
+`_crt_points`, `_function_point` (sum_k a_k t_k mod q), `_decoded_points`
+and `_level_messages`.
 """
 
 from __future__ import annotations
@@ -42,13 +47,10 @@ import numpy as np
 from .algebra import ChainRing, QuadraticRing
 from .codes import LinearCode, solve_encoding
 from .codes import encode as encode_codeword
-from .lattices import LatticePair, _coset_index, contains, mod_coarse, quantize
+from .lattices import LatticePair, contains, mod_coarse, quantize, rows_per_pass
 from .seeding import seed_words, trial_generators
 
 _SEARCH_HARD_CAP = 5 * 10**6
-# elements of the widest phase-2 arrays, quantize's tables and rows x cosets
-# distances, that one chunk of trials may hold
-_TRIAL_BLOCK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -436,28 +438,12 @@ def decode_function(y_prime, pair: LatticePair, a) -> FunctionDecode:
     if fine.ambient != "real":
         raise ValueError("function decoding works on real-ambient lattices")
     y_prime = np.asarray(y_prime)
-    parts = [y_prime.real, y_prime.imag] if np.iscomplexobj(y_prime) else [y_prime]
-    ok = True
-    part_funcs = []
-    eq_parts = []
-    for v in parts:
-        pt = quantize(fine, np.asarray(v, dtype=float) / pair.scale)
-        pt = np.mod(pt, fine.q)
-        eq_parts.append(pt)
-        levels = []
-        for code, m in zip(fine.codes, fine.moduli):
-            w = solve_encoding(code, [int(x) % m for x in pt])
-            if w is None:
-                ok = False
-                levels.append(None)
-            else:
-                levels.append(tuple(w))
-        part_funcs.append(tuple(levels))
-    if np.iscomplexobj(y_prime):
-        t_eq = (eq_parts[0] + 1j * eq_parts[1]) * pair.scale
-    else:
-        t_eq = eq_parts[0] * pair.scale
-    return FunctionDecode(t_eq, tuple(part_funcs), ok)
+    complex_in = np.iscomplexobj(y_prime)
+    parts = np.stack([y_prime.real, y_prime.imag]) if complex_in else y_prime[None]
+    points = _decoded_points(pair, parts)
+    functions = tuple(_level_messages(fine, pt) for pt in points)
+    t_eq = (points[0] + 1j * points[1] if complex_in else points[0]) * pair.scale
+    return FunctionDecode(t_eq, functions, all(None not in levels for levels in functions))
 
 
 def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
@@ -473,17 +459,38 @@ def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
     """
     q = pair.fine.q
     a_mod = np.array([int(x) % q for x in a], dtype=np.int64)
-    want = np.mod(np.tensordot(a_mod, np.asarray(points, dtype=np.int64), axes=1), q)
-    return bool(_parts_decoded(pair, np.asarray(y_prime), want))
+    points = np.asarray(points, dtype=np.int64)
+    want = _function_point(a_mod, points.reshape(len(points), -1), q)
+    y_prime = np.asarray(y_prime)
+    return bool((_decoded_points(pair, np.stack([y_prime.real, y_prime.imag])).ravel() == want).all())
 
 
-def _parts_decoded(pair: LatticePair, y_prime, want):
-    """Whether both real parts of each y_prime (... x N) quantize, mod q,
-    to want (... x 2 x N): one quantize over every real part at once."""
-    fine = pair.fine
-    parts = np.stack([y_prime.real, y_prime.imag], axis=-2) / pair.scale
-    got = np.mod(quantize(fine, parts.reshape(-1, fine.N)), fine.q)
-    return (got.reshape(want.shape) == want).all(axis=(-2, -1))
+def _function_point(a, points, q):
+    """sum_k a_k t_k mod q, exact in int64, for the coefficient rows a
+    (... x K) and the sources' integer points t_k, the rows of points
+    (... x K x n)."""
+    return np.mod(np.mod(a, q) @ points, q)
+
+
+def _decoded_points(pair: LatticePair, parts):
+    """The fine-lattice points, mod q, nearest the real parts (... x N, at
+    signal scale): one quantize over every part at once."""
+    rows = np.asarray(parts, dtype=float) / pair.scale
+    return np.mod(quantize(pair.fine, rows.reshape(-1, rows.shape[-1])), pair.fine.q).reshape(rows.shape)
+
+
+def _level_messages(fine, point):
+    """Each level's message read off an integer point: a preimage of the
+    point mod m_l under that level's encoding, or None where the
+    reduction is no codeword."""
+    return tuple(solve_encoding(code, [int(x) % m for x in point])
+                 for code, m in zip(fine.codes, fine.moduli))
+
+
+def _crt_points(fine, words):
+    """The integer CRT points in [0, q) of each level's messages words[l]
+    (... x n_l): every level encoded, then combined coordinatewise."""
+    return fine.map.forward_vec([encode_codeword(code, w) for code, w in zip(fine.codes, words)])
 
 
 def function_coefficients(a, moduli):
@@ -513,24 +520,16 @@ def multistage_roundtrip(pair: LatticePair, messages, a):
         raise ValueError("levels must be prime fields")
     if len(a) != len(messages) or not messages:
         raise ValueError("one coefficient per source")
-    crt = fine.map
     points = []
     for w_levels in messages:
         if len(w_levels) != len(fine.codes):
             raise ValueError(f"need {len(fine.codes)} level messages per source")
-        words = [
-            np.array(encode_codeword(code, w), dtype=np.int64)
-            for code, w in zip(fine.codes, w_levels)
-        ]
-        points.append(crt.forward_vec(words))
-    t_eq = np.mod(sum(int(ak) * pt for ak, pt in zip(a, points)), crt.q)
-    out = []
-    for code, m in zip(fine.codes, crt.moduli):
-        w = solve_encoding(code, [int(x) % m for x in t_eq])
-        if w is None:
-            raise ArithmeticError("noiseless reduction left the codebook")
-        out.append(tuple(w))
-    return tuple(out)
+        points.append(_crt_points(fine, w_levels))
+    a_mod = np.array([int(x) % fine.q for x in a], dtype=np.int64)
+    out = _level_messages(fine, _function_point(a_mod, np.array(points), fine.q))
+    if None in out:
+        raise ArithmeticError("noiseless reduction left the codebook")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +580,10 @@ def run_trials(config: SimConfig, trials: int, seed: int):
     trials at most 2**32, so that every trial index is one 32-bit seed
     word; both are checked before any work.
 
-    Trials run in chunks of at most _chunk_trials(config), each in two
-    phases: the draws of every trial of the chunk, in the order
-    H, messages (per source, level, real part), dithers, Z; then the
-    chunk's arithmetic in numpy.  The coefficient search runs once per
+    Trials run in chunks of _chunk_trials(config), one quantize pass of
+    relay rows each, in two phases: the draws of every trial of the
+    chunk, in the order H, messages (per source, level, real part),
+    dithers, Z; then the chunk's arithmetic in numpy.  The coefficient search runs once per
     relay and trial, in trial order, or once per relay before the first
     trial under a fixed channel, and each relay's vector is checked
     nonzero right after its search, so errors come in trial order.
@@ -628,12 +627,9 @@ def _check_config(config: SimConfig):
 
 
 def _chunk_trials(config: SimConfig) -> int:
-    """Trials per chunk: a trial quantizes 2M rows, each scoring every
-    coset through an N x width table."""
-    fine = config.pair.fine
-    residues, index = _coset_index(fine)
-    per_trial = 2 * config.M * (index.shape[1] + fine.N * residues.shape[1])
-    return max(1, _TRIAL_BLOCK // per_trial)
+    """Trials per chunk: a trial quantizes 2M rows, and a chunk's rows fill
+    at most one quantize pass (one trial at least)."""
+    return max(1, rows_per_pass(config.pair.fine) // (2 * config.M))
 
 
 class _Relays(NamedTuple):
@@ -710,9 +706,8 @@ def _run_chunk(config: SimConfig, rngs, trials: range, fixed):
         H = np.asarray(config.fixed_H, dtype=complex)
         relays = _Relays(*(np.concatenate([x] * T) for x in fixed))
     cuts = np.cumsum([2 * code.n for code in fine.codes])[:-1]
-    words = [encode_codeword(code, w.reshape(T, K, 2, code.n))
-             for code, w in zip(fine.codes, np.split(W.reshape(T, K, -1), cuts, axis=2))]
-    points = fine.map.forward_vec(words)  # T x K x (re, im) x N integer CRT points
+    points = _crt_points(fine, [w.reshape(T, K, 2, code.n) for code, w in zip(
+        fine.codes, np.split(W.reshape(T, K, -1), cuts, axis=2))])  # T x K x (re, im) x N
     D = 0.0 + cell * D  # uniform(0, cell) is 0 + cell * random()
     U = D[:, :, 0] + 1j * D[:, :, 1]
     t = (points[:, :, 0] + 1j * points[:, :, 1]) * pair.scale
@@ -736,21 +731,13 @@ def _run_chunk(config: SimConfig, rngs, trials: range, fixed):
     noise_var_emp = np.mean(np.abs(z_eq - offset) ** 2, axis=-1)
     y_prime = mod_coarse(pair, _relay_combine(
         alpha, Y, np.moveaxis(av, 2, 0)[..., None], np.moveaxis(U, 1, 0)[:, :, None]))
-    want = np.mod(np.mod(a, fine.q) @ points.reshape(T, K, 2 * N), fine.q).reshape(T, M, 2, N)
-    ok = _parts_decoded(pair, mod_coarse(pair, y_prime - offset), want)
+    want = _function_point(a, points.reshape(T, K, 2 * N), fine.q).reshape(T, M, 2, N)
+    y_prime = mod_coarse(pair, y_prime - offset)
+    got = _decoded_points(pair, np.stack([y_prime.real, y_prime.imag], axis=-2))
+    ok = (got == want).all(axis=(-2, -1))
 
     return [
-        TrialRecord(
-            trial=trial,
-            relay=m,
-            a=tuple(a_r),
-            rate_bits=rate,
-            alpha=al,
-            noise_var_analytic=var,
-            noise_var_emp=v,
-            decode_ok=int(d),
-            zero_divisor_flag=z,
-        )
+        TrialRecord(trial, m, tuple(a_r), rate, al, var, v, int(d), z)
         for (trial, m), a_r, rate, al, var, z, v, d in zip(
             itertools.product(trials, range(M)), *(x.tolist() for x in relays),
             noise_var_emp.ravel().tolist(), ok.ravel().tolist())

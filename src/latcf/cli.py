@@ -30,9 +30,10 @@ take `a+bi` tokens whose two integers are coordinates in the ring basis
 (1, xi).  Channel literals use `<float>[+|-]<float>i` with no spaces.
 
 Exit codes: 0 success (member: vector is in the lattice), 1 member
-verdict "out", 2 schema or literal violation, or a search or simulation
-the inputs make impossible (e.g. a coefficient search that visits too
-many nodes, or whose cap leaves it empty), 3 construction failure.
+verdict "out", 2 schema or literal violation, a file that cannot be read
+or written, or a search or simulation the inputs make impossible (e.g. a
+coefficient search that visits too many nodes, or whose cap leaves it
+empty, or a simulation over an A_OK lattice), 3 construction failure.
 """
 
 from __future__ import annotations
@@ -482,9 +483,10 @@ def _simulation_config(doc):
         )
     cap = _max_norm_cap(doc)
     fine = build_construction(doc["construction"])
-    if fine.ambient != "real":
-        raise ValueError("simulation needs a real-ambient lattice")
-    pair = make_pair(fine, P)
+    try:
+        pair = make_pair(fine, P)
+    except ValueError as exc:
+        raise SchemaError(f"simulation: {exc}") from None
     config = SimConfig(
         pair=pair,
         K=K,
@@ -498,22 +500,15 @@ def _simulation_config(doc):
     return config, trials, seed
 
 
-def _format_g(v: float) -> str:
-    return format(v, ".12g")
-
-
 def write_csv(records, path):
     lines = [
         "trial,relay,a,rate_bits,alpha_re,alpha_im,"
         "noise_var_analytic,noise_var_emp,decode_ok,zero_divisor_flag"
     ]
     for r in records:
-        lines.append(
-            f"{r.trial},{r.relay},{';'.join(str(x) for x in r.a)},"
-            f"{_format_g(r.rate_bits)},{_format_g(r.alpha.real)},"
-            f"{_format_g(r.alpha.imag)},{_format_g(r.noise_var_analytic)},"
-            f"{_format_g(r.noise_var_emp)},{r.decode_ok},{r.zero_divisor_flag}"
-        )
+        lines.append("%d,%d,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%d,%d" % (
+            r.trial, r.relay, ";".join(map(str, r.a)), r.rate_bits, r.alpha.real, r.alpha.imag,
+            r.noise_var_analytic, r.noise_var_emp, r.decode_ok, r.zero_divisor_flag))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -588,7 +583,7 @@ def main(argv=None) -> int:
         return EXIT_SCHEMA if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:  # an OSError names its path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except (ValueError, ArithmeticError) as exc:

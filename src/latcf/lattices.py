@@ -38,6 +38,8 @@ from .codes import LinearCode, NestedCodeChain, _codewords, _dtype, _kernel, lif
 _BOX_CAP = 10**6
 _BOX_BLOCK = 1 << 16
 _COSET_CAP = 10**6
+# elements of quantize's per-row tables and distances that one pass may hold
+_PASS_ELEMENTS = 1 << 17
 
 
 class LatticeDescriptor:
@@ -81,12 +83,9 @@ class LatticePair:
     (or the ideal power for complex ambient), optionally scaled so the
     coarse cell matches a transmit power budget."""
 
-    def __init__(self, fine: LatticeDescriptor, coarse: LatticeDescriptor | None = None,
-                 scale: float = 1.0):
-        if coarse is None:
-            coarse = _zero_code_version(fine)
+    def __init__(self, fine: LatticeDescriptor, scale: float = 1.0):
         self.fine = fine
-        self.coarse = coarse
+        self.coarse = _zero_code_version(fine)
         self.scale = float(scale)
         self.q = fine.q
 
@@ -316,11 +315,12 @@ def quantize(lat: LatticeDescriptor, y):
     coordinate order.  One tie rule, per coordinate and across cosets:
     squared distances within 1e-9*max(1, dmin) of the row's minimum tie,
     and the lexicographically smallest integer coordinates win (ring
-    coordinates (a, b) for A_OK; real coordinate ties round down).  Every
-    row is scored at once; only a row with several tied cosets picks its
-    winner in Python.  Entries must be finite with |y_j| <= 2**53, beyond
-    which float64 misses integer points, and real for a real-ambient
-    lattice.
+    coordinates (a, b) for A_OK; real coordinate ties round down).  The
+    rows go in passes of rows_per_pass(lat), so memory stays bounded
+    whatever the row count, and every row of a pass is scored at once;
+    only a row with several tied cosets picks its winner in Python.
+    Entries must be finite with |y_j| <= 2**53, beyond which float64
+    misses integer points, and real for a real-ambient lattice.
     """
     complex_ambient = lat.ambient == "complex"
     if not complex_ambient and np.iscomplexobj(y):
@@ -330,12 +330,23 @@ def quantize(lat: LatticeDescriptor, y):
         raise ValueError(f"expected shape ({lat.N},) or (rows, {lat.N}), got {y.shape}")
     if not (np.abs(y) <= 2.0**53).all():  # false for nan too
         raise ValueError("y must be finite" if not np.isfinite(y).all() else "y must satisfy |y| <= 2**53")
-    best = _quantize_rows(lat, y.reshape(-1, lat.N))
+    flat, step = y.reshape(-1, lat.N), rows_per_pass(lat)
+    best = _quantize_rows(lat, flat[:step])
+    if len(flat) > step:
+        best = np.concatenate([best] + [_quantize_rows(lat, flat[i:i + step])
+                                        for i in range(step, len(flat), step)])
     if complex_ambient:
         element = lat.ideal.ring.element
         rows = [tuple(element(a, b) for a, b in row) for row in best.tolist()]
         return rows[0] if y.ndim == 1 else rows
     return best.reshape(y.shape)
+
+
+def rows_per_pass(lat: LatticeDescriptor) -> int:
+    """Rows quantize scores in one pass (one at least): a row takes an
+    N x width table and a distance per coset, _PASS_ELEMENTS in all."""
+    residues, index = _coset_index(lat)
+    return max(1, _PASS_ELEMENTS // (index.shape[1] + lat.N * residues.shape[1]))
 
 
 def _quantize_rows(lat: LatticeDescriptor, y):

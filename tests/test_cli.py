@@ -312,6 +312,27 @@ def test_simulate_search_failure_names_the_simulation(tmp_path, capsys):
     assert err == "error: simulation: empty search space; raise max_norm_cap\n"
 
 
+def test_simulate_a_ok_is_a_simulation_refusal(tmp_path, capsys):
+    # a valid A_OK construction the simulator does not run: exit 2, not 3
+    doc = {"construction": ROUND_TRIP_CONFIGS[-1], "simulation": _sim_config()["simulation"]}
+    cfg = _write(tmp_path, "c.json", doc)
+    code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: simulation: make_pair and the simulator need a real-ambient lattice")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("verb", ["construct", "simulate"])
+def test_unwritable_out_is_an_error_naming_the_path(tmp_path, capsys, verb):
+    cfg = _write(tmp_path, "c.json", _sim_config())
+    out = str(tmp_path / "missing" / "out")
+    code = cli.main([verb, "--config", cfg, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and out in err
+
+
 def test_simulate_k6_runs_to_completion(tmp_path, capsys):
     # bounds up to ~60 over Z^6: the box count refused these searches
     cfg = _write(tmp_path, "c.json", _sim_config(K=6, M=1, P=10.0, trials=20, seed=1))

@@ -305,7 +305,7 @@ def test_engine_matches_oracle(tmp_path, name, K, M):
 def _small_chunks(monkeypatch, config):
     """Patch the element budget down until a chunk holds 3 to 6 trials."""
     for k in range(24):
-        monkeypatch.setattr(cfsim, "_TRIAL_BLOCK", 2**k)
+        monkeypatch.setattr("latcf.lattices._PASS_ELEMENTS", 2**k)
         chunk = cfsim._chunk_trials(config)
         if chunk >= 3:
             return chunk
