@@ -84,8 +84,9 @@ def factorize(q: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Finite alphabets.  All share the duck interface used by the codes module:
-# size, zero, one, add, sub, mul, neg, inv, is_unit, elements().
+# Finite alphabets.  All share one duck interface: size, zero, one, add,
+# sub, mul, neg, inv, is_unit, elements().  The codes module works on
+# integer residues and calls only mul, for the F_{p^2} expansion.
 # ---------------------------------------------------------------------------
 
 

@@ -15,14 +15,14 @@ known at the relays and does not count as noise.
 each trial's random draws, and nothing else, from its own generator
 default_rng([seed, trial]): H, the messages per source, level and real
 part, the dithers, then Z.  Each generator is exactly default_rng's but
-seeded by one vectorised SeedSequence pass over many trials (`seeding`).
-Phase 2 does the arithmetic of the whole
-chunk in numpy: encoding and CRT, the channel, the relays' scaling and
-reduction, the relays' scalars of (h, a, P) (alpha, the analytic noise
-variance, the zero-divisor flag), one `quantize` over every (trial,
-relay, real part) row, and the decode check.  Per relay, in trial order,
-stay the coefficient search and its nonzero check, the np.vdot calls of
-alpha and abs(alpha)**2, once per relay under a fixed H.  `quantize`
+seeded by one vectorised SeedSequence pass over the chunk's trials
+(`seeding`).  Phase 2 does the arithmetic of the whole chunk in numpy:
+encoding and CRT, the channel, the relays' scaling and reduction, the
+relays' scalars of (h, a, P) (alpha, the analytic noise variance, the
+zero-divisor flag), one `quantize` over every (trial, relay, real part)
+row, and the decode check.  Per relay, in trial order, stay the
+coefficient search and its nonzero check, the np.vdot calls of alpha
+and abs(alpha)**2, once per relay under a fixed H.  `quantize`
 bounds the memory of its own passes, and a chunk is one pass of relay
 rows (`rows_per_pass`), so memory does not grow with the trial count.
 Every element goes through the same floating-point operations, in the
@@ -359,17 +359,19 @@ class FunctionDecode(NamedTuple):
     ok: bool
 
 
+def _require_real(pair: LatticePair):
+    """The per-relay protocol's one guard: encode_source, decode_function,
+    function_decoded and multistage_roundtrip carry real lattice points."""
+    if pair.fine.ambient != "real":
+        raise ValueError("the per-relay protocol needs a real-ambient lattice, "
+                         f"got {pair.fine.kind} over {pair.fine.q!r}")
+
+
 def encode_source(state: SourceState, pair: LatticePair) -> np.ndarray:
     """Transmit signal (t - u) mod coarse."""
+    _require_real(pair)
     t = np.asarray(state.t)
     u = np.asarray(state.u)
-    _require_fine_point(pair, t)
-    return mod_coarse(pair, t - u)
-
-
-def _require_fine_point(pair: LatticePair, t):
-    if pair.fine.ambient != "real":
-        raise ValueError("the transmit pipeline works on real-ambient lattices")
     for part in ([t.real, t.imag] if np.iscomplexobj(t) else [t]):
         coords = np.asarray(part, dtype=float) / pair.scale
         rounded = np.round(coords)
@@ -377,6 +379,7 @@ def _require_fine_point(pair: LatticePair, t):
             raise ValueError("t is not a scaled lattice point")
         if not contains(pair.fine, rounded.astype(np.int64)):
             raise ValueError("t fails fine-lattice membership")
+    return mod_coarse(pair, t - u)
 
 
 def mmse_alpha(h, a, P: float) -> complex:
@@ -434,9 +437,8 @@ def decode_function(y_prime, pair: LatticePair, a) -> FunctionDecode:
     through numeric damage given the exact quantizer) is reported, not
     raised.
     """
+    _require_real(pair)
     fine = pair.fine
-    if fine.ambient != "real":
-        raise ValueError("function decoding works on real-ambient lattices")
     y_prime = np.asarray(y_prime)
     complex_in = np.iscomplexobj(y_prime)
     parts = np.stack([y_prime.real, y_prime.imag]) if complex_in else y_prime[None]
@@ -457,6 +459,7 @@ def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
     codewords, not messages, which chain-ring levels with non-unique
     messages need.
     """
+    _require_real(pair)
     q = pair.fine.q
     a_mod = np.array([int(x) % q for x in a], dtype=np.int64)
     points = np.asarray(points, dtype=np.int64)
@@ -513,9 +516,8 @@ def multistage_roundtrip(pair: LatticePair, messages, a):
     sources with integer weights a, reducing mod q, and decoding each
     prime level on its own.
     """
+    _require_real(pair)
     fine = pair.fine
-    if fine.ambient != "real":
-        raise ValueError("needs a real-ambient lattice")
     if any(isinstance(c.alphabet, ChainRing) and c.alphabet.e > 1 for c in fine.codes):
         raise ValueError("levels must be prime fields")
     if len(a) != len(messages) or not messages:
@@ -569,23 +571,28 @@ def make_pair(fine, P: float) -> LatticePair:
     if fine.ambient != "real":
         raise ValueError("make_pair and the simulator need a real-ambient lattice, "
                          f"got {fine.kind} over {fine.q!r}")
-    return LatticePair(fine, scale=math.sqrt(P / (fine.q**2 / 6.0)))
+    return LatticePair(fine, scale=_power_scale(fine, P))
+
+
+def _power_scale(fine, P: float) -> float:
+    """The scale that gives transmit symbols variance P."""
+    return math.sqrt(P / (fine.q**2 / 6.0))
 
 
 def run_trials(config: SimConfig, trials: int, seed: int):
     """Independent Monte Carlo trials, deterministic in (config, seed):
     trial t draws from its own generator, exactly default_rng([seed, t]),
-    seeded by one vectorised SeedSequence pass over up to
-    seeding.SEED_SLICE trials.  seed must be a non-negative integer and
-    trials at most 2**32, so that every trial index is one 32-bit seed
-    word; both are checked before any work.
+    seeded by one vectorised SeedSequence pass per chunk.  seed must be a
+    non-negative integer and trials at most 2**32, so that every trial
+    index is one 32-bit seed word; both are checked before any work.
 
     Trials run in chunks of _chunk_trials(config), one quantize pass of
-    relay rows each, in two phases: the draws of every trial of the
-    chunk, in the order H, messages (per source, level, real part),
-    dithers, Z; then the chunk's arithmetic in numpy.  The coefficient search runs once per
-    relay and trial, in trial order, or once per relay before the first
-    trial under a fixed channel, and each relay's vector is checked
+    relay rows each.  A chunk takes the seed's words and its trial range
+    alone, and runs in two phases: the draws of every trial of the chunk,
+    in the order H, messages (per source, level, real part), dithers, Z;
+    then the chunk's arithmetic in numpy.  The coefficient search runs
+    once per relay and trial, in trial order, or once per relay before the
+    first trial under a fixed channel, and each relay's vector is checked
     nonzero right after its search, so errors come in trial order.
     alpha, the analytic noise variance and the zero-divisor flag take one
     numpy pass over the chunk's relays; only their np.vdot calls and
@@ -602,10 +609,9 @@ def run_trials(config: SimConfig, trials: int, seed: int):
     if config.fixed_H is not None:
         fixed = _relay_scalars(config, np.asarray(config.fixed_H, dtype=complex))
     chunk = _chunk_trials(config)
-    rngs = trial_generators(words, trials)
     records = []
     for start in range(0, trials, chunk):
-        records += _run_chunk(config, rngs, range(start, min(start + chunk, trials)), fixed)
+        records += _run_chunk(config, words, range(start, min(start + chunk, trials)), fixed)
     return records
 
 
@@ -614,8 +620,10 @@ def _check_config(config: SimConfig):
         raise ValueError("simulation supports real-ambient lattices")
     if config.K < 1 or config.M < 1:
         raise ValueError("need K >= 1 sources and M >= 1 relays")
-    if config.P <= 0:
+    if not (math.isfinite(config.P) and config.P > 0):
         raise ValueError("P must be positive")
+    if config.pair.scale != _power_scale(config.pair.fine, config.P):
+        raise ValueError(f"pair.scale {config.pair.scale!r} is not make_pair's for P = {config.P!r}")
     if config.alpha_mode not in ("mmse", "unit"):
         raise ValueError(f"unknown alpha_mode {config.alpha_mode!r}")
     if config.fixed_H is not None:
@@ -674,7 +682,7 @@ def _relay_scalars(config: SimConfig, H) -> _Relays:
     return _Relays(a, np.array(rates, dtype=float), alpha, np.array(noise_var), zflag)
 
 
-def _run_chunk(config: SimConfig, rngs, trials: range, fixed):
+def _run_chunk(config: SimConfig, words, trials: range, fixed):
     pair = config.pair
     fine = pair.fine
     K, M, N, T = config.K, config.M, fine.N, len(trials)
@@ -685,12 +693,13 @@ def _run_chunk(config: SimConfig, rngs, trials: range, fixed):
     # generator exactly as one call per draw would: integers takes a bound
     # per message symbol (per source, level, real part), and the dithers
     # come from random(), scaled below as uniform(0, cell) scales them
+    rngs = trial_generators(words, trials)
     bounds = np.concatenate([np.full(2 * code.n, code.alphabet.size) for code in fine.codes] * K)
     H2 = None if fixed is not None else np.empty((T, 2, M, K))
     W = np.empty((T, len(bounds)), dtype=np.int64)
     D = np.empty((T, K, 2, N))
     Z2 = np.zeros((T, 2, M, N))  # stays zero when noiseless
-    for i, rng in zip(range(T), rngs):
+    for i, rng in enumerate(rngs):
         if H2 is not None:
             rng.standard_normal(out=H2[i])  # real parts, then imaginary parts
         W[i] = rng.integers(0, bounds)

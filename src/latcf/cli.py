@@ -287,20 +287,24 @@ def descriptor_to_json(lat: LatticeDescriptor) -> dict:
 
 
 def descriptor_from_json(doc) -> LatticeDescriptor:
+    """The lattice of a descriptor_to_json document, built from its
+    construction keys; N, ambient and moduli, which the lattice determines,
+    must match it where given (piD's moduli give its q)."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SchemaError("descriptor: missing kind")
-    kind = doc["kind"]
-    build = dict(doc)
-    build.pop("N", None)
-    build.pop("ambient", None)
-    if kind == "piD":
-        moduli = build.pop("moduli", None)
-        if moduli is None:
+    derived = ("N", "ambient", "moduli")
+    build = {key: value for key, value in doc.items() if key not in derived}
+    if doc["kind"] == "piD":
+        if doc.get("moduli") is None:
             raise SchemaError("descriptor: piD needs moduli")
-        build["q"] = math.prod(moduli)
-    elif kind != "piA":
-        build.pop("moduli", None)
-    return build_construction(build)
+        build["q"] = math.prod(_get_int_list(doc, "moduli", "descriptor"))
+    lat = build_construction(build)
+    built = descriptor_to_json(lat)
+    for key in derived:
+        if key in doc and json.dumps(doc[key]) != json.dumps(built.get(key)):  # 2.0 is not 2
+            raise SchemaError(f"descriptor.{key}: {doc[key]!r} does not match "
+                              f"the lattice's {built.get(key)!r}")
+    return lat
 
 
 # ---------------------------------------------------------------------------

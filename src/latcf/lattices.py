@@ -36,9 +36,8 @@ from .algebra import (
 from .codes import LinearCode, NestedCodeChain, _codewords, _dtype, _kernel, lift_chain_to_ring_code
 
 _BOX_CAP = 10**6
-_BOX_BLOCK = 1 << 16
 _COSET_CAP = 10**6
-# elements of quantize's per-row tables and distances that one pass may hold
+# elements one batch holds: a quantize pass or an enumerate_box block
 _PASS_ELEMENTS = 1 << 17
 
 
@@ -245,8 +244,9 @@ def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
     H, Q = _checks(lat)
     lows = [lo for lo, _ in bounds]
     shift, pts = np.array([lo % Q for lo in lows])[:, None], []
-    for start in range(0, count, _BOX_BLOCK):  # box offsets in C order, in bounded memory
-        idx = np.array(np.unravel_index(np.arange(start, min(start + _BOX_BLOCK, count)), sides))
+    block = max(1, _PASS_ELEMENTS // (len(sides) + len(H)))  # an offset's coordinates and syndromes
+    for start in range(0, count, block):  # box offsets in C order, in bounded memory
+        idx = np.array(np.unravel_index(np.arange(start, min(start + block, count)), sides))
         hit = ~(H @ ((idx + shift) % Q).astype(H.dtype) % Q).any(axis=0)
         pts += [[i + lo for i, lo in zip(row, lows)] for row in idx[:, hit].T.tolist()]
     if lat.ambient == "complex":
@@ -303,10 +303,10 @@ def _coset_index(lat: LatticeDescriptor):
 def quantize(lat: LatticeDescriptor, y):
     """A nearest lattice point to y, or to each row of y.
 
-    y is one vector of length N or an array of rows (R, N).  A real lattice
-    gives an int64 array of y's shape; A_OK gives a tuple of QuadInt, or a
-    list of them, one per row.  The lattice is a union of cosets
-    rep + Lambda_c^N, so the nearest point of a coset splits into one
+    y is one vector of length N or an array of rows (R, N), R >= 0.  A
+    real lattice gives an int64 array of y's shape; A_OK gives a tuple of
+    QuadInt, or a list of them, one per row.  The lattice is a union of
+    cosets rep + Lambda_c^N, so the nearest point of a coset splits into one
     nearest point per coordinate, which depends only on that coordinate's
     residue.  One table per row holds, for each (coordinate, residue), that
     point and its squared distance (rounding over q Z, a Babai floor and
@@ -343,10 +343,11 @@ def quantize(lat: LatticeDescriptor, y):
 
 
 def rows_per_pass(lat: LatticeDescriptor) -> int:
-    """Rows quantize scores in one pass (one at least): a row takes an
-    N x width table and a distance per coset, _PASS_ELEMENTS in all."""
+    """Rows quantize scores in one pass (one at least): a row takes a distance
+    per coset and an N x width table, 16 Babai candidates per A_OK entry."""
     residues, index = _coset_index(lat)
-    return max(1, _PASS_ELEMENTS // (index.shape[1] + lat.N * residues.shape[1]))
+    candidates = len(_ideal_geometry(lat)[2]) if lat.ambient == "complex" else 1
+    return max(1, _PASS_ELEMENTS // (index.shape[1] + lat.N * residues.shape[1] * candidates))
 
 
 def _quantize_rows(lat: LatticeDescriptor, y):
@@ -362,7 +363,8 @@ def _quantize_rows(lat: LatticeDescriptor, y):
     rows = np.arange(len(y))
     dmin = dist[pick, rows]
     tied = dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
-    points = points.reshape(-1, *points.shape[2:])  # x, or (a, b), per table entry and row
+    # x, or (a, b), per table entry and row; R may be 0
+    points = points.reshape(points.shape[0] * points.shape[1], *points.shape[2:])
     best = points[index[:, pick], rows]  # N x R, each row's least distance
     if np.count_nonzero(tied) > len(y):  # rows with several tied cosets
         for r in np.flatnonzero(np.count_nonzero(tied, axis=0) > 1).tolist():
@@ -376,7 +378,7 @@ def _gather_sum(table, index):
     over the coordinates in order (numpy's sum(axis=0) over the gathered
     N x cosets array would go pairwise for N >= 8).  table is N x width,
     or N x width x R for a distance per coset and row (cosets x R)."""
-    table = table.reshape(-1, *table.shape[2:])
+    table = table.reshape(table.shape[0] * table.shape[1], *table.shape[2:])
     dist = table.take(index[0], axis=0)
     for at in index[1:]:
         dist += table.take(at, axis=0)

@@ -4,8 +4,8 @@ without building a SeedSequence per trial.
 default_rng([seed, t]) is PCG64 seeded from SeedSequence([seed, t]).
 generate_state(4, np.uint64).  SeedSequence's algorithm is fixed by
 NumPy's stream-compatibility policy (NEP 19), so `seed_states` computes
-that state for many trials at once, in uint32 numpy arithmetic, and
-`trial_generators` hands each row to PCG64's own seeding.
+that state for a simulator chunk's trials at once, in uint32 numpy
+arithmetic, and `trial_generators` hands each row to PCG64's seeding.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _SHIFT = np.uint32(16)
 _MASK32 = 0xFFFFFFFF
-# trials seeded per pass: bounds the pass's arrays, whatever the trial count
-SEED_SLICE = 1 << 12
 
 
 def seed_words(seed) -> list[int]:
@@ -118,9 +116,10 @@ class _SeedState(ISeedSequence):
         return self.state
 
 
-def trial_generators(words: list[int], trials: int):
-    """Trial t's generator, equal to default_rng([seed, t]), for t in
-    range(trials), seeded SEED_SLICE trials per pass."""
-    for start in range(0, trials, SEED_SLICE):
-        for state in seed_states(words, range(start, min(start + SEED_SLICE, trials))):
-            yield Generator(PCG64(_SeedState(state)))
+def trial_generators(words: list[int], trials: range):
+    """Trial t's generator, equal to default_rng([seed, t]), for each t in
+    trials: one seed_states pass over the whole range, made by this call,
+    then each generator built as it is asked for (one holds about 860
+    bytes)."""
+    states = seed_states(words, trials)
+    return (Generator(PCG64(_SeedState(state))) for state in states)

@@ -15,6 +15,7 @@ from latcf.cfsim import (
     decode_function,
     encode_source,
     function_coefficients,
+    function_decoded,
     make_pair,
     mmse_alpha,
     multistage_roundtrip,
@@ -265,6 +266,23 @@ def test_make_pair_names_a_complex_ambient_lattice_as_the_cause():
         make_pair(fine, 8.0)
 
 
+def test_the_per_relay_protocol_refuses_a_complex_ambient_pair_alike():
+    # relay_process only scales and reduces, which an ideal supports; the
+    # steps that carry real lattice points share one guard
+    ideal = factor_rational_prime(make_quadratic_ring(-3), 7)[0]
+    pair = LatticePair(construction_a_ok(LinearCode(PrimeField(7), [[1, 3, 5]]), ideal))
+    t = np.zeros(3, dtype=complex)
+    steps = [
+        lambda: encode_source(SourceState(None, t, t), pair),
+        lambda: decode_function(t, pair, [1, 1]),
+        lambda: function_decoded(t, pair, [1, 1], np.zeros((2, 2, 3), dtype=np.int64)),
+        lambda: multistage_roundtrip(pair, [[(1,)], [(2,)]], [1, 1]),
+    ]
+    for step in steps:
+        with pytest.raises(ValueError, match=r"^the per-relay protocol needs a real-ambient lattice, got A_OK"):
+            step()
+
+
 def test_effective_noise_variance_monte_carlo():
     rng = np.random.default_rng(34)
     q = 6
@@ -463,6 +481,17 @@ def test_run_trials_validation():
         run_trials(_basic_config(P=-1.0), 1, seed=1)
     with pytest.raises(ValueError):
         run_trials(_basic_config(fixed_H=np.ones((1, 1))), 1, seed=1)
+
+
+def test_run_trials_refuses_a_pair_scaled_for_another_power():
+    # the search and alpha would use P = 64 while the symbols carry P = 1
+    fine = construction_pi_a([FULL2, FULL3])
+    with pytest.raises(ValueError, match=r"pair\.scale .* is not make_pair's for P = 64\.0"):
+        run_trials(SimConfig(pair=make_pair(fine, 1.0), K=2, M=1, P=64.0), 3, seed=1)
+    assert len(run_trials(SimConfig(pair=make_pair(fine, 64.0), K=2, M=1, P=64.0), 3, seed=1)) == 3
+    for P in (math.nan, math.inf):  # refused as make_pair refuses it, before the scale
+        with pytest.raises(ValueError, match="P must be positive"):
+            run_trials(SimConfig(pair=make_pair(fine, 8.0), K=2, M=1, P=P), 3, seed=1)
 
 
 def test_run_trials_noiseless_integer_channel_always_decodes():

@@ -405,6 +405,33 @@ def test_round_trip_hits_both_verdicts(tmp_path, capsys):
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("construction, edits", [
+    pytest.param(PI_A6, {"N": 5, "ambient": "complex"}, id="piA-N,ambient"),
+    pytest.param(PI_A6, {"ambient": "complex"}, id="piA-ambient"),
+    pytest.param(PI_A6, {"N": 2.0}, id="piA-N-not-an-integer"),
+    pytest.param(PI_A6, {"moduli": [3, 2]}, id="piA-moduli"),
+    pytest.param(ROUND_TRIP_CONFIGS[0], {"moduli": [3]}, id="A-moduli"),
+    pytest.param(ROUND_TRIP_CONFIGS[1], {"moduli": [8]}, id="D-moduli"),
+    pytest.param(ROUND_TRIP_CONFIGS[3], {"moduli": [3, 4]}, id="piD-moduli"),
+    pytest.param(ROUND_TRIP_CONFIGS[3], {"moduli": 12}, id="piD-moduli-not-a-list"),
+    pytest.param(ROUND_TRIP_CONFIGS[4], {"N": 3}, id="A_OK-N"),
+])
+def test_member_rejects_a_descriptor_key_the_lattice_contradicts(tmp_path, capsys, construction, edits):
+    # N, ambient and moduli follow from the construction keys; a descriptor
+    # that disagrees with them is refused, naming the first such key
+    cfg = _write(tmp_path, "c.json", {"construction": construction})
+    desc = tmp_path / "lat.json"
+    assert _run(capsys, ["construct", "--config", cfg, "--out", str(desc)])[0] == 0
+    doc = json.loads(desc.read_text())
+    doc.update(edits)
+    desc.write_text(json.dumps(doc))
+    vector = "0+0i,0+0i" if construction["kind"] == "A_OK" else "0,0"
+    code = cli.main(["member", "--config", str(desc), "--vector", vector])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: descriptor.{next(iter(edits))}: "), err
+
+
 def test_construct_a_ok_power_mismatch(tmp_path, capsys):
     # split prime has residue degree 1; a power-2 code entry is a mismatch
     cfg = _write(

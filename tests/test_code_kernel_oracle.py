@@ -450,7 +450,9 @@ def test_enumerate_box_is_the_scanned_box(name):
 
 def test_enumerate_box_spanning_several_blocks():
     # Z^3 keeps every point, so a point lost at a block edge shows; the
-    # boxes hold 41^3 = 68921 and 17^4 = 83521 points, two blocks of 2^16
+    # boxes hold 41^3 = 68921 and 17^4 = 83521 points, two blocks of
+    # 2^17 // 3 offsets (3 coordinates, no syndrome) and four of 2^17 // 5
+    # (4 coordinates, 1 syndrome)
     full = construction_a(LinearCode(PrimeField(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     for lat, side in ((full, 41), (LATTICES["A_OK d=-15 p=17"], 17)):
         bounds = [(-side // 2 + j, -side // 2 + j + side - 1) for j in range(lat.N)]

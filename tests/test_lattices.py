@@ -447,6 +447,15 @@ def test_quantize_refuses_complex_input_on_a_real_lattice():
     assert tuple(quantize(lat, np.array([0.6 + 5j, 3.4 - 2j]).real)) == (2, 2)
 
 
+def test_quantize_takes_zero_rows():
+    rep = construction_a(REP2)
+    got = quantize(rep, np.zeros((0, 2)))
+    assert got.dtype == np.int64 and got.shape == (0, 2)
+    ok = construction_a_ok(LinearCode(PrimeField(7), [[1, 3, 5]]),
+                           factor_rational_prime(make_quadratic_ring(-3), 7)[0])
+    assert quantize(ok, np.zeros((0, 3), dtype=complex)) == []
+
+
 # -------------------- mod_coarse --------------------
 
 

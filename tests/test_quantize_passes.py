@@ -1,6 +1,7 @@
 """`quantize` scores its rows in passes of at most `lattices._PASS_ELEMENTS`
-table-and-distance elements, and the simulator's chunk is one such pass of
-relay rows.  A pass split must not change a row's point, and the chunk
+table, candidate and distance elements, `enumerate_box` checks its box in
+blocks of the same budget, and the simulator's chunk is one pass of relay
+rows.  A pass or block split must not change a result, and the chunk
 sizes must stay what the simulator's own element budget gave before the
 budget moved into `quantize`:
 max(1, 2**17 // (2M (cosets + N width)))."""
@@ -37,9 +38,13 @@ Z9_NON_FREE = LinearCode(ChainRing(3, 2), [[3, 0, 6, 3], [0, 3, 3, 6]])
 CHAIN = NestedCodeChain(2, [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]], [1, 3])
 
 
-def _sim_cosets_lattice():
-    doc = json.loads((WORKLOADS / "sim-cosets.json").read_text(encoding="utf-8"))
+def _workload_lattice(name):
+    doc = json.loads((WORKLOADS / f"{name}.json").read_text(encoding="utf-8"))
     return cli.build_construction(doc["construction"])
+
+
+def _sim_cosets_lattice():
+    return _workload_lattice("sim-cosets")
 
 
 # the lattices of tests/test_trial_engine_oracle.py, and sim-cosets
@@ -53,9 +58,11 @@ LATTICES = {
 
 
 def _row_elements(lat):
-    """Table and distance elements of one row: cosets + N * width."""
+    """Table, candidate and distance elements of one row: cosets + N *
+    width, each A_OK table entry scoring 16 Babai candidates."""
     residues, index = _coset_index(lat)
-    return index.shape[1] + lat.N * residues.shape[1]
+    candidates = 16 if lat.ambient == "complex" else 1
+    return index.shape[1] + lat.N * residues.shape[1] * candidates
 
 
 def _passes_of(monkeypatch, lat, rows):
@@ -105,14 +112,14 @@ def test_a_ok_rows_across_passes_match_one_row_calls(monkeypatch):
         assert type(got) is list and got == alone
 
 
-def test_a_pass_bounds_the_memory_of_a_call():
-    lat = _sim_cosets_lattice()
+def _pass_peaks(lat, draw):
+    """tracemalloc peaks of a quantize call over one pass of rows drawn by
+    draw(count), and over ten passes."""
     step = rows_per_pass(lat)
-    rng = np.random.default_rng(13)
-    quantize(lat, np.zeros(lat.N))  # the coset table and index
+    quantize(lat, draw(1)[0])  # the coset table and index
 
     def peak(count):
-        rows = rng.normal(0.0, 12.0, size=(count, lat.N))
+        rows = draw(count)
         tracemalloc.start()
         try:
             quantize(lat, rows)
@@ -120,8 +127,39 @@ def test_a_pass_bounds_the_memory_of_a_call():
         finally:
             tracemalloc.stop()
 
-    one, many = peak(step), peak(10 * step)
+    return peak(step), peak(10 * step)
+
+
+def test_a_pass_bounds_the_memory_of_a_call():
+    lat = _sim_cosets_lattice()
+    rng = np.random.default_rng(13)
+    one, many = _pass_peaks(lat, lambda count: rng.normal(0.0, 12.0, size=(count, lat.N)))
     assert many <= 1.5 * one, (one, many)
+
+
+def test_an_a_ok_pass_bounds_the_memory_of_a_call():
+    # a pass counts the Babai candidates behind each table entry, so it
+    # holds about what a real pass holds: well under ten float64 arrays of
+    # the whole budget
+    lat = _workload_lattice("ok-relay")
+    rng = np.random.default_rng(14)
+    one, many = _pass_peaks(lat, lambda count: rng.normal(0.0, 3.0, size=(count, lat.N))
+                            + 1j * rng.normal(0.0, 3.0, size=(count, lat.N)))
+    assert one < 10 * 8 * lattices._PASS_ELEMENTS, one
+    assert many <= 1.5 * one, (one, many)
+
+
+@pytest.mark.parametrize("lat", [
+    construction_pi_a([REP2, F3]),
+    construction_a_ok(LinearCode(PrimeField(5), [[1, 2]]), factor_rational_prime(make_quadratic_ring(-1), 5)[0]),
+], ids=["piA", "A_OK"])
+def test_enumerate_box_across_blocks_matches_one_block(monkeypatch, lat):
+    bounds = [(-3 + j, 2 + j) for j in range(lat.N)]
+    whole = enumerate_box(lat, bounds)
+    assert whole
+    for budget in (1, 7, 64):  # one offset per block at the least
+        monkeypatch.setattr(lattices, "_PASS_ELEMENTS", budget)
+        assert enumerate_box(lat, bounds) == whole, budget
 
 
 # ---------------------------------------------------------------------------
