@@ -11,8 +11,9 @@ The pieces, bottom to top:
 - `lattices`: five constructions turning codes into lattices, plus
   membership, enumeration, nearest-point quantization, and the coarse
   modulo operation.
-- `seeding`: each simulator trial's generator, numpy's
-  default_rng([seed, t]) seeded for many trials in one vectorised pass.
+- `seeding`: each simulator trial's draws, those of numpy's
+  default_rng([seed, t]), seeded for many trials in one vectorised pass
+  and decoded from one raw call per trial.
 - `cfsim`: the compute-and-forward rate formula, an exact coefficient
   search (Schnorr-Euchner enumeration of the ellipsoid of rate > 0), and a
   deterministic Monte Carlo relay simulator.

@@ -12,11 +12,15 @@ their centered variance is exactly P.  The deterministic cell offset is
 known at the relays and does not count as noise.
 
 `run_trials` runs in two phases over chunks of trials.  Phase 1 makes
-each trial's random draws, and nothing else, from its own generator
-default_rng([seed, trial]): H, the messages per source, level and real
-part, the dithers, then Z.  Each generator is exactly default_rng's but
-seeded by one vectorised SeedSequence pass over the chunk's trials
-(`seeding`).  Phase 2 does the arithmetic of the whole chunk in numpy:
+each trial's random draws, and nothing else, exactly as its own generator
+default_rng([seed, trial]) makes them: H, the messages per source, level
+and real part, the dithers, then Z (`seeding.trial_draws`).  The
+generators are seeded by one vectorised SeedSequence pass over the
+chunk's trials; H and Z are numpy's standard_normal calls, and the
+messages and dithers come from one random_raw call per trial, decoded
+over the chunk as numpy's integers and random decode them (a trial with
+a Lemire rejection is redrawn through those calls).  Phase 2 does the
+arithmetic of the whole chunk in numpy:
 encoding and CRT, the channel, the relays' scaling and reduction, the
 relays' scalars of (h, a, P) (alpha, the analytic noise variance, the
 zero-divisor flag), one `quantize` over every (trial, relay, real part)
@@ -48,7 +52,7 @@ from .algebra import ChainRing, QuadraticRing
 from .codes import LinearCode, solve_encoding
 from .codes import encode as encode_codeword
 from .lattices import LatticePair, contains, mod_coarse, quantize, rows_per_pass
-from .seeding import seed_words, trial_generators
+from .seeding import seed_words, trial_draws
 
 _SEARCH_HARD_CAP = 5 * 10**6
 
@@ -581,9 +585,9 @@ def _power_scale(fine, P: float) -> float:
 
 def run_trials(config: SimConfig, trials: int, seed: int):
     """Independent Monte Carlo trials, deterministic in (config, seed):
-    trial t draws from its own generator, exactly default_rng([seed, t]),
-    seeded by one vectorised SeedSequence pass per chunk.  seed must be a
-    non-negative integer and trials at most 2**32, so that every trial
+    trial t draws exactly what its own generator default_rng([seed, t])
+    draws, seeded by one vectorised SeedSequence pass per chunk.  seed must
+    be a non-negative integer and trials at most 2**32, so that every trial
     index is one 32-bit seed word; both are checked before any work.
 
     Trials run in chunks of _chunk_trials(config), one quantize pass of
@@ -688,24 +692,15 @@ def _run_chunk(config: SimConfig, words, trials: range, fixed):
     K, M, N, T = config.K, config.M, fine.N, len(trials)
     cell = fine.q * pair.scale
 
-    # phase 1: each trial's draws from its own generator, in the order of a
-    # trial run alone.  One call makes a run of draws and consumes the
-    # generator exactly as one call per draw would: integers takes a bound
-    # per message symbol (per source, level, real part), and the dithers
-    # come from random(), scaled below as uniform(0, cell) scales them
-    rngs = trial_generators(words, trials)
+    # phase 1: each trial's draws, in the order of a trial run alone
+    # (`trial_draws`): H (real parts, then imaginary parts), the messages
+    # (one bound per source, level and real part), the dithers from random(),
+    # scaled below as uniform(0, cell) scales them, then Z, zero when noiseless
     bounds = np.concatenate([np.full(2 * code.n, code.alphabet.size) for code in fine.codes] * K)
-    H2 = None if fixed is not None else np.empty((T, 2, M, K))
-    W = np.empty((T, len(bounds)), dtype=np.int64)
-    D = np.empty((T, K, 2, N))
-    Z2 = np.zeros((T, 2, M, N))  # stays zero when noiseless
-    for i, rng in enumerate(rngs):
-        if H2 is not None:
-            rng.standard_normal(out=H2[i])  # real parts, then imaginary parts
-        W[i] = rng.integers(0, bounds)
-        rng.random(out=D[i])
-        if not config.noiseless:
-            rng.standard_normal(out=Z2[i])
+    H2, W, D, Z2 = trial_draws(words, trials, None if fixed is not None else (2, M, K), bounds,
+                               (K, 2, N), None if config.noiseless else (2, M, N))
+    if Z2 is None:
+        Z2 = np.zeros((T, 2, M, N))
 
     # phase 2: the chunk's arithmetic, each element as a lone trial computes it
     if fixed is None:
