@@ -46,21 +46,10 @@ def is_prime(n: int) -> bool:
 
 def factor_prime_power(m: int) -> tuple[int, int]:
     """Return (p, e) with m = p**e, or raise ValueError."""
-    if m < 2:
+    pairs = factorize(m) if m >= 2 else []
+    if len(pairs) != 1:
         raise ValueError(f"{m} is not a prime power")
-    p = m
-    for cand in range(2, math.isqrt(m) + 1):
-        if m % cand == 0:
-            p = cand
-            break
-    e = 0
-    r = m
-    while r % p == 0:
-        r //= p
-        e += 1
-    if r != 1:
-        raise ValueError(f"{m} is not a prime power")
-    return p, e
+    return pairs[0]
 
 
 def factorize(q: int) -> list[tuple[int, int]]:
@@ -621,9 +610,6 @@ class ResidueFieldMap:
         if ideal.f == 1:
             return (x.a + x.b * ideal.root) % ideal.p
         return x.a % ideal.p + (x.b % ideal.p) * ideal.p
-
-    def reduce(self, x: QuadInt) -> QuadInt:
-        return self.to_ring(self.to_field(x))
 
     def __repr__(self):
         return f"ResidueFieldMap({self.ideal!r})"

@@ -110,16 +110,13 @@ class BestCoefficients(NamedTuple):
     truncated: bool
 
 
-_GAUSSIAN = QuadraticRing(-1)
-
-
 def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficients:
     """Rate maximization over nonzero coefficient vectors with squared
     norm at most 1 + P|h|^2 (larger norms cannot beat rate 0).
 
-    ring selects the coefficient alphabet: "Z" for rational integers,
-    "Zi" for Gaussian integers, or a QuadraticRing with d < 0.  The
-    search is exact.  It enumerates the ellipsoid
+    ring selects the coefficient alphabet: "Z" for rational integers or
+    a QuadraticRing with d < 0, such as QuadraticRing(-1) for the
+    Gaussian integers.  The search is exact.  It enumerates the ellipsoid
     Q(a) = |a|^2 - P|sum_k a_k conj(h_k)|^2/(1+P|h|^2) < 1, where the
     rate is -log2 Q, over the integer coordinates of a (Schnorr-Euchner
     order), and refuses with "search space too large" once it visits
@@ -127,19 +124,20 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     elements whose norms sum to at most the bound, those within 1e-9 of
     the best filter rate are re-ranked by (-rate, norm, per component
     x + y*xi (|x|, x < 0, |y|, y < 0)), with the rate recomputed
-    exactly.  So when every rate is 0 the norm decides.
+    exactly.  So when every rate is 0 the norm decides.  Over O_K the
+    associates of a vector (a and i*a over Z[i]) have the same true rate,
+    so the last bit of their exact rates decides between them.
 
     The rate bits are fixed by this arithmetic.  The filter rate grows
     cross = sum_k a_k conj(h_k) one component at a time from 0j: in
     Python complex arithmetic over Z, from numpy's array products
-    a_k conj(h_k) over Z[i] and O_K (numpy fuses a multiply-add there,
+    a_k conj(h_k) over O_K (numpy fuses a multiply-add there,
     Python does not).  It takes numpy's array abs and log2 and does the
     rest in Python floats: the 1e-300 floor, max(0, r) keeping r = -0.0
     as np.maximum does, the 1e-15 test for +inf and the 1e-9 filter.
-    The exact rate is the numpy matrix product values @ conj(h), then the
-    same steps, for "Z" and "Zi"; for a QuadraticRing it is
-    computation_rate's arithmetic (numpy's vdot and its scalar abs and
-    power).
+    The exact rate is the numpy matrix product a @ conj(h), then the
+    same steps, over Z; over O_K it is computation_rate's arithmetic
+    (numpy's vdot and its scalar abs and power).
     If max_norm_cap trims the bound the result is flagged truncated.
     Non-finite h or P, and P|h|^2 so large (about 1e15) that Q is no
     longer positive definite in floating point, raise ValueError.
@@ -157,14 +155,13 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
         truncated = True
     if ring == "Z":
         t, u, xi = 0, 0, None
+    elif not isinstance(ring, QuadraticRing):
+        raise ValueError(f"unsupported coefficient ring {ring!r}")
+    elif ring.d > 0:
+        raise ValueError("coefficient search needs an imaginary quadratic ring")
     else:
-        quad = _GAUSSIAN if ring == "Zi" else ring
-        if not isinstance(quad, QuadraticRing):
-            raise ValueError(f"unsupported coefficient ring {ring!r}")
-        if quad.d > 0:
-            raise ValueError("coefficient search needs an imaginary quadratic ring")
-        t, u = quad.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
-        xi = quad.xi_numeric
+        t, u = ring.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
+        xi = ring.xi_numeric
     if bound < 1:
         raise ValueError("empty search space; raise max_norm_cap")
     # rounding moves Q by about 1e-16 (1 + P|h|^2) Q; 1e-6 covers the
@@ -172,22 +169,19 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     margin = 1e-6 + 1e-12 * den
     points, n2 = zip(*_ellipsoid_points(h.tolist(), P / den, bound, margin, t, u, xi))
 
-    # the filter: cross grown one component at a time
+    # the filter, cross grown one component at a time, then the exact
+    # re-rank of the vectors it keeps
     hc = np.conj(h)
     if xi is None:
         hcl = hc.tolist()
         near = _near(_rates([_grown([x * hk for x, hk in zip(v, hcl)]) for v in points], n2, P, den))
+        exact = np.array([points[i] for i in near], dtype=float)
+        rates = _rates(exact @ hc, [n2[i] for i in near], P, den)
     else:
         xy = np.array(points, dtype=np.int64)
         values = xy[:, 0::2] + xy[:, 1::2] * xi
         near = _near(_rates([_grown(row) for row in (values * hc).tolist()], n2, P, den))
-
-    # the exact re-rank
-    if isinstance(ring, QuadraticRing):
         rates = [_exact_rate(h, values[i], P, den) for i in near]
-    else:
-        exact = np.array([points[i] for i in near], dtype=float) if xi is None else values[near]
-        rates = _rates(exact @ hc, [n2[i] for i in near], P, den)
     # the tie rule among the best rates: least norm, then per coordinate
     # (|x|, x < 0), which orders components as (|x|, x < 0, |y|, y < 0)
     top = max(rates)
@@ -195,12 +189,7 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     best, rate = tied[0] if len(tied) == 1 else min(
         tied, key=lambda ir: (n2[ir[0]], tuple((abs(x), x < 0) for x in points[ir[0]])))
     v = points[best]
-    if isinstance(ring, QuadraticRing):
-        a = tuple(map(ring.element, v[0::2], v[1::2]))
-    elif xi is None:
-        a = v
-    else:
-        a = tuple(values[best].tolist())
+    a = v if xi is None else tuple(map(ring.element, v[0::2], v[1::2]))
     return BestCoefficients(a, rate, truncated)
 
 
@@ -667,13 +656,12 @@ def _relay_scalars(config: SimConfig, H) -> _Relays:
     for h in H:
         if config.noiseless:
             a = tuple(int(x) for x in np.round(h.real))
-            rate = computation_rate(h, a, P) if any(a) else 0.0
         else:
             a, rate, _ = best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
         if not any(a):
             raise ValueError("relay coefficient vector is zero")
         coeffs.append(a)
-        rates.append(rate)
+        rates.append(computation_rate(h, a, P) if config.noiseless else rate)
     a = np.array(coeffs, dtype=np.int64).reshape(len(H), config.K)
     alpha, noise_var = _alphas_and_variances(H, a.astype(complex), P, config.alpha_mode)
     fine = config.pair.fine

@@ -5,8 +5,7 @@ calling numpy's bounded integers and uniform doubles per trial.
 default_rng([seed, t]) is PCG64 seeded from SeedSequence([seed, t]).
 generate_state(4, np.uint64).  SeedSequence's algorithm is fixed by
 NumPy's stream-compatibility policy (NEP 19), so `seed_states` computes
-that state for a simulator chunk's trials at once: what the seed's words
-alone decide in Python ints, then the trial's word in uint32 numpy
+that state for a simulator chunk's trials at once, in uint32 numpy
 arithmetic.  Each row goes to PCG64's own seeding.
 
 `trial_draws` makes a chunk's draws in the simulator's order: standard
@@ -59,13 +58,13 @@ def seed_words(seed) -> list[int]:
     return words
 
 
-def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
     """The count + 1 values hash_const takes over count hashes from init:
     hash k xors with value k and multiplies by value k + 1."""
     c = [init]
     for _ in range(count):
         c.append(c[-1] * mult & _MASK32)
-    return c
+    return np.array(c, dtype=np.uint32)
 
 
 def _pairwise(c) -> np.ndarray:
@@ -73,14 +72,15 @@ def _pairwise(c) -> np.ndarray:
     src != dst in SeedSequence's order, at [src, dst] of a (pool, pool, 1)
     table; [src, src] is unused and 0."""
     table = np.zeros((_POOL, _POOL, 1), dtype=np.uint32)
-    table[~np.eye(_POOL, dtype=bool)] = np.array(c, dtype=np.uint32)[:, None]
+    table[~np.eye(_POOL, dtype=bool)] = c[:, None]
     return table
 
 
-# hash_const over filling the pool and mixing it, and over the output state
+# hash_const over filling the pool, mixing it, and the output state
 _A = _hash_consts(_INIT_A, _MULT_A, _POOL * _POOL)
+_FILL = _A[:_POOL, None], _A[1:_POOL + 1, None]
 _MIXING = _pairwise(_A[_POOL:-1]), _pairwise(_A[_POOL + 1:])
-_B = np.array(_hash_consts(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)
+_B = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL)
 _OUT = _B[:-1].reshape(2, _POOL, 1), _B[1:].reshape(2, _POOL, 1)
 # 0-d arrays: a ufunc takes them faster than a numpy scalar or a Python int
 _SHIFT, _L, _R = (np.array(x, dtype=np.uint32) for x in (16, _MIX_L, _MIX_R))
@@ -100,59 +100,25 @@ def _mix(x, y):
     return r ^ (r >> _SHIFT)
 
 
-def _hashmix_int(value: int, before: int, after: int) -> int:
-    value = (value ^ before) * after & _MASK32
-    return value ^ value >> 16
-
-
-def _mix_int(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return r ^ r >> 16
-
-
 def seed_states(words: list[int], trials: range) -> np.ndarray:
     """Row i is SeedSequence([seed, trials[i]]).generate_state(4, np.uint64),
-    for seed's words and trial indices below 2**32.
-
-    SeedSequence's steps run in order.  Until the trial's word (entropy
-    word n = len(words)) first acts, they depend on the seed alone and run
-    in Python ints; from there each runs over every trial at once in uint32
-    numpy arithmetic."""
-    n = len(words)
-    t = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    A = _A + _hash_consts(_A[-1], _MULT_A, _POOL * (n + 1 - _POOL))[1:]
-    # fill the pool with the entropy, padded with zeros to the pool's size;
-    # if the trial's word is in the pool, word n here is a stand-in, never read
-    pool = [_hashmix_int(w, A[i], A[i + 1]) for i, w in enumerate([*words, 0, 0, 0, 0][:_POOL])]
-    into_t = []  # hashes mixed into pool word n before the trial's word acts
-    k = _POOL
-    for src in range(min(n, _POOL)):  # word src into every other word, one hash each
-        for dst in range(_POOL):
-            if dst != src:
-                h = _hashmix_int(pool[src], A[k], A[k + 1])
-                k += 1
-                if dst == n:
-                    into_t.append(h)
-                else:
-                    pool[dst] = _mix_int(pool[dst], h)
-    if n < _POOL:
-        word = _hashmix(t, A[n], A[n + 1])
-        for h in into_t:
-            word = _mix(word, h)
-        pool = np.array(pool, dtype=np.uint32)[:, None]
-        before, after = _MIXING
-        for src in range(n, _POOL):  # as above, over every trial at once
-            if src > n:
-                word = pool[src]
-            pool = _mix(pool, _hashmix(word, before[src], after[src]))
-            pool[src] = word  # which the pass leaves as it was
-    else:  # entropy beyond the pool, into every word: the seed's, then the trial's
-        for w in words[_POOL:]:
-            for dst in range(_POOL):
-                pool[dst] = _mix_int(pool[dst], _hashmix_int(w, A[k], A[k + 1]))
-                k += 1
-        c = np.array(A[k:], dtype=np.uint32)[:, None]
-        pool = _mix(np.array(pool, dtype=np.uint32)[:, None], _hashmix(t, c[:-1], c[1:]))
+    for seed's words and trial indices below 2**32: SeedSequence's steps in
+    uint32 numpy arithmetic, each over every trial at once."""
+    # entropy shorter than the pool hashes 0 in its place, as the zeros here do
+    entropy = np.zeros((max(len(words) + 1, _POOL), len(trials)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    pool = _hashmix(entropy[:_POOL], *_FILL)
+    before, after = _MIXING
+    for src in range(_POOL):  # word src into every other word, one hash each
+        word = pool[src]
+        pool = _mix(pool, _hashmix(word, before[src], after[src]))
+        pool[src] = word  # which the pass leaves as it was
+    last = int(_A[-1])
+    for word in entropy[_POOL:]:  # entropy beyond the pool, into every word
+        c = _hash_consts(last, _MULT_A, _POOL)
+        pool = _mix(pool, _hashmix(word, c[:-1, None], c[1:, None]))
+        last = int(c[-1])
     # the state hashes words 0, 1, 2, 3, 0, 1, 2, 3: 8 uint32 per trial,
     # read as 4 little-endian uint64
     state = _hashmix(pool, *_OUT).reshape(2 * _POOL, -1)
@@ -174,14 +140,6 @@ class _SeedState(ISeedSequence):
 
 def _generator(state) -> Generator:
     return Generator(PCG64(_SeedState(state)))
-
-
-def trial_generators(words: list[int], trials: range):
-    """Trial t's generator, equal to default_rng([seed, t]), for each t in
-    trials: one seed_states pass over the whole range, made by this call,
-    then each generator built as it is asked for (one holds about 860
-    bytes)."""
-    return map(_generator, seed_states(words, trials))
 
 
 def trial_draws(words: list[int], trials: range, before, bounds: np.ndarray, doubles, after):

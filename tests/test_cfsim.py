@@ -150,9 +150,9 @@ def test_search_truncation_flag():
 
 
 def test_search_gaussian_and_quadratic_rings():
-    res_zi = best_coefficients([1j], 3.0, ring="Zi")
-    assert res_zi.rate == pytest.approx(2.0, abs=1e-9)
-    assert abs(res_zi.a[0]) == 1
+    # Z[i] is QuadraticRing(-1); the string "Zi" is no ring
+    with pytest.raises(ValueError, match="unsupported coefficient ring 'Zi'"):
+        best_coefficients([1j], 3.0, ring="Zi")
     ring = make_quadratic_ring(-1)
     res_ok = best_coefficients([1j], 3.0, ring=ring)
     assert res_ok.rate == pytest.approx(2.0, abs=1e-9)
@@ -248,6 +248,13 @@ def test_relay_process_checks_lengths():
                              ((1, -1), [np.zeros(2)], "unit")):
         with pytest.raises(ValueError, match="a, h and dithers have lengths"):
             relay_process(y, a, dithers, h, 5.0, pair, alpha_mode=mode)
+
+
+def test_relay_process_refuses_an_unknown_alpha_mode():
+    pair = _rep6_pair()
+    h, y = np.array([1.2 + 0.3j, -0.7 + 1.1j]), np.zeros(2, dtype=complex)
+    with pytest.raises(ValueError, match="^unknown alpha_mode 'zf'$"):
+        relay_process(y, (1, -1), [np.zeros(2)] * 2, h, 5.0, pair, alpha_mode="zf")
 
 
 def test_make_pair_refuses_non_positive_or_non_finite_power():
@@ -451,6 +458,16 @@ def test_multistage_validation():
         multistage_roundtrip(pair, [[(1,)]], [1])  # missing level message
 
 
+def test_multistage_refuses_a_chain_ring_level():
+    from latcf.algebra import ChainRing
+    from latcf.lattices import construction_pi_d
+
+    z4 = LinearCode(ChainRing(2, 2), [[1, 0], [0, 1]])
+    pair = LatticePair(construction_pi_d(12, [z4, FULL3]))
+    with pytest.raises(ValueError, match="^levels must be prime fields$"):
+        multistage_roundtrip(pair, [[(1, 0), (2, 0)], [(0, 1), (1, 1)]], [1, 1])
+
+
 # -------------------- Monte Carlo harness --------------------
 
 
@@ -481,6 +498,26 @@ def test_run_trials_validation():
         run_trials(_basic_config(P=-1.0), 1, seed=1)
     with pytest.raises(ValueError):
         run_trials(_basic_config(fixed_H=np.ones((1, 1))), 1, seed=1)
+
+
+def test_run_trials_refuses_an_a_ok_pair():
+    # make_pair refuses an A_OK lattice; a pair built by hand is refused here
+    ideal = factor_rational_prime(make_quadratic_ring(-3), 7)[0]
+    pair = LatticePair(construction_a_ok(LinearCode(PrimeField(7), [[1, 3, 5]]), ideal))
+    with pytest.raises(ValueError, match="^simulation supports real-ambient lattices$"):
+        run_trials(SimConfig(pair=pair, K=2, M=1, P=8.0), 3, seed=1)
+
+
+def test_run_trials_refuses_an_unknown_alpha_mode():
+    with pytest.raises(ValueError, match="^unknown alpha_mode 'zf'$"):
+        run_trials(_basic_config(alpha_mode="zf"), 3, seed=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_run_trials_refuses_a_non_finite_fixed_h(bad):
+    H = np.array([[1.0, bad], [2.0, 1.0]])
+    with pytest.raises(ValueError, match="^fixed_H must be finite$"):
+        run_trials(_basic_config(fixed_H=H), 3, seed=1)
 
 
 def test_run_trials_refuses_a_pair_scaled_for_another_power():

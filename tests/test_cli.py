@@ -94,6 +94,21 @@ def test_construct_piD_code_mismatch_is_construction_error(tmp_path, capsys):
     assert _run(capsys, ["construct", "--config", cfg, "--out", str(tmp_path / "o.json")])[0] == 3
 
 
+def test_construct_pi_a_moduli_are_checked_against_the_codes(tmp_path, capsys):
+    # piA's optional moduli must be the codes' own, in level order
+    plain = tmp_path / "plain.json"
+    cfg = _write(tmp_path, "c.json", {"construction": PI_A6})
+    assert _run(capsys, ["construct", "--config", cfg, "--out", str(plain)])[0] == 0
+    out = tmp_path / "lat.json"
+    cfg = _write(tmp_path, "c.json", {"construction": {**PI_A6, "moduli": [2, 3]}})
+    assert _run(capsys, ["construct", "--config", cfg, "--out", str(out)])[0] == 0
+    assert out.read_bytes() == plain.read_bytes()
+    cfg = _write(tmp_path, "c.json", {"construction": {**PI_A6, "moduli": [3, 2]}})
+    assert cli.main(["construct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 3
+    assert capsys.readouterr().err == "construction error: moduli [3, 2] do not match the codes\n"
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_construct_deterministic_bytes(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"construction": PI_A6})
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -270,6 +285,22 @@ def test_simulate_trials_zero_rejected(tmp_path, capsys):
     assert _run(capsys, ["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--trials", "0"])[0] == 2
 
 
+def test_simulate_trials_override_runs_that_many_trials(tmp_path, capsys):
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    cfg = _write(tmp_path, "c.json", _sim_config(trials=3))
+    assert _run(capsys, ["simulate", "--config", cfg, "--out", str(want)])[0] == 0
+    cfg = _write(tmp_path, "c.json", _sim_config(trials=5))
+    assert _run(capsys, ["simulate", "--config", cfg, "--out", str(got), "--trials", "3"])[0] == 0
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().splitlines()) == 1 + 3 * 2
+
+
+def test_simulate_noiseless_must_be_a_boolean(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.json", _sim_config(noiseless=1))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: simulation.noiseless: expected true or false\n"
+
+
 def test_simulate_schema_violations(tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     bad = [
@@ -430,6 +461,21 @@ def test_member_rejects_a_descriptor_key_the_lattice_contradicts(tmp_path, capsy
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: descriptor.{next(iter(edits))}: "), err
+
+
+@pytest.mark.parametrize("construction, drop, want", [
+    pytest.param(PI_A6, "kind", "descriptor: missing kind", id="no-kind"),
+    pytest.param(ROUND_TRIP_CONFIGS[3], "moduli", "descriptor: piD needs moduli", id="piD-no-moduli"),
+])
+def test_member_refuses_a_descriptor_without_a_needed_key(tmp_path, capsys, construction, drop, want):
+    cfg = _write(tmp_path, "c.json", {"construction": construction})
+    desc = tmp_path / "lat.json"
+    assert _run(capsys, ["construct", "--config", cfg, "--out", str(desc)])[0] == 0
+    doc = json.loads(desc.read_text())
+    del doc[drop]
+    desc.write_text(json.dumps(doc))
+    assert cli.main(["member", "--config", str(desc), "--vector", "0,0"]) == 2
+    assert capsys.readouterr().err == f"error: {want}\n"
 
 
 def test_construct_a_ok_power_mismatch(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Differential test of best_coefficients against three oracles, kept
-here verbatim: the original searchers (a meshgrid box for Z and Z[i] and
-a scalar itertools.product loop for quadratic rings), the norm-pruned
+here verbatim: the original searchers (a meshgrid box for Z and a scalar
+itertools.product loop for quadratic rings), the norm-pruned
 product search that replaced them, without its box-count refusal, and
 the two-pass tail that filtered and re-ranked the enumerator's survivors
 with vectorised rates.  Results must agree exactly in a, rate and
@@ -40,8 +40,6 @@ def reference_best_coefficients(h, P, ring="Z", max_norm_cap=None):
         truncated = True
     if ring == "Z":
         return _search_z(h, P, nh, bound, truncated)
-    if ring == "Zi":
-        return _search_zi(h, P, nh, bound, truncated)
     if isinstance(ring, QuadraticRing):
         return _search_ok(h, P, nh, bound, truncated, ring)
     raise ValueError(f"unsupported coefficient ring {ring!r}")
@@ -57,9 +55,6 @@ def _rate_vector(cand, n2, h, P, nh):
 
 
 def _component_key(x):
-    if isinstance(x, complex):
-        re, im = x.real, x.imag
-        return (abs(re), 0 if re >= 0 else 1, abs(im), 0 if im >= 0 else 1)
     return (abs(x), 0 if x >= 0 else 1)
 
 
@@ -85,22 +80,6 @@ def _search_z(h, P, nh, bound, truncated):
     rates = _rate_vector(cands.astype(float), n2.astype(float), h, P, nh)
     a, rate = _pick(cands, n2, rates)
     return BestCoefficients(tuple(int(x) for x in a), rate, truncated)
-
-
-def _search_zi(h, P, nh, bound, truncated):
-    K = len(h)
-    B = int(math.floor(math.sqrt(bound)))
-    if (2 * B + 1) ** (2 * K) > _SEARCH_HARD_CAP:
-        raise ValueError("search space too large; lower max_norm_cap")
-    axes = [np.arange(-B, B + 1)] * (2 * K)
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 * K)
-    n2 = (grid * grid).sum(axis=1)
-    keep = (n2 > 0) & (n2 <= bound)
-    grid, n2 = grid[keep], n2[keep]
-    cands = grid[:, :K] + 1j * grid[:, K:]
-    rates = _rate_vector(cands, n2.astype(float), h, P, nh)
-    a, rate = _pick(cands, n2, rates)
-    return BestCoefficients(tuple(complex(x) for x in a), rate, truncated)
 
 
 def _search_ok(h, P, nh, bound, truncated, ring):
@@ -160,7 +139,7 @@ def pruned_best_coefficients(h, P, ring="Z", max_norm_cap=None):
         cands = [tuple(map(ring.element, xr, yr)) for xr, yr in zip(xs, ys)]
         rates = [computation_rate(h, a, P) for a in cands]
     else:
-        cands = values[near].tolist() if ring == "Zi" else xs
+        cands = xs
         rates = _cross_rate_vector(values[near] @ np.conj(h), n2, P, nh)
     best = min(
         range(len(near)),
@@ -183,18 +162,17 @@ def _cross_rate_vector(cross, n2, P, nh):
 def _components(ring, bound):
     """Coordinates x and y in the Z-basis (1, xi), values x + y*xi and
     integer norms of every ring element with norm <= bound.  Z has y = 0
-    and real values; "Zi" is QuadraticRing(-1)."""
+    and real values."""
     if ring == "Z":
         t, u, ymax, xi = 0, 0, 0, 0.0
     else:
-        quad = QuadraticRing(-1) if ring == "Zi" else ring
-        if not isinstance(quad, QuadraticRing):
+        if not isinstance(ring, QuadraticRing):
             raise ValueError(f"unsupported coefficient ring {ring!r}")
-        if quad.d > 0:
+        if ring.d > 0:
             raise ValueError("coefficient search needs an imaginary quadratic ring")
-        t, u = quad.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
-        ymax = int(math.sqrt(4.0 * max(bound, 0.0) / -quad.d)) + 1
-        xi = quad.xi_numeric
+        t, u = ring.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
+        ymax = int(math.sqrt(4.0 * max(bound, 0.0) / -ring.d)) + 1
+        xi = ring.xi_numeric
     r = int(math.sqrt(max(bound, 0.0))) + ymax  # |x + t*y/2| <= sqrt(bound)
     x = np.arange(-r, r + 1)
     y = np.arange(-ymax, ymax + 1)[:, None]
@@ -256,13 +234,12 @@ def twopass_best_coefficients(h, P, ring="Z", max_norm_cap=None):
     if ring == "Z":
         t, u, xi = 0, 0, None
     else:
-        quad = QuadraticRing(-1) if ring == "Zi" else ring
-        if not isinstance(quad, QuadraticRing):
+        if not isinstance(ring, QuadraticRing):
             raise ValueError(f"unsupported coefficient ring {ring!r}")
-        if quad.d > 0:
+        if ring.d > 0:
             raise ValueError("coefficient search needs an imaginary quadratic ring")
-        t, u = quad.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
-        xi = quad.xi_numeric
+        t, u = ring.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
+        xi = ring.xi_numeric
     if bound < 1:
         raise ValueError("empty search space; raise max_norm_cap")
     # rounding moves Q by about 1e-16 (1 + P|h|^2) Q; 1e-6 covers the
@@ -294,7 +271,7 @@ def twopass_best_coefficients(h, P, ring="Z", max_norm_cap=None):
         cands = [tuple(map(ring.element, xr, yr)) for xr, yr in zip(xs, ys)]
         rates = [twopass_computation_rate(h, a, P) for a in cands]
     else:
-        cands = values[near].tolist() if ring == "Zi" else xs
+        cands = xs
         rates = _twopass_rate_vector(values[near] @ hc, n2, P, nh)
     best = min(
         range(len(near)),
@@ -376,7 +353,7 @@ def test_gaussian_search_matches_oracle():
         for h in _channels(rng, K, 6):
             for P in POWERS:
                 for cap in CAPS:
-                    _same(h, P, "Zi", cap)
+                    _same(h, P, QuadraticRing(-1), cap)
 
 
 @pytest.mark.parametrize("d", [-1, -2, -3, -7, -15])
@@ -444,7 +421,7 @@ def test_node_budget_refuses(monkeypatch):
         best_coefficients(h, 64.0)
 
 
-@pytest.mark.parametrize("ring", ["Z", "Zi", QuadraticRing(-3)])
+@pytest.mark.parametrize("ring", ["Z", pytest.param(QuadraticRing(-1), id="Zi"), QuadraticRing(-3)])
 def test_cap_below_one_leaves_an_empty_search(ring):
     with pytest.raises(ValueError, match="empty search space; raise max_norm_cap"):
         best_coefficients([1.0, 0.5], 2.0, ring=ring, max_norm_cap=0.5)
@@ -492,7 +469,7 @@ def test_gaussian_search_k3_matches_pruned():
     for h in _channels(rng, 3, 4):
         for P in (0.5, 2.0, 8.0):
             for cap in CAPS:
-                _same_as_pruned(h, P, "Zi", cap)
+                _same_as_pruned(h, P, QuadraticRing(-1), cap)
 
 
 def test_eisenstein_search_above_bound_41_matches_pruned():
@@ -517,7 +494,7 @@ def test_sim_search_draws_match_pruned():
             _same_as_pruned(h, 64.0, "Z", cap)
 
 
-@pytest.mark.parametrize("ring", ["Z", "Zi", QuadraticRing(-3), QuadraticRing(-7)])
+@pytest.mark.parametrize("ring", ["Z", pytest.param(QuadraticRing(-1), id="Zi"), QuadraticRing(-3), QuadraticRing(-7)])
 def test_rate_near_zero_matches_pruned(ring):
     # at P|h|^2 ~ 1e-17 every rate rounds to 0 and the norm key decides
     # among all ball vectors; at 1e-10 every rate is within the 1e-9
@@ -597,7 +574,7 @@ def test_integer_tail_is_bit_identical(K):
 
 
 def test_gaussian_tail_is_bit_identical():
-    _check_tail("Zi", [1, 2, 3], 4200, 910)
+    _check_tail(QuadraticRing(-1), [1, 2, 3], 4200, 910)
 
 
 @pytest.mark.parametrize("ring", TEN_RINGS, ids=lambda r: f"d{r.d}")
@@ -611,7 +588,7 @@ def test_tail_at_rate_zero_and_rate_inf_is_bit_identical():
     P_inf = [float(P) for P in np.geomspace(7e14, 2e15, 6)]
     rates = []
     for h in ([1.0], [1j], [0.5 + 0.5j], [1.0, 0.0]):
-        for ring in ("Z", "Zi", QuadraticRing(-3), QuadraticRing(-2)):
+        for ring in ("Z", QuadraticRing(-1), QuadraticRing(-3), QuadraticRing(-2)):
             for P in P_inf + [1e-17, 1e-12]:
                 res = _same_bits(np.asarray(h, dtype=complex), P, ring, None)
                 if not isinstance(res, str):

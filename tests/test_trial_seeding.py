@@ -47,7 +47,7 @@ def _same_generator(got, want):
 @pytest.mark.parametrize("seed", SEEDS, ids=str)
 def test_generators_are_default_rng(seed):
     words = seeding.seed_words(seed)
-    for t, rng in enumerate(seeding.trial_generators(words, range(301))):
+    for t, rng in enumerate(map(seeding._generator, seeding.seed_states(words, range(301)))):
         _same_generator(rng, np.random.default_rng([seed, t]))
     assert t == 300
 
@@ -57,7 +57,7 @@ def test_generators_of_a_mid_run_range(seed):
     # a simulator chunk seeds its own trial range, which need not start at 0
     words = seeding.seed_words(seed)
     for trials in (range(7, 23), range(2**32 - 3, 2**32)):
-        rngs = list(seeding.trial_generators(words, trials))
+        rngs = list(map(seeding._generator, seeding.seed_states(words, trials)))
         assert len(rngs) == len(trials)
         for t, rng in zip(trials, rngs):
             _same_generator(rng, np.random.default_rng([seed, t]))
