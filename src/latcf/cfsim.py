@@ -24,9 +24,11 @@ arithmetic of the whole chunk in numpy:
 encoding and CRT, the channel, the relays' scaling and reduction, the
 relays' scalars of (h, a, P) (alpha, the analytic noise variance, the
 zero-divisor flag), one `quantize` over every (trial, relay, real part)
-row, and the decode check.  Per relay, in trial order, stay the
-coefficient search and its nonzero check, the np.vdot calls of alpha
-and abs(alpha)**2, once per relay under a fixed H.  `quantize`
+row, and the decode check.  The coefficient search takes the chunk's
+relays at once (`_search_rows`): per relay, in trial order, its checks
+and walk, then numpy's abs and log2 once over every relay's vectors, and
+per relay its exact re-rank and tie rule.  Per relay stay the np.vdot
+calls of alpha and abs(alpha)**2, once per relay under a fixed H.  `quantize`
 bounds the memory of its own passes, and a chunk is one pass of relay
 rows (`rows_per_pass`), so memory does not grow with the trial count.
 Every element goes through the same floating-point operations, in the
@@ -142,63 +144,113 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     Non-finite h or P, and P|h|^2 so large (about 1e15) that Q is no
     longer positive definite in floating point, raise ValueError.
     """
-    h = np.asarray(h, dtype=complex)
-    if not h.any():
-        raise ValueError("h must be nonzero")
-    if P <= 0:
-        raise ValueError("P must be positive")
-    den = _rate_denominator(h, P)
-    bound = den
-    truncated = False
-    if max_norm_cap is not None and bound > max_norm_cap:
-        bound = float(max_norm_cap)
-        truncated = True
-    if ring == "Z":
-        t, u, xi = 0, 0, None
-    elif not isinstance(ring, QuadraticRing):
-        raise ValueError(f"unsupported coefficient ring {ring!r}")
-    elif ring.d > 0:
-        raise ValueError("coefficient search needs an imaginary quadratic ring")
-    else:
-        t, u = ring.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
-        xi = ring.xi_numeric
-    if bound < 1:
-        raise ValueError("empty search space; raise max_norm_cap")
-    # rounding moves Q by about 1e-16 (1 + P|h|^2) Q; 1e-6 covers the
-    # 1e-9 rate tolerance
-    margin = 1e-6 + 1e-12 * den
-    points, n2 = zip(*_ellipsoid_points(h.tolist(), P / den, bound, margin, t, u, xi))
+    return _search_rows(np.asarray(h, dtype=complex)[None], P, ring, max_norm_cap)[0]
 
-    # the filter, cross grown one component at a time, then the exact
-    # re-rank of the vectors it keeps
-    hc = np.conj(h)
+
+class _RowError(ValueError):
+    """A refusal of one relay row (a search's, or a zero noiseless
+    vector): the message, and the row."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
+
+
+def _search_rows(H, P, ring, max_norm_cap):
+    """best_coefficients of each row h of the complex R x K array H, bit
+    for bit.
+
+    Per row, in order: the checks, the walk and the filter's cross, so a
+    row's refusal (a _RowError naming the row) comes after every earlier
+    row's.  Once over all rows: numpy's abs and log2 of the filter and,
+    over Z, of the re-rank (elementwise, so batching keeps the bits).  Per
+    row: the re-rank's matmul over exactly the row's near vectors over Z
+    (BLAS's bits depend on the row count), _exact_rate over O_K, and the
+    tie rule."""
+    Hc = np.conj(H)
+    hl, hcl = H.tolist(), Hc.tolist()
+    rows = []  # h, what the re-rank keeps, den, truncated, leaves, norms
+    cross, n2, den = [], [], []  # per leaf
+    for r, h in enumerate(H):
+        try:
+            if not any(hl[r]):  # NaN is nonzero, as for numpy
+                raise ValueError("h must be nonzero")
+            if P <= 0:
+                raise ValueError("P must be positive")
+            d = _rate_denominator(h, P)
+            bound = d
+            truncated = False
+            if max_norm_cap is not None and bound > max_norm_cap:
+                bound = float(max_norm_cap)
+                truncated = True
+            if ring == "Z":
+                t, u, xi = 0, 0, None
+            elif not isinstance(ring, QuadraticRing):
+                raise ValueError(f"unsupported coefficient ring {ring!r}")
+            elif ring.d > 0:
+                raise ValueError("coefficient search needs an imaginary quadratic ring")
+            else:
+                t, u = ring.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
+                xi = ring.xi_numeric
+            if bound < 1:
+                raise ValueError("empty search space; raise max_norm_cap")
+            # rounding moves Q by about 1e-16 (1 + P|h|^2) Q; 1e-6 covers
+            # the 1e-9 rate tolerance
+            margin = 1e-6 + 1e-12 * d
+            points, norms = zip(*_ellipsoid_points(hl[r], P / d, bound, margin, t, u, xi))
+        except ValueError as exc:
+            raise _RowError(str(exc), r) from None
+        # the filter's cross, grown one component at a time from 0j
+        if xi is None:
+            keep, terms = Hc[r], hcl[r]
+            for v in points:
+                c = 0j
+                for x, hk in zip(v, terms):
+                    c = c + x * hk
+                cross.append(c)
+        else:
+            xy = np.array(points, dtype=np.int64)
+            keep = xy[:, 0::2] + xy[:, 1::2] * xi
+            for terms in (keep * Hc[r]).tolist():
+                c = 0j
+                for term in terms:
+                    c = c + term
+                cross.append(c)
+        rows.append((h, keep, d, truncated, points, norms))
+        n2 += norms
+        den += [d] * len(norms)
+
+    # the filter, then the exact re-rank of the vectors it keeps
+    rates = _rates(cross, n2, P, den)
+    exact, n2, den, nears, end = [], [], [], [], 0  # over Z, crosses until _rates
+    for h, keep, d, _, points, norms in rows:
+        near = _near(rates[end:end + len(points)])
+        end += len(points)
+        nears.append(near)
+        if xi is None:
+            exact += (np.array([points[i] for i in near], dtype=float) @ keep).tolist()
+            n2 += [norms[i] for i in near]
+            den += [d] * len(near)
+        else:
+            exact += [_exact_rate(h, keep[i], P, d) for i in near]
     if xi is None:
-        hcl = hc.tolist()
-        near = _near(_rates([_grown([x * hk for x, hk in zip(v, hcl)]) for v in points], n2, P, den))
-        exact = np.array([points[i] for i in near], dtype=float)
-        rates = _rates(exact @ hc, [n2[i] for i in near], P, den)
-    else:
-        xy = np.array(points, dtype=np.int64)
-        values = xy[:, 0::2] + xy[:, 1::2] * xi
-        near = _near(_rates([_grown(row) for row in (values * hc).tolist()], n2, P, den))
-        rates = [_exact_rate(h, values[i], P, den) for i in near]
-    # the tie rule among the best rates: least norm, then per coordinate
-    # (|x|, x < 0), which orders components as (|x|, x < 0, |y|, y < 0)
-    top = max(rates)
-    tied = [(i, r) for i, r in zip(near, rates) if r == top]
-    best, rate = tied[0] if len(tied) == 1 else min(
-        tied, key=lambda ir: (n2[ir[0]], tuple((abs(x), x < 0) for x in points[ir[0]])))
-    v = points[best]
-    a = v if xi is None else tuple(map(ring.element, v[0::2], v[1::2]))
-    return BestCoefficients(a, rate, truncated)
+        exact = _rates(exact, n2, P, den)
 
-
-def _grown(terms):
-    """sum_k terms[k], added in order from 0j."""
-    cross = 0j
-    for term in terms:
-        cross = cross + term
-    return cross
+    # the tie rule among each row's best rates: least norm, then per
+    # coordinate (|x|, x < 0), which orders components as (|x|, x < 0,
+    # |y|, y < 0)
+    found, end = [], 0
+    for (_, _, _, truncated, points, norms), near in zip(rows, nears):
+        rates = exact[end:end + len(near)]
+        end += len(near)
+        top = max(rates)
+        tied = [(i, r) for i, r in zip(near, rates) if r == top]
+        best, rate = tied[0] if len(tied) == 1 else min(
+            tied, key=lambda ir: (norms[ir[0]], tuple((abs(x), x < 0) for x in points[ir[0]])))
+        v = points[best]
+        a = v if xi is None else tuple(map(ring.element, v[0::2], v[1::2]))
+        found.append(BestCoefficients(a, rate, truncated))
+    return found
 
 
 def _near(rates):
@@ -209,10 +261,11 @@ def _near(rates):
 
 def _rates(cross, n2, P, den):
     """Rates max(0, -log2 max(inner, 1e-300)), +inf where inner <= 1e-15
-    |a|^2, with inner = |a|^2 - P|cross|^2/den and |a|^2 = n2: numpy's abs
-    and log2 over all of cross at once, the rest in Python floats.
-    np.maximum(0.0, r) keeps r = -0.0, and so does this."""
-    inner = [n - P * (m * m) / den for n, m in zip(n2, np.abs(cross).tolist())]
+    |a|^2, with inner = |a|^2 - P|cross|^2/den, |a|^2 = n2 and den each
+    element's own 1 + P|h|^2: numpy's abs and log2 over all of cross at
+    once, the rest in Python floats.  np.maximum(0.0, r) keeps r = -0.0,
+    and so does this."""
+    inner = [n - P * (m * m) / d for n, m, d in zip(n2, np.abs(cross).tolist(), den)]
     logs = np.log2([x if x > 1e-300 else 1e-300 for x in inner]).tolist()
     out = []
     for x, n, lg in zip(inner, n2, logs):
@@ -584,9 +637,11 @@ def run_trials(config: SimConfig, trials: int, seed: int):
     alone, and runs in two phases: the draws of every trial of the chunk,
     in the order H, messages (per source, level, real part), dithers, Z;
     then the chunk's arithmetic in numpy.  The coefficient search runs
-    once per relay and trial, in trial order, or once per relay before the
-    first trial under a fixed channel, and each relay's vector is checked
-    nonzero right after its search, so errors come in trial order.
+    once over the chunk's relays (once over the relays before the first
+    trial under a fixed channel), walking each relay in trial order; a
+    noiseless relay's rounded vector is checked nonzero instead.  So
+    errors come in trial order, and a relay's refusal names its trial and
+    relay ("trial 3, relay 1: ...", trial 0 under a fixed channel).
     alpha, the analytic noise variance and the zero-divisor flag take one
     numpy pass over the chunk's relays; only their np.vdot calls and
     abs(alpha)**2 stay per relay.  The records do not depend on the
@@ -644,24 +699,30 @@ class _Relays(NamedTuple):
     zero_divisor_flag: np.ndarray
 
 
-def _relay_scalars(config: SimConfig, H) -> _Relays:
+def _relay_scalars(config: SimConfig, H, first=0) -> _Relays:
     """Coefficient vector, rate, alpha, analytic noise variance and
-    zero-divisor flag of each relay h of H (R x K).
+    zero-divisor flag of each relay h of H (R x K), row r being relay
+    r % M of trial first + r // M.
 
-    In relay order, each relay is searched and its vector checked nonzero,
-    so a relay's error comes before any later relay's; the rest takes
-    _alphas_and_variances and one numpy pass over all relays."""
-    P = config.P
-    coeffs, rates = [], []
-    for h in H:
+    One coefficient search runs over all rows (_search_rows), or under a
+    noiseless channel each row rounds h.real and is checked nonzero, in
+    relay order: so a relay's refusal, which names its trial and relay,
+    comes before any later relay's.  The rest takes _alphas_and_variances
+    and one numpy pass over all relays."""
+    P, M = config.P, config.M
+    try:
         if config.noiseless:
-            a = tuple(int(x) for x in np.round(h.real))
+            coeffs, rates = [], []
+            for r, h in enumerate(H):
+                a = tuple(int(x) for x in np.round(h.real))
+                if not any(a):
+                    raise _RowError("relay coefficient vector is zero", r)
+                coeffs.append(a)
+                rates.append(computation_rate(h, a, P))
         else:
-            a, rate, _ = best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
-        if not any(a):
-            raise ValueError("relay coefficient vector is zero")
-        coeffs.append(a)
-        rates.append(computation_rate(h, a, P) if config.noiseless else rate)
+            coeffs, rates, _ = zip(*_search_rows(H, P, "Z", config.max_norm_cap))
+    except _RowError as exc:
+        raise ValueError(f"trial {first + exc.row // M}, relay {exc.row % M}: {exc}") from None
     a = np.array(coeffs, dtype=np.int64).reshape(len(H), config.K)
     alpha, noise_var = _alphas_and_variances(H, a.astype(complex), P, config.alpha_mode)
     fine = config.pair.fine
@@ -693,7 +754,7 @@ def _run_chunk(config: SimConfig, words, trials: range, fixed):
     # phase 2: the chunk's arithmetic, each element as a lone trial computes it
     if fixed is None:
         H = (H2[:, 0] + 1j * H2[:, 1]) / math.sqrt(2)
-        relays = _relay_scalars(config, H.reshape(T * M, K))
+        relays = _relay_scalars(config, H.reshape(T * M, K), trials[0])
     else:
         H = np.asarray(config.fixed_H, dtype=complex)
         relays = _Relays(*(np.concatenate([x] * T) for x in fixed))

@@ -22,7 +22,7 @@ Config document layout (strict: unknown keys are rejected)::
       "simulation": {"K": 2, "M": 2, "P": 8.0, "trials": 100, "seed": 1,
                      "fixed_H": [[[1.0, 0.0], ...], ...],   # [re, im] pairs
                      "alpha_mode": "mmse", "noiseless": false},
-      "search": {"max_norm_cap": 100.0}
+      "search": {"max_norm_cap": 100.0}            # not with "noiseless": true
     }
 
 Vector literals are comma-separated integers; complex-ambient lattices
@@ -251,7 +251,8 @@ def build_construction(doc) -> LatticeDescriptor:
         if "moduli" in doc:
             moduli = tuple(_get_int_list(doc, "moduli", "construction"))
             if moduli != lat.moduli:
-                raise ValueError(f"moduli {list(moduli)} do not match the codes")
+                raise SchemaError(f"construction.moduli: {list(moduli)} does not match "
+                                  f"the codes' {list(lat.moduli)}")
         return lat
     q = _get_int(doc, "q", "construction")
     return construction_pi_d(q, codes)
@@ -486,6 +487,9 @@ def _simulation_config(doc):
             [[complex(z[0], z[1]) for z in row] for row in rows], dtype=complex
         )
     cap = _max_norm_cap(doc)
+    if noiseless and cap is not None:
+        raise SchemaError("simulation.noiseless: a noiseless run does no coefficient search, "
+                          "so search.max_norm_cap would be ignored; remove one of the two keys")
     fine = build_construction(doc["construction"])
     try:
         pair = make_pair(fine, P)

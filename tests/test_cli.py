@@ -104,8 +104,8 @@ def test_construct_pi_a_moduli_are_checked_against_the_codes(tmp_path, capsys):
     assert _run(capsys, ["construct", "--config", cfg, "--out", str(out)])[0] == 0
     assert out.read_bytes() == plain.read_bytes()
     cfg = _write(tmp_path, "c.json", {"construction": {**PI_A6, "moduli": [3, 2]}})
-    assert cli.main(["construct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 3
-    assert capsys.readouterr().err == "construction error: moduli [3, 2] do not match the codes\n"
+    assert cli.main(["construct", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+    assert capsys.readouterr().err == "error: construction.moduli: [3, 2] does not match the codes' [2, 3]\n"
     assert not (tmp_path / "x.json").exists()
 
 
@@ -340,7 +340,7 @@ def test_simulate_search_failure_names_the_simulation(tmp_path, capsys):
     code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == "error: simulation: empty search space; raise max_norm_cap\n"
+    assert err == "error: simulation: trial 0, relay 0: empty search space; raise max_norm_cap\n"
 
 
 def test_simulate_a_ok_is_a_simulation_refusal(tmp_path, capsys):
@@ -387,6 +387,29 @@ def test_simulate_noiseless_integer_H_all_decode(tmp_path, capsys):
     assert all(r[8] == "1" for r in rows)
     assert all(r[9] == "0" for r in rows)
     assert all(float(r[7]) == 0.0 for r in rows)
+
+
+@pytest.mark.parametrize("cap", [0.5, 1.5, 100.0])
+def test_simulate_refuses_noiseless_with_a_max_norm_cap(tmp_path, capsys, cap):
+    # a noiseless run does no coefficient search, so the cap would change
+    # nothing: the same CSV for every cap, or none
+    doc = dict(_sim_config(noiseless=True, alpha_mode="unit"), search={"max_norm_cap": cap})
+    cfg = _write(tmp_path, "c.json", doc)
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: simulation.noiseless: a noiseless run does no coefficient search, "
+        "so search.max_norm_cap would be ignored; remove one of the two keys\n")
+    assert not out.exists()
+
+
+def test_simulate_mid_run_refusal_names_the_trial_and_relay(tmp_path, capsys):
+    # a random H whose real part rounds to zero at trial 4, relay 1
+    cfg = _write(tmp_path, "c.json", _sim_config(noiseless=True, alpha_mode="unit", trials=5, seed=6))
+    code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: simulation: trial 4, relay 1: relay coefficient vector is zero\n")
 
 
 # ---------------------------------------------------------------------------

@@ -351,9 +351,15 @@ def test_gaussian_search_matches_oracle():
     rng = np.random.default_rng(7)
     for K in (1, 2):
         for h in _channels(rng, K, 6):
+            nh = float(np.vdot(h, h).real)
             for P in POWERS:
                 for cap in CAPS:
-                    _same(h, P, QuadraticRing(-1), cap)
+                    # the scalar oracle makes ~(bound)^2 computation_rate
+                    # calls at K = 2; above bound 41 the pruned oracle checks
+                    if K == 2 and min(1 + P * nh, cap or math.inf) > 41:
+                        _same_as_pruned(h, P, QuadraticRing(-1), cap)
+                    else:
+                        _same(h, P, QuadraticRing(-1), cap)
 
 
 @pytest.mark.parametrize("d", [-1, -2, -3, -7, -15])

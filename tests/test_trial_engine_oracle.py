@@ -8,6 +8,7 @@ raises must raise the oracle's error."""
 
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -18,13 +19,11 @@ import pytest
 from latcf import cfsim, cli
 from latcf.algebra import ChainRing, PrimeField
 from latcf.cfsim import (
-    BestCoefficients,
     RelayOutput,
     SimConfig,
     SourceState,
     TrialRecord,
     _coeffs_to_complex,
-    best_coefficients,
     computation_rate,
     encode_source,
     function_coefficients,
@@ -120,10 +119,18 @@ def reference_run_trials(config: SimConfig, trials: int, seed: int):
     searched = None
     if config.fixed_H is not None and not config.noiseless:
         searched = [
-            cfsim.best_coefficients(h, config.P, max_norm_cap=config.max_norm_cap)
-            for h in np.asarray(config.fixed_H, dtype=complex)
+            _search(0, m, h, config)  # the first trial stops at a refusal
+            for m, h in enumerate(np.asarray(config.fixed_H, dtype=complex))
         ]
     return [rec for t in range(trials) for rec in _one_trial(config, seed, t, searched)]
+
+
+def _search(trial, relay, h, config):
+    """The relay's coefficient search; a refusal names the trial and relay."""
+    try:
+        return cfsim.best_coefficients(h, config.P, max_norm_cap=config.max_norm_cap)
+    except ValueError as exc:
+        raise ValueError(f"trial {trial}, relay {relay}: {exc}") from None
 
 
 def _check_config(config: SimConfig):
@@ -195,9 +202,9 @@ def _one_trial(config: SimConfig, seed: int, trial: int, searched):
         elif searched is not None:
             a, rate, _ = searched[m]
         else:
-            a, rate, _ = cfsim.best_coefficients(h, P, max_norm_cap=config.max_norm_cap)
+            a, rate, _ = _search(trial, m, h, config)
         if not any(a):
-            raise ValueError("relay coefficient vector is zero")
+            raise ValueError(f"trial {trial}, relay {m}: relay coefficient vector is zero")
 
         out = reference_relay_process(Y[m], a, dithers, h, P, pair, alpha_mode=config.alpha_mode)
         av = np.array(a, dtype=complex)
@@ -352,13 +359,15 @@ def test_records_do_not_depend_on_the_chunking(monkeypatch):
 def test_zero_coefficient_vector_raises_as_the_oracle(tmp_path):
     fine = LATTICES["piA"]
     fixed = replace(_config(fine, 2, 2, "noiseless"), fixed_H=np.array([[1, 1], [0.3, -0.4]]) + 0j)
+    assert _assert_same(fixed, 4, 0, tmp_path) == "ValueError: trial 0, relay 1: relay coefficient vector is zero"
     errors = set()
-    for config in (fixed, replace(fixed, fixed_H=None)):  # a random H rounds to 0 now and then
-        for seed in SEEDS:
-            out = _assert_same(config, 4, seed, tmp_path)
-            if not isinstance(out, bytes):
-                errors.add(out)
-    assert errors == {"ValueError: relay coefficient vector is zero"}
+    for seed in SEEDS:  # a random H rounds to 0 now and then
+        out = _assert_same(replace(fixed, fixed_H=None), 4, seed, tmp_path)
+        if not isinstance(out, bytes):
+            errors.add(out)
+    assert len(errors) > 1
+    for error in errors:
+        assert re.fullmatch(r"ValueError: trial \d+, relay \d+: relay coefficient vector is zero", error), error
 
 
 def test_search_refusal_raises_as_the_oracle(tmp_path, monkeypatch):
@@ -367,19 +376,23 @@ def test_search_refusal_raises_as_the_oracle(tmp_path, monkeypatch):
     outcomes = [_assert_same(config, 3, seed, tmp_path) for seed in SEEDS]
     refused = [o for o in outcomes if not isinstance(o, bytes)]
     assert refused and len(refused) < len(outcomes)
-    assert set(refused) == {"ValueError: search space too large; lower max_norm_cap"}
+    for error in refused:
+        assert re.fullmatch(r"ValueError: trial \d+, relay \d+: search space too large; lower max_norm_cap",
+                            error), error
 
 
 @pytest.mark.parametrize("mode, calls", [("fixed", 3), ("random", 5 * 3), ("noiseless", 0)])
 def test_one_search_per_relay_and_trial(monkeypatch, mode, calls):
+    # the engine searches through _search_rows, which walks each relay once
     config = _config(LATTICES["piA"], 2, 3, mode)
     counted = []
+    walk = cfsim._ellipsoid_points
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         counted.append(args)
-        return best_coefficients(*args, **kwargs)
+        return walk(*args)
 
-    monkeypatch.setattr(cfsim, "best_coefficients", counting)
+    monkeypatch.setattr(cfsim, "_ellipsoid_points", counting)
     run_trials(config, 5, seed=2)
     assert len(counted) == calls
 
@@ -452,40 +465,43 @@ def test_relay_process_and_mmse_alpha_match_the_oracle(alpha_mode):
             assert repr(cfsim.mmse_alpha(h, a, P)) == repr(reference_mmse_alpha(h, a, P))
 
 
-def test_a_zero_vector_raises_before_a_later_relays_search_refusal(tmp_path, monkeypatch):
+def test_an_earlier_relays_refusal_raises_before_a_later_relays(tmp_path, monkeypatch):
+    # the walks of a chunk's relays run in relay order before any tail, so
+    # the first relay to refuse is the one reported, batch or no batch
     monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 25)  # a search visiting more nodes refuses
     config = _config(LATTICES["piA"], 3, 2, "random", P=64.0)
-    real = cfsim.best_coefficients
+    walk = cfsim._ellipsoid_points
     calls = []
 
-    def counted(h, P, **kwargs):
-        calls.append(h)
-        return real(h, P, **kwargs)
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
 
-    def zero_first(h, P, **kwargs):
-        calls.append(h)
-        if len(calls) == 1:
-            return BestCoefficients((0,) * len(h), 0.0, False)
-        return real(h, P, **kwargs)
+    def second_refuses(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise ValueError("P*|h|^2 too large for an exact coefficient search")
+        return walk(*args)
 
     later = []
+    monkeypatch.setattr(cfsim, "_ellipsoid_points", counted)
     for seed in SEEDS:
         calls.clear()
-        monkeypatch.setattr(cfsim, "best_coefficients", counted)
         try:
             reference_run_trials(config, 3, seed)
         except ValueError as exc:
-            # the first relay passes and a later relay's search refuses
-            if len(calls) > 1 and "search space too large" in str(exc):
+            # the first two relays pass and a later relay's search refuses
+            if len(calls) > 2 and "search space too large" in str(exc):
                 later.append(seed)
     assert later
-    monkeypatch.setattr(cfsim, "best_coefficients", zero_first)
+    monkeypatch.setattr(cfsim, "_ellipsoid_points", second_refuses)
     for seed in later:
         outcomes = []
         for run in (reference_run_trials, run_trials):
             calls.clear()
             outcomes.append(_outcome(run, config, 3, seed, tmp_path / "out.csv"))
-        assert outcomes == ["ValueError: relay coefficient vector is zero"] * 2, seed
+        want = "ValueError: trial 0, relay 1: P*|h|^2 too large for an exact coefficient search"
+        assert outcomes == [want] * 2, seed
 
 
 # ---------------------------------------------------------------------------
