@@ -3,14 +3,16 @@ simulator on top of them.
 
 The pieces, bottom to top:
 
-- `algebra`: prime fields, chain rings Z_{p^e}, small extension fields,
-  the CRT ring isomorphism, and quadratic integer rings with prime-ideal
+- `algebra`: the chain rings Z_{p^e} (a prime field is the e = 1 case,
+  `PrimeField(p) == ChainRing(p, 1)`), the fields F_{p^2}, the CRT ring
+  isomorphism, and quadratic integer rings with prime-ideal
   factorization and residue-field maps.
 - `codes`: linear codes over those alphabets, nested chains of codes
   sharing a generator basis, and the lift of a chain to a chain-ring code.
-- `lattices`: five constructions turning codes into lattices, plus
-  membership, enumeration, nearest-point quantization, and the coarse
-  modulo operation.
+- `lattices`: Construction pi_D, with A, D and pi_A as its special
+  cases, and A over a quadratic integer ring (A_OK), plus membership,
+  enumeration, nearest-point quantization, and the coarse modulo
+  operation.
 - `seeding`: each simulator trial's draws, those of numpy's
   default_rng([seed, t]), seeded for many trials in one vectorised pass
   and decoded from one raw call per trial.

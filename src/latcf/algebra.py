@@ -1,5 +1,6 @@
-"""Exact modular arithmetic: prime fields, prime-power chain rings, CRT
-product rings, and quadratic integer rings with prime-ideal residue fields.
+"""Exact modular arithmetic: the chain rings Z/p^e (prime fields are the
+e = 1 case), the fields F_{p^2}, CRT product rings, and quadratic integer
+rings with prime-ideal residue fields.
 
 All values are immutable after construction and safe to share between
 threads.  Elements of the finite alphabets are plain Python ints in
@@ -11,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -73,55 +73,12 @@ def factorize(q: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Finite alphabets.  All share one duck interface: size, zero, one, add,
-# sub, mul, neg, inv, is_unit, elements().  The codes module works on
-# integer residues and calls only mul, for the F_{p^2} expansion.
+# Finite alphabets: the chain rings Z/p^e (PrimeField(p) is the e = 1 case
+# under its own name) and the fields F_{p^2}.  Both share one duck
+# interface: p, size, char, zero, one, add, sub, mul, neg, inv, is_unit,
+# elements().  The codes module works on integer residues and calls only
+# mul, for the F_{p^2} expansion.
 # ---------------------------------------------------------------------------
-
-
-class PrimeField:
-    """The field Z/pZ with elements 0..p-1."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.size = p
-        self.char = p
-        self.zero = 0
-        self.one = 1 % p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, -1, self.p)
-
-    def is_unit(self, a):
-        return a % self.p != 0
-
-    def elements(self):
-        return range(self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
 
 
 class ChainRing:
@@ -180,42 +137,46 @@ class ChainRing:
         return f"ChainRing({self.p}, {self.e})"
 
 
+class PrimeField(ChainRing):
+    """The field Z/pZ with elements 0..p-1: ChainRing(p, 1), and equal to it."""
+
+    def __init__(self, p: int):
+        super().__init__(p, 1)
+
+    def __repr__(self):
+        return f"PrimeField({self.p})"
+
+
 class GaloisField:
-    """F_{p^f} for f in {1, 2}, with elements encoded as ints in [0, p^f).
+    """F_{p^2}, with elements encoded as ints in [0, p^2).
 
     An element x = c0 + c1*p encodes the polynomial c0 + c1*t where t
-    satisfies t^2 = lin*t + const (the reduction polynomial, irreducible
-    mod p for f = 2).  For f = 1 this degenerates to Z/pZ.
+    satisfies t^2 = lin*t + const, the reduction polynomial, irreducible
+    mod p.  f must be 2: F_p is PrimeField(p).
     """
 
     def __init__(self, p: int, f: int = 1, reduction: tuple[int, int] | None = None):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if f not in (1, 2):
-            raise ValueError("only degrees 1 and 2 are supported")
+        if f != 2:
+            raise ValueError(f"GaloisField is F_{{p^2}} only; F_{p} is PrimeField({p})")
+        if reduction is None:
+            raise ValueError("degree-2 field needs a reduction polynomial")
+        const, lin = reduction[0] % p, reduction[1] % p
+        if any((x * x - lin * x - const) % p == 0 for x in range(p)):
+            raise ValueError("reduction polynomial is reducible mod p")
         self.p = p
-        self.f = f
-        self.size = p**f
+        self.f = 2
+        self.size = p * p
         self.char = p
         self.zero = 0
-        self.one = 1 % self.size
-        if f == 2:
-            if reduction is None:
-                raise ValueError("degree-2 field needs a reduction polynomial")
-            const, lin = reduction[0] % p, reduction[1] % p
-            if any((x * x - lin * x - const) % p == 0 for x in range(p)):
-                raise ValueError("reduction polynomial is reducible mod p")
-            self.reduction = (const, lin)
-        else:
-            self.reduction = None
-        self._inv_table = None
+        self.one = 1
+        self.reduction = (const, lin)
 
     def _split(self, a):
         return a % self.p, (a // self.p) % self.p
 
     def add(self, a, b):
-        if self.f == 1:
-            return (a + b) % self.p
         a0, a1 = self._split(a)
         b0, b1 = self._split(b)
         return (a0 + b0) % self.p + ((a1 + b1) % self.p) * self.p
@@ -224,14 +185,10 @@ class GaloisField:
         return self.add(a, self.neg(b))
 
     def neg(self, a):
-        if self.f == 1:
-            return (-a) % self.p
         a0, a1 = self._split(a)
         return (-a0) % self.p + ((-a1) % self.p) * self.p
 
     def mul(self, a, b):
-        if self.f == 1:
-            return (a * b) % self.p
         a0, a1 = self._split(a)
         b0, b1 = self._split(b)
         const, lin = self.reduction
@@ -241,20 +198,17 @@ class GaloisField:
         return c0 + c1 * self.p
 
     def inv(self, a):
+        """a^(p^2 - 2), by square-and-multiply: the units have order p^2 - 1."""
         a %= self.size
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.f == 1:
-            return pow(a, -1, self.p)
-        if self._inv_table is None:
-            table = {}
-            for x in range(1, self.size):
-                for y in range(1, self.size):
-                    if self.mul(x, y) == self.one:
-                        table[x] = y
-                        break
-            self._inv_table = table
-        return self._inv_table[a]
+        out, k = self.one, self.size - 2
+        while k:
+            if k & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            k >>= 1
+        return out
 
     def is_unit(self, a):
         return a % self.size != 0
@@ -263,17 +217,12 @@ class GaloisField:
         return range(self.size)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GaloisField)
-            and (other.p, other.f, other.reduction) == (self.p, self.f, self.reduction)
-        )
+        return isinstance(other, GaloisField) and (other.p, other.reduction) == (self.p, self.reduction)
 
     def __hash__(self):
-        return hash(("GaloisField", self.p, self.f, self.reduction))
+        return hash(("GaloisField", self.p, self.reduction))
 
     def __repr__(self):
-        if self.f == 1:
-            return f"GaloisField({self.p})"
         return f"GaloisField({self.p}, 2, reduction={self.reduction})"
 
 
@@ -292,16 +241,15 @@ class CrtMap:
     """
 
     def __init__(self, moduli):
-        moduli = tuple(int(m) for m in moduli)
+        moduli = tuple(map(int, moduli))
         if not moduli:
             raise ValueError("need at least one modulus")
-        pairs = [factor_prime_power(m) for m in moduli]
-        primes = [p for p, _ in pairs]
+        primes, exponents = zip(*map(factor_prime_power, moduli))
         if len(set(primes)) != len(primes):
             raise ValueError(f"moduli {moduli} share a prime factor")
         self.moduli = moduli
-        self.primes = tuple(primes)
-        self.exponents = tuple(e for _, e in pairs)
+        self.primes = primes
+        self.exponents = exponents
         self.q = math.prod(moduli)
         self.levels = len(moduli)
         # idempotents: E_l = 1 mod m_l, = 0 mod every other modulus

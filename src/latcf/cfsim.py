@@ -50,8 +50,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import ChainRing, QuadraticRing
-from .codes import LinearCode, solve_encoding
+from .algebra import QuadraticRing
+from .codes import solve_encoding
 from .codes import encode as encode_codeword
 from .lattices import LatticePair, contains, mod_coarse, quantize, rows_per_pass
 from .seeding import seed_words, trial_draws
@@ -406,8 +406,8 @@ class FunctionDecode(NamedTuple):
 
 
 def _require_real(pair: LatticePair):
-    """The per-relay protocol's one guard: encode_source, decode_function,
-    function_decoded and multistage_roundtrip carry real lattice points."""
+    """The per-relay protocol's one guard: encode_source, decode_function
+    and multistage_roundtrip carry real lattice points."""
     if pair.fine.ambient != "real":
         raise ValueError("the per-relay protocol needs a real-ambient lattice, "
                          f"got {pair.fine.kind} over {pair.fine.q!r}")
@@ -494,26 +494,6 @@ def decode_function(y_prime, pair: LatticePair, a) -> FunctionDecode:
     return FunctionDecode(t_eq, functions, all(None not in levels for levels in functions))
 
 
-def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
-    """Whether each real part of y_prime quantizes, mod q, to the
-    integer point sum_k a_k t_k mod q, with points[k] = (re, im) of
-    source k's integer CRT point.
-
-    This is the compute-and-forward function itself: the CRT map is a
-    ring isomorphism and every level's encoding is linear, so the point
-    matches exactly when every level's codeword matches.  It compares
-    codewords, not messages, which chain-ring levels with non-unique
-    messages need.
-    """
-    _require_real(pair)
-    q = pair.fine.q
-    a_mod = np.array([int(x) % q for x in a], dtype=np.int64)
-    points = np.asarray(points, dtype=np.int64)
-    want = _function_point(a_mod, points.reshape(len(points), -1), q)
-    y_prime = np.asarray(y_prime)
-    return bool((_decoded_points(pair, np.stack([y_prime.real, y_prime.imag])).ravel() == want).all())
-
-
 def _function_point(a, points, q):
     """sum_k a_k t_k mod q, exact in int64, for the coefficient rows a
     (... x K) and the sources' integer points t_k, the rows of points
@@ -542,18 +522,6 @@ def _crt_points(fine, words):
     return fine.map.forward_vec([encode_codeword(code, w) for code, w in zip(fine.codes, words)])
 
 
-def function_coefficients(a, moduli):
-    """Per-level reductions b^l_k = a_k mod m_l."""
-    return tuple(tuple(int(ak) % m for ak in a) for m in moduli)
-
-
-def combined_message(code, b_level, messages):
-    """The linear function sum_k b_k * w_k in the code's message space:
-    the encoding of b under the code whose generator rows are the w_k."""
-    rows = [[int(x) for x in w] for w in messages]
-    return encode_codeword(LinearCode(code.alphabet, rows, N=code.n), [int(b) for b in b_level])
-
-
 def multistage_roundtrip(pair: LatticePair, messages, a):
     """Noiseless level-by-level roundtrip over a multi-prime lattice.
 
@@ -564,7 +532,7 @@ def multistage_roundtrip(pair: LatticePair, messages, a):
     """
     _require_real(pair)
     fine = pair.fine
-    if any(isinstance(c.alphabet, ChainRing) and c.alphabet.e > 1 for c in fine.codes):
+    if any(c.alphabet.e > 1 for c in fine.codes):
         raise ValueError("levels must be prime fields")
     if len(a) != len(messages) or not messages:
         raise ValueError("one coefficient per source")
@@ -717,8 +685,11 @@ def _relay_scalars(config: SimConfig, H, first=0) -> _Relays:
                 a = tuple(int(x) for x in np.round(h.real))
                 if not any(a):
                     raise _RowError("relay coefficient vector is zero", r)
+                try:
+                    rates.append(computation_rate(h, a, P))
+                except ValueError as exc:  # 1 + P|h|^2 overflows
+                    raise _RowError(str(exc), r) from None
                 coeffs.append(a)
-                rates.append(computation_rate(h, a, P))
         else:
             coeffs, rates, _ = zip(*_search_rows(H, P, "Z", config.max_norm_cap))
     except _RowError as exc:
@@ -729,7 +700,7 @@ def _relay_scalars(config: SimConfig, H, first=0) -> _Relays:
     zflag = np.zeros(len(H), dtype=np.int64)
     for code, m in zip(fine.codes, fine.moduli):
         A = code.alphabet
-        if isinstance(A, ChainRing) and A.e > 1:
+        if A.e > 1:
             b = a % m
             zflag |= ((b != 0) & (b % A.p == 0)).any(axis=1)
     return _Relays(a, np.array(rates, dtype=float), alpha, np.array(noise_var), zflag)

@@ -279,11 +279,7 @@ def descriptor_to_json(lat: LatticeDescriptor) -> dict:
         doc["codes"] = [_code_to_json(lat.codes[0], ideal.p, ideal.f)]
         return doc
     doc["moduli"] = [int(m) for m in lat.moduli]
-    doc["codes"] = []
-    for code in lat.codes:
-        A = code.alphabet
-        prime, power = (A.p, 1) if isinstance(A, PrimeField) else (A.p, A.e)
-        doc["codes"].append(_code_to_json(code, prime, power))
+    doc["codes"] = [_code_to_json(c, c.alphabet.p, c.alphabet.e) for c in lat.codes]
     return doc
 
 

@@ -1,11 +1,14 @@
 """Lattices built from linear codes.
 
-Every real-ambient lattice here has the shape M(C_1 x ... x C_L) + q Z^N,
-where the levels are codes over Z/m_l Z for pairwise-coprime prime powers
-m_l with product q, and M applies the CRT reconstruction coordinatewise.
-The single-code constructions (one prime, one prime power) and the
-multi-level ones differ only in how the levels are assembled, so
-membership, enumeration and quantization share one code path.  Complex-
+Every real-ambient lattice here is one of Construction pi_D's:
+M(C_1 x ... x C_L) + q Z^N, where the levels are codes over the chain
+rings Z/m_l Z for pairwise-coprime prime powers m_l with product q, and M
+applies the CRT reconstruction coordinatewise.  Constructions A (one code
+over F_p), D (a nested chain over F_p, lifted to one code over Z/p^L) and
+pi_A (codes over distinct prime fields) are pi_D's special cases: each
+checks its own precondition on the levels and builds the same descriptor,
+whose CRT map the level alphabets determine, so membership, enumeration
+and quantization share one code path.  Complex-
 ambient lattices (A_OK) replace q Z^N by the N-fold product of a prime
 ideal P of a quadratic integer ring.  Membership is one parity check
 H v = 0 (mod Q) for both ambients, on the integer coordinates (Q = q) or
@@ -22,17 +25,11 @@ from __future__ import annotations
 
 import math
 import numbers
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import (
-    ChainRing,
-    CrtMap,
-    PrimeField,
-    PrimeIdeal,
-    factorize,
-    residue_field_map,
-)
+from .algebra import ChainRing, CrtMap, PrimeIdeal, factorize, residue_field_map
 from .codes import LinearCode, NestedCodeChain, _codewords, _dtype, _kernel, lift_chain_to_ring_code
 
 _BOX_CAP = 10**6
@@ -46,10 +43,11 @@ class LatticeDescriptor:
 
     kind is one of "A", "D", "piA", "piD", "A_OK".  For real lattices q
     is the integer coarse modulus and map the CrtMap over the level
-    moduli; for A_OK q is the prime ideal and map the residue field map.
+    moduli, the sizes of the codes' alphabets Z/m_l; for A_OK q is the
+    prime ideal and map the residue field map.
     """
 
-    def __init__(self, kind, N, codes, crt=None, ideal=None, chain=None, levels=None):
+    def __init__(self, kind, N, codes, ideal=None, chain=None, levels=None):
         self.kind = kind
         self.N = int(N)
         self.codes = tuple(codes)
@@ -64,9 +62,9 @@ class LatticeDescriptor:
         else:
             self.ambient = "real"
             self.ideal = None
-            self.map = crt
-            self.moduli = crt.moduli
-            self.q = crt.q
+            self.map = CrtMap([c.alphabet.size for c in self.codes])
+            self.moduli = self.map.moduli
+            self.q = self.map.q
         self._cosets = None
         self._index = None
         self._geometry = None
@@ -84,19 +82,18 @@ class LatticePair:
 
     def __init__(self, fine: LatticeDescriptor, scale: float = 1.0):
         self.fine = fine
-        self.coarse = _zero_code_version(fine)
         self.scale = float(scale)
         self.q = fine.q
 
+    @cached_property
+    def coarse(self) -> LatticeDescriptor:
+        """The fine lattice's levels with zero codes, built on first use:
+        the simulator reads only q and scale."""
+        zero_codes = [LinearCode(c.alphabet, [], N=self.fine.N) for c in self.fine.codes]
+        return LatticeDescriptor(self.fine.kind, self.fine.N, zero_codes, ideal=self.fine.ideal)
+
     def __repr__(self):
         return f"LatticePair(fine={self.fine!r}, scale={self.scale})"
-
-
-def _zero_code_version(lat: LatticeDescriptor) -> LatticeDescriptor:
-    zero_codes = [LinearCode(c.alphabet, [], N=lat.N) for c in lat.codes]
-    if lat.ambient == "complex":
-        return LatticeDescriptor(lat.kind, lat.N, zero_codes, ideal=lat.ideal)
-    return LatticeDescriptor(lat.kind, lat.N, zero_codes, crt=lat.map)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +101,28 @@ def _zero_code_version(lat: LatticeDescriptor) -> LatticeDescriptor:
 # ---------------------------------------------------------------------------
 
 
+def _levels(codes) -> list:
+    """The level codes of a real construction, checked: at least one, each
+    over a chain ring Z/p^e, all of one block length.  The descriptor's
+    CrtMap refuses alphabets that share a prime."""
+    codes = list(codes)
+    if not codes:
+        raise ValueError("need at least one code")
+    N = codes[0].N
+    for c in codes:
+        if not isinstance(c.alphabet, ChainRing):
+            raise ValueError(f"code alphabet {c.alphabet!r} is not a chain ring Z/p^e")
+        if c.N != N:
+            raise ValueError("levels have unequal block lengths")
+    return codes
+
+
 def construction_a(code: LinearCode) -> LatticeDescriptor:
-    """C + p Z^N for a code over a prime field."""
-    if not isinstance(code.alphabet, PrimeField):
+    """C + p Z^N for a code over a prime field: pi_D with q = p."""
+    _levels([code])
+    if code.alphabet.e != 1:
         raise ValueError("construction A needs a code over a prime field")
-    return LatticeDescriptor("A", code.N, [code], crt=CrtMap([code.alphabet.p]))
+    return LatticeDescriptor("A", code.N, [code])
 
 
 def construction_d(chain: NestedCodeChain, L: int) -> LatticeDescriptor:
@@ -116,54 +130,34 @@ def construction_d(chain: NestedCodeChain, L: int) -> LatticeDescriptor:
 
     Realized through the chain-ring lift: the unreduced real sums over
     the nested codebooks span exactly the Z_{p^L} code generated by the
-    lifted rows, tiled by p^L Z^N.
+    lifted rows, tiled by p^L Z^N, which is pi_D with q = p^L.
     """
     if L < 1:
         raise ValueError("need at least one level")
     if L > chain.levels:
         raise ValueError(f"L={L} exceeds chain depth {chain.levels}")
-    lifted = lift_chain_to_ring_code(chain, L)
-    return LatticeDescriptor(
-        "D", chain.N, [lifted], crt=CrtMap([chain.p**L]), chain=chain, levels=L
-    )
+    codes = _levels([lift_chain_to_ring_code(chain, L)])
+    return LatticeDescriptor("D", chain.N, codes, chain=chain, levels=L)
 
 
 def construction_pi_a(codes) -> LatticeDescriptor:
-    """CRT-combined lattice from codes over distinct prime fields."""
-    codes = list(codes)
-    if not codes:
-        raise ValueError("need at least one code")
-    primes = []
+    """CRT-combined lattice from codes over distinct prime fields: pi_D
+    with every exponent 1."""
+    codes = _levels(codes)
     for c in codes:
-        if not isinstance(c.alphabet, PrimeField):
+        if c.alphabet.e != 1:
             raise ValueError("every level must be a prime-field code")
-        primes.append(c.alphabet.p)
-    if len(set(primes)) != len(primes):
-        raise ValueError(f"primes must be distinct, got {primes}")
-    if len({c.N for c in codes}) != 1:
-        raise ValueError("levels have unequal block lengths")
-    return LatticeDescriptor("piA", codes[0].N, codes, crt=CrtMap(primes))
+    return LatticeDescriptor("piA", codes[0].N, codes)
 
 
 def construction_pi_d(q: int, codes) -> LatticeDescriptor:
     """CRT-combined lattice from chain-ring codes, one per prime-power
     factor of q (codes listed in ascending prime order)."""
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    codes = list(codes)
-    factors = factorize(q)
-    if len(codes) != len(factors):
-        raise ValueError(f"q={q} has {len(factors)} prime-power factors, got {len(codes)} codes")
-    for c, (p, e) in zip(codes, factors):
-        A = c.alphabet
-        ok = (isinstance(A, PrimeField) and e == 1 and A.p == p) or (
-            isinstance(A, ChainRing) and (A.p, A.e) == (p, e)
-        )
-        if not ok:
-            raise ValueError(f"code alphabet {A!r} does not match factor {p}^{e}")
-    if len({c.N for c in codes}) != 1:
-        raise ValueError("levels have unequal block lengths")
-    return LatticeDescriptor("piD", codes[0].N, codes, crt=CrtMap([p**e for p, e in factors]))
+    codes = _levels(codes)
+    factors = [(c.alphabet.p, c.alphabet.e) for c in codes]
+    if factors != factorize(q):
+        raise ValueError(f"code alphabets {factors} do not match the factors {factorize(q)} of q={q}")
+    return LatticeDescriptor("piD", codes[0].N, codes)
 
 
 def construction_a_ok(code: LinearCode, ideal: PrimeIdeal) -> LatticeDescriptor:

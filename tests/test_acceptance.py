@@ -27,10 +27,8 @@ from latcf.cfsim import (
     SimConfig,
     SourceState,
     best_coefficients,
-    combined_message,
     decode_function,
     encode_source,
-    function_coefficients,
     make_pair,
     mmse_alpha,
     multistage_roundtrip,
@@ -52,6 +50,7 @@ from latcf.lattices import (
     contains,
     enumerate_box,
 )
+from relay_functions import combined_message, function_coefficients
 
 
 def _report(num, label, ok, t0, budget, detail=""):

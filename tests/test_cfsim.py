@@ -10,12 +10,9 @@ from latcf.cfsim import (
     SimConfig,
     SourceState,
     best_coefficients,
-    combined_message,
     computation_rate,
     decode_function,
     encode_source,
-    function_coefficients,
-    function_decoded,
     make_pair,
     mmse_alpha,
     multistage_roundtrip,
@@ -30,6 +27,7 @@ from latcf.lattices import (
     construction_pi_a,
     mod_coarse,
 )
+from relay_functions import function_decoded
 
 REP2 = LinearCode(PrimeField(2), [[1, 1]])
 REP3 = LinearCode(PrimeField(3), [[1, 1]])

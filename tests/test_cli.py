@@ -412,6 +412,16 @@ def test_simulate_mid_run_refusal_names_the_trial_and_relay(tmp_path, capsys):
         "error: simulation: trial 4, relay 1: relay coefficient vector is zero\n")
 
 
+def test_simulate_noiseless_rate_refusal_names_the_trial_and_relay(tmp_path, capsys):
+    # 1 + P|h|^2 overflows at the first relay's rate
+    H = [[[1, 0], [2, 0]], [[3, 0], [1, 0]]]
+    cfg = _write(tmp_path, "c.json", _sim_config(P=1e308, fixed_H=H, noiseless=True))
+    code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: simulation: trial 0, relay 0: h and P must be finite\n")
+
+
 # ---------------------------------------------------------------------------
 # descriptor round-trips
 # ---------------------------------------------------------------------------

@@ -251,7 +251,6 @@ ALPHABETS = {
     "GF4": GaloisField(2, 2, reduction=(1, 1)),
     "GF9": GaloisField(3, 2, reduction=(1, 1)),
     "GF49": GaloisField(7, 2, reduction=(3, 0)),
-    "GaloisField(3)": GaloisField(3),
 }
 
 

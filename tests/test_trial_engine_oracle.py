@@ -26,7 +26,6 @@ from latcf.cfsim import (
     _coeffs_to_complex,
     computation_rate,
     encode_source,
-    function_coefficients,
     make_pair,
     run_trials,
 )
@@ -40,6 +39,7 @@ from latcf.lattices import (
     mod_coarse,
     quantize,
 )
+from relay_functions import function_coefficients
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
@@ -198,7 +198,10 @@ def _one_trial(config: SimConfig, seed: int, trial: int, searched):
         h = H[m]
         if config.noiseless:
             a = tuple(int(x) for x in np.round(h.real))
-            rate = computation_rate(h, a, P) if any(a) else 0.0
+            try:
+                rate = computation_rate(h, a, P) if any(a) else 0.0
+            except ValueError as exc:  # located as a search's refusal is
+                raise ValueError(f"trial {trial}, relay {m}: {exc}") from None
         elif searched is not None:
             a, rate, _ = searched[m]
         else:
@@ -368,6 +371,16 @@ def test_zero_coefficient_vector_raises_as_the_oracle(tmp_path):
     assert len(errors) > 1
     for error in errors:
         assert re.fullmatch(r"ValueError: trial \d+, relay \d+: relay coefficient vector is zero", error), error
+
+
+def test_noiseless_rate_refusal_names_the_trial_and_relay(tmp_path):
+    # 1 + P|h|^2 overflows: computation_rate's refusal, located as a search's
+    config = replace(_config(LATTICES["piA"], 2, 2, "noiseless", P=1e308),
+                     fixed_H=np.array([[1, 2], [3, 1]]) + 0j)
+    want = "trial 0, relay 0: h and P must be finite"
+    assert _assert_same(config, 2, 0, tmp_path) == f"ValueError: {want}"
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        run_trials(config, 1, seed=0)
 
 
 def test_search_refusal_raises_as_the_oracle(tmp_path, monkeypatch):
