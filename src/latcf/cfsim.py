@@ -14,25 +14,23 @@ known at the relays and does not count as noise.
 `run_trials` runs in two phases over chunks of trials.  Phase 1 makes
 each trial's random draws, and nothing else, exactly as its own generator
 default_rng([seed, trial]) makes them: H, the messages per source, level
-and real part, the dithers, then Z (`seeding.trial_draws`).  The
-generators are seeded by one vectorised SeedSequence pass over the
-chunk's trials; H and Z are numpy's standard_normal calls, and the
-messages and dithers come from one random_raw call per trial, decoded
-over the chunk as numpy's integers and random decode them (a trial with
-a Lemire rejection is redrawn through those calls).  Phase 2 does the
-arithmetic of the whole chunk in numpy:
-encoding and CRT, the channel, the relays' scaling and reduction, the
-relays' scalars of (h, a, P) (alpha, the analytic noise variance, the
-zero-divisor flag), one `quantize` over every (trial, relay, real part)
-row, and the decode check.  The coefficient search takes the chunk's
-relays at once (`_search_rows`): per relay, in trial order, its checks
-and walk, then numpy's abs and log2 once over every relay's vectors, and
-per relay its exact re-rank and tie rule.  Per relay stay the np.vdot
-calls of alpha and abs(alpha)**2, once per relay under a fixed H.  `quantize`
-bounds the memory of its own passes, and a chunk is one pass of relay
-rows (`rows_per_pass`), so memory does not grow with the trial count.
-Every element goes through the same floating-point operations, in the
-same order, as a trial run alone: the records are a function of
+and real part, the dithers, then Z (`seeding.trial_draws`: one
+vectorised SeedSequence pass, numpy's standard_normal for H and Z, one
+random_raw call per trial decoded as numpy's integers and random decode
+it, and a trial with a Lemire rejection redrawn through those calls).
+Phase 2 does the chunk's arithmetic in numpy: encoding and CRT, the
+channel, the relays' scaling and reduction, the relays' scalars of
+(h, a, P) (alpha, the analytic noise variance, the zero-divisor flag),
+one `quantize` over every (trial, relay, real part) row, and the decode
+check.  The coefficient search takes the chunk's relays at once
+(`_search_rows`): per relay, in trial order, its checks, O(K)
+factorization and half walk, then numpy's abs and log2 once over every
+relay's vectors, and per relay its exact re-rank and tie rule.  alpha
+reuses the search's 1 + P|h|^2; its np.vdot and abs(alpha)**2 stay per
+relay (once per relay under a fixed H).  A chunk is one `quantize` pass
+of relay rows (`rows_per_pass`), so memory does not grow with the trial
+count.  Every element goes through the same floating-point operations,
+in the same order, as a trial run alone: the records are a function of
 (config, seed) only, whatever the chunking.
 
 The engine and the per-relay functions share one body per decode step:
@@ -45,7 +43,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -120,26 +117,24 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     a QuadraticRing with d < 0, such as QuadraticRing(-1) for the
     Gaussian integers.  The search is exact.  It enumerates the ellipsoid
     Q(a) = |a|^2 - P|sum_k a_k conj(h_k)|^2/(1+P|h|^2) < 1, where the
-    rate is -log2 Q, over the integer coordinates of a (Schnorr-Euchner
-    order), and refuses with "search space too large" once it visits
-    more than _SEARCH_HARD_CAP (5e6) nodes.  Among the K-tuples of ring
-    elements whose norms sum to at most the bound, those within 1e-9 of
-    the best filter rate are re-ranked by (-rate, norm, per component
-    x + y*xi (|x|, x < 0, |y|, y < 0)), with the rate recomputed
-    exactly.  So when every rate is 0 the norm decides.  Over O_K the
-    associates of a vector (a and i*a over Z[i]) have the same true rate,
-    so the last bit of their exact rates decides between them.
+    rate is -log2 Q, over the integer coordinates of a in Schnorr-Euchner
+    order, Q factored in O(K).  As Q(-a) = Q(a) bit for bit it walks one
+    of each pair +-a (the other associates' Q differ in the last bit),
+    and refuses with "search space too large" past _SEARCH_HARD_CAP (5e6)
+    nodes of that half walk.  Of the vectors within 1e-9 of the best
+    filter rate, the least (-rate, norm, per component x + y*xi (|x|,
+    x < 0, |y|, y < 0)) wins, with the rate recomputed exactly: when
+    every rate is 0 the norm decides, and over O_K the last bit of the
+    exact rates decides between associates (a and i*a over Z[i]).
 
-    The rate bits are fixed by this arithmetic.  The filter rate grows
-    cross = sum_k a_k conj(h_k) one component at a time from 0j: in
-    Python complex arithmetic over Z, from numpy's array products
-    a_k conj(h_k) over O_K (numpy fuses a multiply-add there,
-    Python does not).  It takes numpy's array abs and log2 and does the
-    rest in Python floats: the 1e-300 floor, max(0, r) keeping r = -0.0
-    as np.maximum does, the 1e-15 test for +inf and the 1e-9 filter.
-    The exact rate is the numpy matrix product a @ conj(h), then the
-    same steps, over Z; over O_K it is computation_rate's arithmetic
-    (numpy's vdot and its scalar abs and power).
+    The filter grows cross = sum_k a_k conj(h_k) one component at a time
+    from 0j: in Python complex arithmetic over Z, from numpy's array
+    products over O_K (numpy fuses a multiply-add there).  Then numpy's
+    array abs and log2, and in Python floats the 1e-300 floor, max(0, r)
+    keeping r = -0.0 as np.maximum does, the 1e-15 test for +inf and the
+    1e-9 filter.  The exact rate is the matrix product a @ conj(h), then
+    the same steps, over Z; over O_K computation_rate's arithmetic
+    (numpy's vdot and its scalar abs and power).  These fix the bits.
     If max_norm_cap trims the bound the result is flagged truncated.
     Non-finite h or P, and P|h|^2 so large (about 1e15) that Q is no
     longer positive definite in floating point, raise ValueError.
@@ -156,17 +151,18 @@ class _RowError(ValueError):
         self.row = row
 
 
-def _search_rows(H, P, ring, max_norm_cap):
+def _search_rows(H, P, ring, max_norm_cap, dens=None):
     """best_coefficients of each row h of the complex R x K array H, bit
     for bit.
 
-    Per row, in order: the checks, the walk and the filter's cross, so a
-    row's refusal (a _RowError naming the row) comes after every earlier
-    row's.  Once over all rows: numpy's abs and log2 of the filter and,
-    over Z, of the re-rank (elementwise, so batching keeps the bits).  Per
-    row: the re-rank's matmul over exactly the row's near vectors over Z
-    (BLAS's bits depend on the row count), _exact_rate over O_K, and the
-    tie rule."""
+    Per row, in order: the checks, the walk and the filter's cross of
+    each pair +-v, so a row's refusal (a _RowError naming the row) comes
+    after every earlier row's.  Once over all rows: numpy's abs and log2
+    of the filter and, over Z, of the re-rank (elementwise, so batching
+    keeps the bits).  Per row: the re-rank's matmul over exactly its near
+    vectors, -v too, over Z (BLAS's bits differ for a lone row),
+    _exact_rate per pair over O_K, and the tie rule.  A list dens gets
+    each row's 1 + P|h|^2."""
     Hc = np.conj(H)
     hl, hcl = H.tolist(), Hc.tolist()
     rows = []  # h, what the re-rank keeps, den, truncated, leaves, norms
@@ -200,16 +196,17 @@ def _search_rows(H, P, ring, max_norm_cap):
             points, norms = zip(*_ellipsoid_points(hl[r], P / d, bound, margin, t, u, xi))
         except ValueError as exc:
             raise _RowError(str(exc), r) from None
-        # the filter's cross, grown one component at a time from 0j
+        # the filter's cross of v (-v's negates it), one component at a time
+        half = points[0::2]
         if xi is None:
             keep, terms = Hc[r], hcl[r]
-            for v in points:
+            for v in half:
                 c = 0j
                 for x, hk in zip(v, terms):
                     c = c + x * hk
                 cross.append(c)
         else:
-            xy = np.array(points, dtype=np.int64)
+            xy = np.array(half, dtype=np.int64)
             keep = xy[:, 0::2] + xy[:, 1::2] * xi
             for terms in (keep * Hc[r]).tolist():
                 c = 0j
@@ -217,46 +214,48 @@ def _search_rows(H, P, ring, max_norm_cap):
                     c = c + term
                 cross.append(c)
         rows.append((h, keep, d, truncated, points, norms))
-        n2 += norms
-        den += [d] * len(norms)
+        n2 += norms[0::2]
+        den += [d] * len(half)
+        if dens is not None:
+            dens.append(d)
 
-    # the filter, then the exact re-rank of the vectors it keeps
+    # the filter, then the exact re-rank of the pairs it keeps
     rates = _rates(cross, n2, P, den)
     exact, n2, den, nears, end = [], [], [], [], 0  # over Z, crosses until _rates
     for h, keep, d, _, points, norms in rows:
-        near = _near(rates[end:end + len(points)])
-        end += len(points)
+        row = rates[end:end + len(norms) // 2]
+        end, top = end + len(row), max(row) - 1e-9
+        near = [j for j, rate in enumerate(row) if rate >= top]
         nears.append(near)
-        if xi is None:
-            exact += (np.array([points[i] for i in near], dtype=float) @ keep).tolist()
-            n2 += [norms[i] for i in near]
+        if xi is None:  # both of each pair: BLAS's bits differ for a lone row
+            rerank = np.array([points[i] for j in near for i in (2 * j, 2 * j + 1)], dtype=float)
+            exact += (rerank @ keep).tolist()[0::2]
+            n2 += [norms[2 * j] for j in near]
             den += [d] * len(near)
         else:
-            exact += [_exact_rate(h, keep[i], P, d) for i in near]
+            exact += [_exact_rate(h, keep[j], P, d) for j in near]
     if xi is None:
         exact = _rates(exact, n2, P, den)
 
     # the tie rule among each row's best rates: least norm, then per
     # coordinate (|x|, x < 0), which orders components as (|x|, x < 0,
-    # |y|, y < 0)
+    # |y|, y < 0); of one pair, the v with a positive first nonzero x
     found, end = [], 0
     for (_, _, _, truncated, points, norms), near in zip(rows, nears):
         rates = exact[end:end + len(near)]
         end += len(near)
         top = max(rates)
-        tied = [(i, r) for i, r in zip(near, rates) if r == top]
-        best, rate = tied[0] if len(tied) == 1 else min(
-            tied, key=lambda ir: (norms[ir[0]], tuple((abs(x), x < 0) for x in points[ir[0]])))
+        tied = [(2 * j, r) for j, r in zip(near, rates) if r == top]
+        if len(tied) == 1:
+            best, rate = tied[0]
+            best += next(x for x in points[best] if x) < 0
+        else:
+            best, rate = min(((i + s, r) for i, r in tied for s in (0, 1)), key=lambda ir: (
+                norms[ir[0]], tuple((abs(x), x < 0) for x in points[ir[0]])))
         v = points[best]
         a = v if xi is None else tuple(map(ring.element, v[0::2], v[1::2]))
         found.append(BestCoefficients(a, rate, truncated))
     return found
-
-
-def _near(rates):
-    """Indices of the rates within 1e-9 of the best."""
-    top = max(rates) - 1e-9
-    return [i for i, r in enumerate(rates) if r >= top]
 
 
 def _rates(cross, n2, P, den):
@@ -277,7 +276,7 @@ def _rates(cross, n2, P, den):
 def _ellipsoid_points(h, c, bound, margin, t, u, xi):
     """(integer coordinates, norm) of the nonzero coefficient vectors
     with norm <= bound whose Q = norm - c|sum_k a_k conj(h_k)|^2 is
-    within a factor 1 + margin of the least.
+    within a factor 1 + margin of the least, in mirror pairs v, -v.
 
     That holds every vector the 1e-9 rate filter can keep, the rate-0
     case included: when no vector has rate > 1e-9, P|h|^2 < 1, so the
@@ -285,44 +284,27 @@ def _ellipsoid_points(h, c, bound, margin, t, u, xi):
     least (> 1 - 1e-9) and 1, inside the margin.
 
     Z has one coordinate x per component; a quadratic ring has (x, y),
-    a = x + y*xi, interleaved.  Q is the real quadratic form G of those
-    coordinates, factored G = R^T diag(D) R with R unit upper
-    triangular, and enumerated depth first from the last coordinate,
-    each level in Schnorr-Euchner (zig-zag) order from its centre,
-    inside the interval the norm bound leaves for that coordinate.
+    a = x + y*xi, interleaved.  Q (_factor) is enumerated depth first
+    from the last coordinate, each level in Schnorr-Euchner (zig-zag)
+    order from its centre (O(1) from running sums), inside the interval
+    the norm bound leaves.  Q(-v) = Q(v) bit for bit, so a level whose
+    higher coordinates are all 0 (centre +-0, symmetric interval) counts
+    x = 0, 1, 2, ... up (Q grows with x, so the radius ends it), and a
+    leaf brings its mirror: _SEARCH_HARD_CAP counts this half walk.
     """
-    basis = (1.0,) if xi is None else (1.0, xi)
-    m = len(basis)
-    g = [hk.conjugate() * b for hk in h for b in basis]
-    n = len(g)
-    G = [[-c * (a.real * b.real + a.imag * b.imag) for b in g] for a in g]
-    for k in range(0, n, m):
-        G[k][k] += 1.0
-        if m == 2:
-            G[k][k + 1] += t / 2
-            G[k + 1][k] += t / 2
-            G[k + 1][k + 1] -= u
-    D = []
-    R = []  # R[i] = row i of R right of the diagonal
-    for i in range(n):
-        col = [R[k][i - k - 1] for k in range(i)]
-        Di = G[i][i] - sum([D[k] * col[k] * col[k] for k in range(i)])
-        if not Di > 0:
-            # G's least eigenvalue is about 1/(1 + P|h|^2)
-            raise ValueError("P*|h|^2 too large for an exact coefficient search")
-        D.append(Di)
-        R.append([
-            (G[i][j] - sum([D[k] * col[k] * R[k][j - k - 1] for k in range(i)])) / Di
-            for j in range(i + 1, n)
-        ])
+    m = 1 if xi is None else 2
+    D, rin, rho0, rho1, wu, wv = _factor(h, c, t, u, xi)
+    n = len(D)
     e = -u - t * t / 4  # norm(x + y*xi) = (x + t*y/2)^2 + e*y^2
 
     z = [0] * (n + 1)  # z[n] = 0 is the y of Z's top level
+    s0 = [0.0] * (n + 1)  # s[i] = sum_{j > i} w_j z_j
+    s1 = [0.0] * (n + 1)
     centre = [0.0] * n
-    step = [0] * n
+    step = [0] * (n + 1)  # 0 (and step[n]): a level counting up from 0
     lo = [0] * n  # the norm bound's interval for z[i]
     hi = [0] * n
-    zlo = [0] * n  # every zig-zag value beyond these is outside [lo, hi]
+    zlo = [0] * n  # every later sibling is outside [lo, hi]
     zhi = [0] * n
     dist = [0.0] * (n + 1)  # Q of the levels above
     norm = [0] * (n + 1)  # norm of the components above
@@ -334,21 +316,24 @@ def _ellipsoid_points(h, c, bound, margin, t, u, xi):
     while True:
         if down:  # enter level i - 1 at the admissible value nearest its centre
             i -= 1
-            ce = -sum(map(mul, R[i], z[i + 1:n]))
+            y = z[i + 1]
+            ce = -(rin[i] * y + (rho0[i] * s0[i + 1] + rho1[i] * s1[i + 1]))
+            s0[i] = s0[i + 1] + wu[i + 1] * y
+            s1[i] = s1[i + 1] + wv[i + 1] * y
             rem = bound - norm[i + 1]
             if i % m:
                 cn, w = 0.0, sqrt(rem / e)
             else:
-                y = z[i + 1]
                 cn, w2 = -t * y / 2, rem - e * y * y
                 w = sqrt(w2) if w2 > 0 else 0.0
             bot, top = floor(cn - w), ceil(cn + w)
-            x = round(ce)
-            x = bot if x < bot else top if x > top else x
-            r = top - x if top - x > x - bot else x - bot
-            lo[i], hi[i], zlo[i], zhi[i] = bot, top, x - r, x + r
-            centre[i], z[i] = ce, x
-            step[i] = 1 if ce >= x else -1
+            x, r, step[i] = 0, top, 0  # all above 0: count up over [-top, top]
+            if step[i + 1] or y:
+                x = round(ce)
+                x = bot if x < bot else top if x > top else x
+                r = top - x if top - x > x - bot else x - bot
+                step[i] = 1 if ce >= x else -1
+            lo[i], hi[i], zlo[i], zhi[i], centre[i], z[i] = bot, top, x - r, x + r, ce, x
             down = False
         nodes += 1
         if nodes > budget:
@@ -371,12 +356,51 @@ def _ellipsoid_points(h, c, bound, margin, t, u, xi):
                     down = True
                     continue
                 if nr:
-                    leaves.append((q, tuple(z[:n]), nr))
+                    v = z[:n]
+                    leaves.append((q, tuple(v), tuple([-x for x in v]), nr))
                     radius = min(radius, q * (1 + margin))
-        s = step[i]  # next sibling, in zig-zag order from the centre
-        z[i] += s
-        step[i] = -s - 1 if s > 0 else 1 - s
-    return [(v, nr) for q, v, nr in leaves if q <= radius]
+        s = step[i]  # next sibling: zig-zag from the centre, or up from 0
+        z[i] += s or 1
+        if s:
+            step[i] = -s - 1 if s > 0 else 1 - s
+    return [pt for q, v, mirror, nr in leaves if q <= radius for pt in ((v, nr), (mirror, nr))]
+
+
+def _factor(h, c, t, u, xi):
+    """Q = sum_i D_i (z_i + sum_{j>i} R_ij z_j)^2 in O(K).  G is the norm
+    form, blocks [1] (Z) or [[1, t/2], [t/2, -u]], minus W^T (cI) W, with
+    w_j = g_j = conj(h_k)(1, xi) as (re, im).  Eliminating a block leaves
+    that shape, C += (C w)(C w)^T / D per pivot, so R_ij = rho_i . w_j past
+    i's block.  Returns D, rin (R_i,i+1, 0 at the top), rho0, rho1, and wu,
+    wv (0 at level n)."""
+    m = 1 if xi is None else 2
+    g = [hk.conjugate() * b for hk in h for b in (1.0, xi)[:m]]
+    wu, wv = [a.real for a in g], [a.imag for a in g]
+    D, rin, rho0, rho1 = [], [], [], []
+    c00, c01, c11 = c, 0.0, c
+    for k in range(0, len(g), m):
+        ux, vx = wu[k], wv[k]
+        if k:
+            rin.append(rho0[-1] * ux + rho1[-1] * vx)
+        p0, p1 = c00 * ux + c01 * vx, c01 * ux + c11 * vx  # C w_x
+        dx = 1.0 - (ux * p0 + vx * p1)
+        pivots = [(dx, p0, p1)]
+        if m == 2 and dx > 0:  # y, with x's pivot taken out of its row (dx <= 0 refuses below)
+            uy, vy = wu[k + 1], wv[k + 1]
+            q0, q1 = c00 * uy + c01 * vy, c01 * uy + c11 * vy  # C w_y
+            sxy = t / 2 - (uy * p0 + vy * p1)
+            r = sxy / dx
+            rin.append(r)
+            pivots.append(((-u - (uy * q0 + vy * q1)) - r * sxy, q0 - r * p0, q1 - r * p1))
+        for di, a0, a1 in pivots:
+            if not di > 0:
+                # G's least eigenvalue is about 1/(1 + P|h|^2)
+                raise ValueError("P*|h|^2 too large for an exact coefficient search")
+            D.append(di)
+            rho0.append(-a0 / di)
+            rho1.append(-a1 / di)
+            c00, c01, c11 = c00 + a0 * a0 / di, c01 + a0 * a1 / di, c11 + a1 * a1 / di
+    return D, rin + [0.0], rho0, rho1, wu + [0.0], wv + [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -449,14 +473,14 @@ def relay_process(y, a, dithers, h, P, pair: LatticePair, alpha_mode="mmse") -> 
     return RelayOutput(mod_coarse(pair, y_prime), alpha, noise_var[0])
 
 
-def _alphas_and_variances(H, av, P, alpha_mode):
+def _alphas_and_variances(H, av, P, alpha_mode, dens=None):
     """Each relay's scaling alpha and the analytic variance of its
     effective noise, for the rows h of H and a of av (R x K), both
-    functions of (h, a, P) only.  np.vdot (its bits are BLAS's) and
-    abs(alpha)**2 (Python's hypot and pow) run per row, the rest over all
-    rows at once."""
+    functions of (h, a, P) only, given each row's 1 + P|h|^2 in dens or
+    not.  np.vdot (its bits are BLAS's) and abs(alpha)**2 (Python's hypot
+    and pow) run per row, the rest over all rows at once."""
     if alpha_mode == "mmse":
-        den = np.array([_rate_denominator(h, P) for h in H])
+        den = np.array(dens if dens is not None else [_rate_denominator(h, P) for h in H])
         alpha = P * np.array([np.vdot(h, v) for h, v in zip(H, av)]) / den
     elif alpha_mode == "unit":
         alpha = np.full(len(H), 1.0 + 0.0j)
@@ -601,19 +625,14 @@ def run_trials(config: SimConfig, trials: int, seed: int):
     index is one 32-bit seed word; both are checked before any work.
 
     Trials run in chunks of _chunk_trials(config), one quantize pass of
-    relay rows each.  A chunk takes the seed's words and its trial range
-    alone, and runs in two phases: the draws of every trial of the chunk,
-    in the order H, messages (per source, level, real part), dithers, Z;
-    then the chunk's arithmetic in numpy.  The coefficient search runs
+    relay rows each, that take the seed's words and their trial range
+    alone (the module docstring has the two phases).  The search runs
     once over the chunk's relays (once over the relays before the first
     trial under a fixed channel), walking each relay in trial order; a
     noiseless relay's rounded vector is checked nonzero instead.  So
     errors come in trial order, and a relay's refusal names its trial and
-    relay ("trial 3, relay 1: ...", trial 0 under a fixed channel).
-    alpha, the analytic noise variance and the zero-divisor flag take one
-    numpy pass over the chunk's relays; only their np.vdot calls and
-    abs(alpha)**2 stay per relay.  The records do not depend on the
-    chunking.
+    relay ("trial 3, relay 1: ...", trial 0 under a fixed channel).  The
+    records do not depend on the chunking.
     """
     words = seed_words(seed)
     _check_config(config)
@@ -678,6 +697,7 @@ def _relay_scalars(config: SimConfig, H, first=0) -> _Relays:
     comes before any later relay's.  The rest takes _alphas_and_variances
     and one numpy pass over all relays."""
     P, M = config.P, config.M
+    dens = []  # each searched relay's 1 + P|h|^2
     try:
         if config.noiseless:
             coeffs, rates = [], []
@@ -691,11 +711,11 @@ def _relay_scalars(config: SimConfig, H, first=0) -> _Relays:
                     raise _RowError(str(exc), r) from None
                 coeffs.append(a)
         else:
-            coeffs, rates, _ = zip(*_search_rows(H, P, "Z", config.max_norm_cap))
+            coeffs, rates, _ = zip(*_search_rows(H, P, "Z", config.max_norm_cap, dens))
     except _RowError as exc:
         raise ValueError(f"trial {first + exc.row // M}, relay {exc.row % M}: {exc}") from None
     a = np.array(coeffs, dtype=np.int64).reshape(len(H), config.K)
-    alpha, noise_var = _alphas_and_variances(H, a.astype(complex), P, config.alpha_mode)
+    alpha, noise_var = _alphas_and_variances(H, a.astype(complex), P, config.alpha_mode, dens or None)
     fine = config.pair.fine
     zflag = np.zeros(len(H), dtype=np.int64)
     for code, m in zip(fine.codes, fine.moduli):

@@ -48,7 +48,6 @@ import numpy as np
 
 from .algebra import (
     ChainRing,
-    PrimeField,
     factor_rational_prime,
     make_quadratic_ring,
     residue_field_map,
@@ -152,7 +151,7 @@ def _code_from_json(doc, where, alphabet=None):
         raise SchemaError(f"{where}.rows: expected {n * N} entries, got {len(rows)}")
     if alphabet is None:
         try:
-            alphabet = PrimeField(p) if e == 1 else ChainRing(p, e)
+            alphabet = ChainRing(p, e)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
     return LinearCode(alphabet, [rows[i * N:(i + 1) * N] for i in range(n)], N=N)

@@ -39,7 +39,6 @@ from latcf.lattices import (
     construction_a,
     construction_a_ok,
     construction_d,
-    construction_pi_a,
     construction_pi_d,
     contains,
     enumerate_box,

@@ -104,7 +104,7 @@ def test_search_rows_match_each_row_alone(ring):
 
 def test_search_rows_refuse_in_row_order(monkeypatch):
     # a later row's node-budget refusal waits for an earlier row's refusal
-    monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 10)  # small walks 8 nodes, big 14
+    monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 8)  # small walks 7 nodes, big 10
     big = np.array([0.3 + 0.8j, -1.1 + 0.2j, 0.5 - 0.4j])
     small = np.array([1.0, 0.0, 0.0]) + 0j
     assert _batched(np.array([small, big]), 64.0, "Z", None) == (1, "search space too large; lower max_norm_cap")

@@ -384,7 +384,7 @@ def test_noiseless_rate_refusal_names_the_trial_and_relay(tmp_path):
 
 
 def test_search_refusal_raises_as_the_oracle(tmp_path, monkeypatch):
-    monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 25)  # a search visiting more nodes refuses
+    monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 15)  # a search visiting more nodes refuses
     config = _config(LATTICES["piA"], 3, 2, "random", P=64.0)
     outcomes = [_assert_same(config, 3, seed, tmp_path) for seed in SEEDS]
     refused = [o for o in outcomes if not isinstance(o, bytes)]
@@ -481,7 +481,7 @@ def test_relay_process_and_mmse_alpha_match_the_oracle(alpha_mode):
 def test_an_earlier_relays_refusal_raises_before_a_later_relays(tmp_path, monkeypatch):
     # the walks of a chunk's relays run in relay order before any tail, so
     # the first relay to refuse is the one reported, batch or no batch
-    monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 25)  # a search visiting more nodes refuses
+    monkeypatch.setattr(cfsim, "_SEARCH_HARD_CAP", 15)  # a search visiting more nodes refuses
     config = _config(LATTICES["piA"], 3, 2, "random", P=64.0)
     walk = cfsim._ellipsoid_points
     calls = []
