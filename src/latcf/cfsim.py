@@ -23,15 +23,17 @@ channel, the relays' scaling and reduction, the relays' scalars of
 (h, a, P) (alpha, the analytic noise variance, the zero-divisor flag),
 one `quantize` over every (trial, relay, real part) row, and the decode
 check.  The coefficient search takes the chunk's relays at once
-(`_search_rows`): per relay, in trial order, its checks, O(K)
-factorization and half walk, then numpy's abs and log2 once over every
-relay's vectors, and per relay its exact re-rank and tie rule.  alpha
-reuses the search's 1 + P|h|^2; its np.vdot and abs(alpha)**2 stay per
-relay (once per relay under a fixed H).  A chunk is one `quantize` pass
-of relay rows (`rows_per_pass`), so memory does not grow with the trial
-count.  Every element goes through the same floating-point operations,
-in the same order, as a trial run alone: the records are a function of
-(config, seed) only, whatever the chunking.
+(`_search_rows`): P and the ring checked once, then per relay, in trial
+order, its checks, O(K) factorization, half walk and the filter's
+Python complex cross, then numpy's abs and log2 once over every relay's
+vectors, and per relay its exact re-rank and the one tie rule.  alpha
+reuses each relay's one 1 + P|h|^2, searched or noiseless; its np.vdot
+and abs(alpha)**2 stay per relay (once per relay under a fixed H).  A
+chunk is one `quantize` pass of relay rows (`rows_per_pass`), so memory
+does not grow with the trial count.  Every element goes through the
+same floating-point operations, in the same order, as a trial run
+alone: the records are a function of (config, seed) only, whatever the
+chunking.
 
 The engine and the per-relay functions share one body per decode step:
 `_crt_points`, `_function_point` (sum_k a_k t_k mod q), `_decoded_points`
@@ -128,16 +130,16 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     exact rates decides between associates (a and i*a over Z[i]).
 
     The filter grows cross = sum_k a_k conj(h_k) one component at a time
-    from 0j: in Python complex arithmetic over Z, from numpy's array
-    products over O_K (numpy fuses a multiply-add there).  Then numpy's
-    array abs and log2, and in Python floats the 1e-300 floor, max(0, r)
-    keeping r = -0.0 as np.maximum does, the 1e-15 test for +inf and the
-    1e-9 filter.  The exact rate is the matrix product a @ conj(h), then
-    the same steps, over Z; over O_K computation_rate's arithmetic
-    (numpy's vdot and its scalar abs and power).  These fix the bits.
-    If max_norm_cap trims the bound the result is flagged truncated.
-    Non-finite h or P, and P|h|^2 so large (about 1e15) that Q is no
-    longer positive definite in floating point, raise ValueError.
+    from 0j in Python complex arithmetic, a_k = x over Z, x + y*xi over
+    O_K.  Then numpy's array abs and log2, and in Python floats the
+    1e-300 floor, max(0, r) keeping r = -0.0 as np.maximum does, the
+    1e-15 test for +inf and the 1e-9 filter.  The exact rate is the
+    matrix product a @ conj(h), then the same steps, over Z; over O_K
+    computation_rate's arithmetic (numpy's vdot and its scalar abs and
+    power).  These fix the bits.  If max_norm_cap trims the bound the
+    result is flagged truncated.  P <= 0 or another ring raise ValueError
+    before h is read; then a zero or non-finite h, a non-finite P, and
+    P|h|^2 so large (about 1e15) that Q is no longer positive definite.
     """
     return _search_rows(np.asarray(h, dtype=complex)[None], P, ring, max_norm_cap)[0]
 
@@ -155,39 +157,39 @@ def _search_rows(H, P, ring, max_norm_cap, dens=None):
     """best_coefficients of each row h of the complex R x K array H, bit
     for bit.
 
-    Per row, in order: the checks, the walk and the filter's cross of
-    each pair +-v, so a row's refusal (a _RowError naming the row) comes
-    after every earlier row's.  Once over all rows: numpy's abs and log2
-    of the filter and, over Z, of the re-rank (elementwise, so batching
-    keeps the bits).  Per row: the re-rank's matmul over exactly its near
-    vectors, -v too, over Z (BLAS's bits differ for a lone row),
-    _exact_rate per pair over O_K, and the tie rule.  A list dens gets
-    each row's 1 + P|h|^2."""
+    The call's checks (P > 0, the ring) come first.  Then per row, in
+    order: its checks, the walk and the filter's cross of each pair +-v,
+    so a row's refusal (a _RowError naming the row) comes after every
+    earlier row's.  Once over all rows: numpy's abs and log2 of the filter
+    and, over Z, of the re-rank (elementwise, so batching keeps the bits).
+    Per row: the re-rank's matmul over exactly its near vectors, -v too,
+    over Z (BLAS's bits differ for a lone row), _exact_rate per pair over
+    O_K, and the tie rule.  A list dens gets each row's 1 + P|h|^2."""
+    if P <= 0:
+        raise ValueError("P must be positive")
+    if ring == "Z":
+        t, u, xi = 0, 0, None
+    elif not isinstance(ring, QuadraticRing):
+        raise ValueError(f"unsupported coefficient ring {ring!r}")
+    elif ring.d > 0:
+        raise ValueError("coefficient search needs an imaginary quadratic ring")
+    else:
+        t, u = ring.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
+        xi = ring.xi_numeric
     Hc = np.conj(H)
     hl, hcl = H.tolist(), Hc.tolist()
-    rows = []  # h, what the re-rank keeps, den, truncated, leaves, norms
+    rows = []  # h, den, truncated, leaves, norms, the half's components
     cross, n2, den = [], [], []  # per leaf
     for r, h in enumerate(H):
         try:
             if not any(hl[r]):  # NaN is nonzero, as for numpy
                 raise ValueError("h must be nonzero")
-            if P <= 0:
-                raise ValueError("P must be positive")
             d = _rate_denominator(h, P)
             bound = d
             truncated = False
             if max_norm_cap is not None and bound > max_norm_cap:
                 bound = float(max_norm_cap)
                 truncated = True
-            if ring == "Z":
-                t, u, xi = 0, 0, None
-            elif not isinstance(ring, QuadraticRing):
-                raise ValueError(f"unsupported coefficient ring {ring!r}")
-            elif ring.d > 0:
-                raise ValueError("coefficient search needs an imaginary quadratic ring")
-            else:
-                t, u = ring.xi_sq  # norm(x + y*xi) = x^2 + t*x*y - u*y^2
-                xi = ring.xi_numeric
             if bound < 1:
                 raise ValueError("empty search space; raise max_norm_cap")
             # rounding moves Q by about 1e-16 (1 + P|h|^2) Q; 1e-6 covers
@@ -196,62 +198,50 @@ def _search_rows(H, P, ring, max_norm_cap, dens=None):
             points, norms = zip(*_ellipsoid_points(hl[r], P / d, bound, margin, t, u, xi))
         except ValueError as exc:
             raise _RowError(str(exc), r) from None
-        # the filter's cross of v (-v's negates it), one component at a time
+        # the filter's cross of v (-v's negates it), one component at a time:
+        # x over Z, x + y*xi over O_K
         half = points[0::2]
-        if xi is None:
-            keep, terms = Hc[r], hcl[r]
-            for v in half:
-                c = 0j
-                for x, hk in zip(v, terms):
-                    c = c + x * hk
-                cross.append(c)
-        else:
-            xy = np.array(half, dtype=np.int64)
-            keep = xy[:, 0::2] + xy[:, 1::2] * xi
-            for terms in (keep * Hc[r]).tolist():
-                c = 0j
-                for term in terms:
-                    c = c + term
-                cross.append(c)
-        rows.append((h, keep, d, truncated, points, norms))
+        comps = half if xi is None else [[x + y * xi for x, y in zip(v[0::2], v[1::2])] for v in half]
+        for v in comps:
+            c = 0j
+            for x, hk in zip(v, hcl[r]):
+                c = c + x * hk
+            cross.append(c)
+        rows.append((h, d, truncated, points, norms, comps))
         n2 += norms[0::2]
-        den += [d] * len(half)
+        den += [d] * (len(norms) // 2)
         if dens is not None:
             dens.append(d)
 
     # the filter, then the exact re-rank of the pairs it keeps
     rates = _rates(cross, n2, P, den)
     exact, n2, den, nears, end = [], [], [], [], 0  # over Z, crosses until _rates
-    for h, keep, d, _, points, norms in rows:
+    for (h, d, _, points, norms, comps), hc in zip(rows, Hc):
         row = rates[end:end + len(norms) // 2]
         end, top = end + len(row), max(row) - 1e-9
         near = [j for j, rate in enumerate(row) if rate >= top]
         nears.append(near)
         if xi is None:  # both of each pair: BLAS's bits differ for a lone row
             rerank = np.array([points[i] for j in near for i in (2 * j, 2 * j + 1)], dtype=float)
-            exact += (rerank @ keep).tolist()[0::2]
+            exact += (rerank @ hc).tolist()[0::2]
             n2 += [norms[2 * j] for j in near]
             den += [d] * len(near)
         else:
-            exact += [_exact_rate(h, keep[j], P, d) for j in near]
+            exact += [_exact_rate(h, np.array(comps[j]), P, d) for j in near]
     if xi is None:
         exact = _rates(exact, n2, P, den)
 
-    # the tie rule among each row's best rates: least norm, then per
-    # coordinate (|x|, x < 0), which orders components as (|x|, x < 0,
-    # |y|, y < 0); of one pair, the v with a positive first nonzero x
+    # the tie rule among each row's best rates: of a tied pair +-v, the
+    # greater, whose first nonzero x is positive; then the least norm, then
+    # per coordinate (|x|, x < 0), which orders components as (|x|, x < 0,
+    # |y|, y < 0).  The winner keeps its own exact rate (-0.0 too).
     found, end = [], 0
-    for (_, _, _, truncated, points, norms), near in zip(rows, nears):
+    for (_, _, truncated, points, norms, _), near in zip(rows, nears):
         rates = exact[end:end + len(near)]
         end += len(near)
         top = max(rates)
-        tied = [(2 * j, r) for j, r in zip(near, rates) if r == top]
-        if len(tied) == 1:
-            best, rate = tied[0]
-            best += next(x for x in points[best] if x) < 0
-        else:
-            best, rate = min(((i + s, r) for i, r in tied for s in (0, 1)), key=lambda ir: (
-                norms[ir[0]], tuple((abs(x), x < 0) for x in points[ir[0]])))
+        tied = ((2 * j + (points[2 * j] < points[2 * j + 1]), r) for j, r in zip(near, rates) if r == top)
+        best, rate = min(tied, key=lambda ir: (norms[ir[0]], [(abs(x), x < 0) for x in points[ir[0]]]))
         v = points[best]
         a = v if xi is None else tuple(map(ring.element, v[0::2], v[1::2]))
         found.append(BestCoefficients(a, rate, truncated))
@@ -694,10 +684,11 @@ def _relay_scalars(config: SimConfig, H, first=0) -> _Relays:
     One coefficient search runs over all rows (_search_rows), or under a
     noiseless channel each row rounds h.real and is checked nonzero, in
     relay order: so a relay's refusal, which names its trial and relay,
-    comes before any later relay's.  The rest takes _alphas_and_variances
-    and one numpy pass over all relays."""
+    comes before any later relay's.  Each row's one 1 + P|h|^2 serves its
+    rate and alpha.  The rest takes _alphas_and_variances and one numpy
+    pass over all relays."""
     P, M = config.P, config.M
-    dens = []  # each searched relay's 1 + P|h|^2
+    dens = []  # each relay's 1 + P|h|^2
     try:
         if config.noiseless:
             coeffs, rates = [], []
@@ -706,16 +697,17 @@ def _relay_scalars(config: SimConfig, H, first=0) -> _Relays:
                 if not any(a):
                     raise _RowError("relay coefficient vector is zero", r)
                 try:
-                    rates.append(computation_rate(h, a, P))
+                    dens.append(_rate_denominator(h, P))
                 except ValueError as exc:  # 1 + P|h|^2 overflows
                     raise _RowError(str(exc), r) from None
+                rates.append(_exact_rate(h, np.array(a, dtype=complex), P, dens[-1]))
                 coeffs.append(a)
         else:
             coeffs, rates, _ = zip(*_search_rows(H, P, "Z", config.max_norm_cap, dens))
     except _RowError as exc:
         raise ValueError(f"trial {first + exc.row // M}, relay {exc.row % M}: {exc}") from None
     a = np.array(coeffs, dtype=np.int64).reshape(len(H), config.K)
-    alpha, noise_var = _alphas_and_variances(H, a.astype(complex), P, config.alpha_mode, dens or None)
+    alpha, noise_var = _alphas_and_variances(H, a.astype(complex), P, config.alpha_mode, dens)
     fine = config.pair.fine
     zflag = np.zeros(len(H), dtype=np.int64)
     for code, m in zip(fine.codes, fine.moduli):

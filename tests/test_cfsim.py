@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -5,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from latcf import cfsim
 from latcf.algebra import CrtMap, PrimeField, factor_rational_prime, make_quadratic_ring
 from latcf.cfsim import (
     SimConfig,
@@ -537,6 +539,27 @@ def test_run_trials_noiseless_integer_channel_always_decodes():
     assert all(r.decode_ok == 1 for r in records)
     assert all(r.noise_var_emp == 0.0 for r in records)
     assert {r.a for r in records} == {(1, -2), (2, 1)}
+
+
+# sha256 of repr(records) before noiseless relays took their 1 + P|h|^2 once
+NOISELESS_RECORDS = {
+    "mmse": "8907deadc44f3c825564aae86ddc9b899c56fa0ac07236a25a3ad5ea6c913fa5",
+    "unit": "5fc4bfc2a66929926a223b7e2d4f83fb4d7995963de1aca73e240f8957c2b085",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(NOISELESS_RECORDS))
+def test_noiseless_relays_take_one_rate_denominator_each(monkeypatch, mode):
+    # one 1 + P|h|^2 per relay serves the rate and alpha; seed 9 rounds
+    # every random relay row to a nonzero a
+    calls = []
+    real = cfsim._rate_denominator
+    monkeypatch.setattr(cfsim, "_rate_denominator", lambda h, P: calls.append(P) or real(h, P))
+    T, M = 6, 2
+    config = _basic_config(K=3, M=M, noiseless=True, alpha_mode=mode)
+    records = run_trials(config, T, seed=9)
+    assert len(calls) == T * M
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == NOISELESS_RECORDS[mode]
 
 
 def test_run_trials_high_power_mostly_decodes():

@@ -1,9 +1,11 @@
 """Construction pi_D subsumes A, D and pi_A: each special case, built next
 to pi_D over the same level codes, is the same lattice down to its CRT
-moduli, parity checks, coset table and enumerated points.  Also the one
-Z/p^e alphabet under them: PrimeField(p) is ChainRing(p, 1), and
-GaloisField is F_{p^2} only, its inverse a^(p^2 - 2)."""
+moduli, parity checks, coset table, enumerated points and `contains`
+verdicts.  Also the one Z/p^e alphabet under them: PrimeField(p) is
+ChainRing(p, 1), and GaloisField is F_{p^2} only, its inverse
+a^(p^2 - 2)."""
 
+import itertools
 import random
 
 import numpy as np
@@ -18,6 +20,7 @@ from latcf.lattices import (
     construction_d,
     construction_pi_a,
     construction_pi_d,
+    contains,
     enumerate_box,
 )
 
@@ -35,6 +38,16 @@ def _assert_same_lattice(special, pi_d):
     assert np.array_equal(_coset_reps(special), _coset_reps(pi_d))
     bounds = [(-special.q, special.q)] * special.N
     assert enumerate_box(special, bounds) == enumerate_box(pi_d, bounds)
+    box = list(itertools.product(range(-2 * special.q, 2 * special.q + 1), repeat=special.N))
+    assert [contains(special, v) for v in box] == [contains(pi_d, v) for v in box]
+
+
+def test_the_textbook_codes_are_pi_d():
+    # A over rep(2) and pi_A over rep(2) x <(1, 2)> over F_3; D over the
+    # chain <(1, 1)> < F_2^2 at L = 2 is the first lift case below
+    rep2, f3 = LinearCode(PrimeField(2), [[1, 1]]), LinearCode(PrimeField(3), [[1, 2]])
+    _assert_same_lattice(construction_a(rep2), construction_pi_d(2, [rep2]))
+    _assert_same_lattice(construction_pi_a([rep2, f3]), construction_pi_d(6, [rep2, f3]))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -110,3 +110,50 @@ def test_search_rows_refuse_in_row_order(monkeypatch):
     assert _batched(np.array([small, big]), 64.0, "Z", None) == (1, "search space too large; lower max_norm_cap")
     assert _batched(np.array([small, np.zeros(3), big]), 64.0, "Z", None) == (1, "h must be nonzero")
     assert _batched(np.array([small, big]), 64.0, "Z", 0.5) == (0, "empty search space; raise max_norm_cap")
+
+
+def test_call_checks_come_before_any_row():
+    # the ring and P belong to the call, so they refuse before a zero row
+    with pytest.raises(ValueError, match=r"^unsupported coefficient ring 'Q'$"):
+        best_coefficients([0.0], 1.0, ring="Q")
+    with pytest.raises(ValueError, match="^coefficient search needs an imaginary quadratic ring$"):
+        best_coefficients([0.0], 1.0, ring=QuadraticRing(2))
+    for ring in ("Z", QuadraticRing(-1), QuadraticRing(-3)):
+        with pytest.raises(ValueError, match="^P must be positive$"):
+            best_coefficients([0.0, 0.0], 0.0, ring=ring)
+        for H, P in ((np.array([[1.0], [0.0]]) + 0j, 0.0), (np.zeros((2, 1), dtype=complex), -1.0)):
+            with pytest.raises(ValueError, match="^P must be positive$") as caught:
+                cfsim._search_rows(H, P, ring, None)
+            assert not isinstance(caught.value, cfsim._RowError)
+    with pytest.raises(cfsim._RowError, match="^h must be nonzero$"):
+        cfsim._search_rows(np.zeros((2, 1), dtype=complex), 1.0, QuadraticRing(-1), None)
+
+
+@pytest.mark.parametrize("ring", RINGS[1:])
+def test_ring_filter_cross_is_each_leafs_own_sum(ring, monkeypatch):
+    # over O_K the filter's cross of a leaf is sum_k (x + y*xi) conj(h_k),
+    # grown from 0j in Python complex arithmetic: the same bits whatever
+    # leaves share the row or the batch
+    walks, crosses = [], []
+    walk, rates = cfsim._ellipsoid_points, cfsim._rates
+    monkeypatch.setattr(cfsim, "_ellipsoid_points", lambda *args: walks.append(walk(*args)) or walks[-1])
+    monkeypatch.setattr(cfsim, "_rates", lambda cross, *args: crosses.append(list(cross)) or rates(cross, *args))
+    xi = ring.xi_numeric
+    rng = np.random.default_rng(19)
+    checked = 0
+    for K in (1, 2, 3):
+        for _ in range(12):
+            walks.clear(), crosses.clear()
+            H = (rng.standard_normal((16, K)) + 1j * rng.standard_normal((16, K))) / math.sqrt(2)
+            cfsim._search_rows(H, 8.0, ring, None)
+            want = []
+            for h, leaves in zip(H.tolist(), walks):
+                for v, _ in leaves[0::2]:
+                    c = 0j
+                    for x, y, hk in zip(v[0::2], v[1::2], h):
+                        c = c + (x + y * xi) * hk.conjugate()
+                    want.append(c)
+            got = crosses[0]
+            assert [(c.real.hex(), c.imag.hex()) for c in got] == [(c.real.hex(), c.imag.hex()) for c in want]
+            checked += len(got)
+    assert checked > 1000
