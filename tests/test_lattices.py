@@ -13,7 +13,7 @@ from latcf.algebra import (
     make_quadratic_ring,
     residue_field_map,
 )
-from latcf.codes import LinearCode, build_nested_chain, codebook
+from latcf.codes import LinearCode, build_nested_chain, codebook, lift_chain_to_ring_code
 from latcf.lattices import (
     LatticePair,
     construction_a,
@@ -198,6 +198,29 @@ def test_pi_d_oracle_equivalence():
     bounds = [(-12, 12)] * 3
     want = _tile_box(_crt_reps([z4, f3], [4, 3]), 12, bounds)
     assert _box_verdicts(lat, bounds) == want
+
+
+def test_pi_d_reduces_to_a():
+    lat_pd = construction_pi_d(2, [REP2])
+    lat_a = construction_a(REP2)
+    bounds = [(-4, 4)] * 2
+    assert _box_verdicts(lat_pd, bounds) == _box_verdicts(lat_a, bounds)
+
+
+def test_pi_d_subsumes_d_via_lift():
+    chain = build_nested_chain(2, [(1, 1), (0, 1)], (1, 2))
+    lat_d = construction_d(chain, 2)
+    lat_pd = construction_pi_d(4, [lift_chain_to_ring_code(chain, 2)])
+    bounds = [(-8, 8)] * 2
+    assert _box_verdicts(lat_d, bounds) == _box_verdicts(lat_pd, bounds)
+
+
+def test_pi_d_with_unit_exponents_equals_pi_a():
+    full3 = LinearCode(PrimeField(3), [[1, 2]])
+    lat_pa = construction_pi_a([REP2, full3])
+    lat_pd = construction_pi_d(6, [REP2, full3])
+    bounds = [(-6, 6)] * 2
+    assert _box_verdicts(lat_pa, bounds) == _box_verdicts(lat_pd, bounds)
 
 
 def test_pi_d_validation():
