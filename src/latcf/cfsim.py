@@ -233,15 +233,16 @@ def _search_rows(H, P, ring, max_norm_cap, dens=None):
 
     # the tie rule among each row's best rates: of a tied pair +-v, the
     # greater, whose first nonzero x is positive; then the least norm, then
-    # per coordinate (|x|, x < 0), which orders components as (|x|, x < 0,
-    # |y|, y < 0).  The winner keeps its own exact rate (-0.0 too).
+    # per coordinate 2|x| - (x > 0), which orders as (|x|, x < 0) and so
+    # orders components as (|x|, x < 0, |y|, y < 0).  The winner keeps its
+    # own exact rate (-0.0 too).
     found, end = [], 0
     for (_, _, truncated, points, norms, _), near in zip(rows, nears):
         rates = exact[end:end + len(near)]
         end += len(near)
         top = max(rates)
         tied = ((2 * j + (points[2 * j] < points[2 * j + 1]), r) for j, r in zip(near, rates) if r == top)
-        best, rate = min(tied, key=lambda ir: (norms[ir[0]], [(abs(x), x < 0) for x in points[ir[0]]]))
+        best, rate = min(tied, key=lambda ir: (norms[ir[0]], [2 * abs(x) - (x > 0) for x in points[ir[0]]]))
         v = points[best]
         a = v if xi is None else tuple(map(ring.element, v[0::2], v[1::2]))
         found.append(BestCoefficients(a, rate, truncated))

@@ -18,7 +18,10 @@ coordinate that depends only on the coordinate's residue, so one table
 per (coordinate, residue) -- the nearest point of r + q Z or of
 rep(r) + P, the only step that differs -- and one gather-sum per coset,
 in coordinate order, score every coset, for one row or for many rows at
-once.
+once.  The cosets are scored in cache-sized blocks, each block picking
+its rows' least coset while it is still in cache; the distances keep
+their bits and the pick and tie rule are those of one pass over all
+cosets.
 """
 
 from __future__ import annotations
@@ -34,7 +37,8 @@ from .codes import LinearCode, NestedCodeChain, _codewords, _dtype, _kernel, lif
 
 _BOX_CAP = 10**6
 _COSET_CAP = 10**6
-# elements one batch holds: a quantize pass or an enumerate_box block
+# elements one batch holds: a quantize pass, the table entries a block of
+# its cosets gathers, or an enumerate_box block
 _PASS_ELEMENTS = 1 << 17
 
 
@@ -306,7 +310,10 @@ def quantize(lat: LatticeDescriptor, y):
     point and its squared distance (rounding over q Z, a Babai floor and
     its 4x4 neighbourhood over an ideal); each coset's distance is then one
     gather-sum through an index built once per lattice, summed in
-    coordinate order.  One tie rule, per coordinate and across cosets:
+    coordinate order, in cache-sized blocks of cosets that each pick their
+    rows' least coset, a later block winning only on a strictly smaller
+    distance: the same bits and first least coset as one argmin over all
+    cosets.  One tie rule, per coordinate and across cosets:
     squared distances within 1e-9*max(1, dmin) of the row's minimum tie,
     and the lexicographically smallest integer coordinates win (ring
     coordinates (a, b) for A_OK; real coordinate ties round down).  The
@@ -322,7 +329,7 @@ def quantize(lat: LatticeDescriptor, y):
     y = np.asarray(y, dtype=complex if complex_ambient else float)
     if y.shape[-1:] != (lat.N,) or y.ndim > 2:
         raise ValueError(f"expected shape ({lat.N},) or (rows, {lat.N}), got {y.shape}")
-    if not (np.abs(y) <= 2.0**53).all():  # false for nan too
+    if not np.abs(y).max(initial=0.0) <= 2.0**53:  # false for nan too
         raise ValueError("y must be finite" if not np.isfinite(y).all() else "y must satisfy |y| <= 2**53")
     flat, step = y.reshape(-1, lat.N), rows_per_pass(lat)
     best = _quantize_rows(lat, flat[:step])
@@ -352,10 +359,8 @@ def _quantize_rows(lat: LatticeDescriptor, y):
     residues, index = _coset_index(lat)
     points, d2 = (_table_mod_ideal if lat.ambient == "complex" else _table_mod_q)(
         lat, residues[..., None], y.T[:, None])  # N x width x R
-    dist = _gather_sum(d2, index)  # cosets x R
-    pick = dist.argmin(axis=0)
     rows = np.arange(len(y))
-    dmin = dist[pick, rows]
+    dist, pick, dmin = _gather_sum(d2, index, rows)  # cosets x R, R, R
     tied = dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
     # x, or (a, b), per table entry and row; R may be 0
     points = points.reshape(points.shape[0] * points.shape[1], *points.shape[2:])
@@ -367,16 +372,34 @@ def _quantize_rows(lat: LatticeDescriptor, y):
     return best.swapaxes(0, 1)
 
 
-def _gather_sum(table, index):
-    """Each coset's squared distance: its residues' table entries summed
-    over the coordinates in order (numpy's sum(axis=0) over the gathered
-    N x cosets array would go pairwise for N >= 8).  table is N x width,
-    or N x width x R for a distance per coset and row (cosets x R)."""
-    table = table.reshape(table.shape[0] * table.shape[1], *table.shape[2:])
+def _gather_sum(table, index, rows):
+    """Each coset's squared distance per row (cosets x R), and each row's
+    first least coset and its distance (R each), for a table N x width x R
+    and rows = arange(R).  A coset's distance is its residues' table
+    entries summed over the coordinates in order (numpy's sum(axis=0) over
+    the gathered N x cosets array would go pairwise for N >= 8).  The first
+    coordinate's gather fills every coset's distance; the other
+    coordinates go in cache-sized blocks of cosets, at most _PASS_ELEMENTS
+    gathered entries (N per coset and row), and each block takes its rows'
+    first least coset while it is still in cache.  A later block replaces
+    a row's pick only with a strictly smaller distance: argmin's
+    first-index rule over all cosets."""
+    (N, total), R = index.shape, table.shape[2]
+    table = table.reshape(N * table.shape[1], R)
     dist = table.take(index[0], axis=0)
-    for at in index[1:]:
-        dist += table.take(at, axis=0)
-    return dist
+    block = _PASS_ELEMENTS // (N * R or 1) or 1  # one coset at the least
+    for start in range(0, total, block):
+        part = dist[start:start + block]
+        for at in index[1:, start:start + block]:
+            part += table.take(at, axis=0)
+        least = part.argmin(axis=0)
+        d = part[least, rows]
+        if start:
+            less = d < dmin
+            pick[less], dmin[less] = least[less] + start, d[less]
+        else:
+            pick, dmin = least, d
+    return dist, pick, dmin
 
 
 def _table_mod_q(lat: LatticeDescriptor, residues, y):
@@ -402,10 +425,10 @@ def _table_mod_ideal(lat: LatticeDescriptor, residues, y):
     base = np.stack([a, b], axis=-1) + (k.T.astype(np.int64) @ basis).reshape(w.shape + (2,))
     cands = base[..., None, :] + offsets  # ... x N x width x 16 x (a, b)
     diff = cands[..., 0] + cands[..., 1] * xi - y[..., None]
-    dist = diff.real**2 + diff.imag**2
+    dist = (diff.real**2 + diff.imag**2).reshape(-1, len(offsets))  # a row per table entry
     dmin = dist.min(axis=-1, keepdims=True)
     pick = (dist <= dmin + 1e-9 * np.maximum(1.0, dmin)).argmax(axis=-1)
-    return base + offsets[pick], np.take_along_axis(dist, pick[..., None], axis=-1)[..., 0]
+    return base + offsets[pick].reshape(base.shape), dist[np.arange(len(dist)), pick].reshape(w.shape)
 
 
 def _ideal_geometry(lat: LatticeDescriptor):

@@ -404,7 +404,7 @@ def test_a_ok_coset_distances_are_bit_identical(name):
     residues, index = _coset_index(lat)
     rng = np.random.default_rng(3)
     for y in _complex_inputs(lat, rng, 20):
-        got = _gather_sum(_table_mod_ideal(lat, residues, y[:, None])[1], index)
+        got = _gather_sum(_table_mod_ideal(lat, residues, y[:, None])[1][..., None], index, np.arange(1))[0][:, 0]
         assert np.array_equal(got, _nearest_mod_ideal(lat, _coset_reps(lat), y)[1]), y
 
 
@@ -415,7 +415,7 @@ def test_real_coset_distances_sum_in_coordinate_order():
     for y in _real_inputs(lat, rng, 5):
         cands = _nearest_mod_q(lat, _coset_reps(lat), y)[0]
         want = ((cands - y) ** 2).cumsum(axis=1)[:, -1]
-        assert np.array_equal(_gather_sum(_table_mod_q(lat, residues, y[:, None])[1], index), want)
+        assert np.array_equal(_gather_sum(_table_mod_q(lat, residues, y[:, None])[1][..., None], index, np.arange(1))[0][:, 0], want)
 
 
 def test_zero_code_over_a_large_prime_quantizes_in_bounded_memory():
