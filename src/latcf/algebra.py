@@ -120,10 +120,6 @@ class ChainRing:
     def is_unit(self, a):
         return a % self.p != 0
 
-    def is_zero_divisor(self, a):
-        a = a % self.size
-        return a != 0 and a % self.p == 0
-
     def elements(self):
         return range(self.size)
 
@@ -284,12 +280,6 @@ class CrtMap:
             out = out + r * e
         return out % self.q
 
-    def sigma_vec(self, v):
-        import numpy as np
-
-        v = np.asarray(v, dtype=np.int64)
-        return [v % m for m in self.moduli]
-
     def __repr__(self):
         return f"CrtMap(moduli={self.moduli})"
 
@@ -418,11 +408,6 @@ class QuadraticRing:
     @property
     def one(self):
         return QuadInt(self, 1, 0)
-
-    def minimal_polynomial(self) -> tuple[int, int, int]:
-        """Coefficients (c, b, a) of a*x^2 + b*x + c satisfied by xi."""
-        t, u = self.xi_sq
-        return (-u, -t, 1)
 
     def __eq__(self, other):
         return isinstance(other, QuadraticRing) and other.d == self.d

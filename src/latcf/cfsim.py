@@ -24,7 +24,7 @@ channel, the relays' scaling and reduction, the relays' scalars of
 one `quantize` over every (trial, relay, real part) row, and the decode
 check.  The coefficient search takes the chunk's relays at once
 (`_search_rows`): P and the ring checked once, then per relay, in trial
-order, its checks, O(K) factorization, half walk and the filter's
+order, its checks, O(K) factorization, folded walk and the filter's
 Python complex cross, then numpy's abs and log2 once over every relay's
 vectors, and per relay its exact re-rank and the one tie rule.  alpha
 reuses each relay's one 1 + P|h|^2, searched or noiseless; its np.vdot
@@ -121,9 +121,10 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     Q(a) = |a|^2 - P|sum_k a_k conj(h_k)|^2/(1+P|h|^2) < 1, where the
     rate is -log2 Q, over the integer coordinates of a in Schnorr-Euchner
     order, Q factored in O(K).  As Q(-a) = Q(a) bit for bit it walks one
-    of each pair +-a (the other associates' Q differ in the last bit),
-    and refuses with "search space too large" past _SEARCH_HARD_CAP (5e6)
-    nodes of that half walk.  Of the vectors within 1e-9 of the best
+    of each pair +-a; over Z[i] and Z[w] one of each class of associates,
+    each associate then kept on its own Q, whose last bit can differ.  It
+    refuses with "search space too large" past _SEARCH_HARD_CAP (5e6)
+    nodes of that walk.  Of the vectors within 1e-9 of the best
     filter rate, the least (-rate, norm, per component x + y*xi (|x|,
     x < 0, |y|, y < 0)) wins, with the rate recomputed exactly: when
     every rate is 0 the norm decides, and over O_K the last bit of the
@@ -281,12 +282,24 @@ def _ellipsoid_points(h, c, bound, margin, t, u, xi):
     the norm bound leaves.  Q(-v) = Q(v) bit for bit, so a level whose
     higher coordinates are all 0 (centre +-0, symmetric interval) counts
     x = 0, 1, 2, ... up (Q grows with x, so the radius ends it), and a
-    leaf brings its mirror: _SEARCH_HARD_CAP counts this half walk.
+    leaf brings its mirror.  Z[w] and Z[i] fold all their units: the top
+    nonzero component x + y*xi keeps to the sector x >= 1, y >= 0, which
+    holds one associate of each element, and a leaf brings its other
+    associates, exact integer products by xi.  Their Q can differ from
+    the leaf's in the last bits, by less than a factor slack (a quarter
+    of the margin, at most 1.25).  So the walk prunes against the radius
+    widened by slack, which reaches every class with an associate inside
+    the radius, and when a class lies within slack^2 of the final radius
+    each associate gets its own Q from the walk's arithmetic (`_walk_q`)
+    and is kept on it: the leaves are exactly those of the walk that
+    folds only +-1.  _SEARCH_HARD_CAP counts the nodes of this walk.
     """
     m = 1 if xi is None else 2
     D, rin, rho0, rho1, wu, wv = _factor(h, c, t, u, xi)
     n = len(D)
     e = -u - t * t / 4  # norm(x + y*xi) = (x + t*y/2)^2 + e*y^2
+    # the units other than +-1: xi (xi^2 = xi - 1) and xi^2 over Z[w], xi (xi^2 = -1) over Z[i]
+    turns = {(1, -1): 2, (0, -1): 1}.get((t, u), 0) if m == 2 else 0
 
     z = [0] * (n + 1)  # z[n] = 0 is the y of Z's top level
     s0 = [0.0] * (n + 1)  # s[i] = sum_{j > i} w_j z_j
@@ -300,6 +313,10 @@ def _ellipsoid_points(h, c, bound, margin, t, u, xi):
     dist = [0.0] * (n + 1)  # Q of the levels above
     norm = [0] * (n + 1)  # norm of the components above
     radius = bound * (1 + margin)  # Q <= norm on the whole ball
+    # an associate's Q differs from its class's by rounding, about 1e-16 d
+    # relative: margin's 1e-12 d is 1e4 times that, slack a quarter of it
+    slack = 1 + min(margin, 1.0) / 4 if turns else 1.0
+    limit = radius * slack
     leaves = []
     nodes, budget = 0, _SEARCH_HARD_CAP
     floor, ceil, sqrt = math.floor, math.ceil, math.sqrt
@@ -320,6 +337,8 @@ def _ellipsoid_points(h, c, bound, margin, t, u, xi):
             bot, top = floor(cn - w), ceil(cn + w)
             x, r, step[i] = 0, top, 0  # all above 0: count up over [-top, top]
             if step[i + 1] or y:
+                if turns and bot < 1 and not step[i + 1] and i % 2 == 0:
+                    bot = 1  # the top component's x, its y >= 1: the sector
                 x = round(ce)
                 x = bot if x < bot else top if x > top else x
                 r = top - x if top - x > x - bot else x - bot
@@ -332,7 +351,7 @@ def _ellipsoid_points(h, c, bound, margin, t, u, xi):
         x = z[i]
         d = x - centre[i]
         q = dist[i + 1] + D[i] * d * d
-        if q > radius or not zlo[i] <= x <= zhi[i]:  # and every later sibling
+        if q > limit or not zlo[i] <= x <= zhi[i]:  # and every later sibling
             i += 1
             if i == n:
                 break
@@ -347,14 +366,46 @@ def _ellipsoid_points(h, c, bound, margin, t, u, xi):
                     down = True
                     continue
                 if nr:
-                    v = z[:n]
-                    leaves.append((q, tuple(v), tuple([-x for x in v]), nr))
+                    leaves.append((q, tuple(z[:n]), nr))
                     radius = min(radius, q * (1 + margin))
+                    limit = radius * slack
         s = step[i]  # next sibling: zig-zag from the centre, or up from 0
         z[i] += s or 1
         if s:
             step[i] = -s - 1 if s > 0 else 1 - s
-    return [pt for q, v, mirror, nr in leaves if q <= radius for pt in ((v, nr), (mirror, nr))]
+    if turns:  # each class brings its other associates
+        # only a class within a factor slack^2 of the radius needs its
+        # associates' own Q; elsewhere the class decides for all of them
+        exact = any(radius / slack / slack <= q <= radius * slack for q, _, _ in leaves)
+        if exact:
+            levels = list(zip(D[::-1], rin[::-1], rho0[::-1], rho1[::-1], wu[:0:-1], wv[:0:-1]))
+        classes, leaves = leaves, []
+        for q, v, nr in classes:
+            if q <= limit:
+                leaves.append((q, v, nr))
+                for _ in range(turns):  # times xi: x + y*xi -> u*y + (x + t*y)*xi
+                    v = tuple([c for x, y in zip(v[0::2], v[1::2]) for c in (u * y, x + t * y)])
+                    if exact:
+                        q = _walk_q(v, levels)
+                        radius = min(radius, q * (1 + margin))
+                    leaves.append((q, v, nr))
+    return [pt for q, v, nr in leaves if q <= radius for pt in ((v, nr), (tuple([-x for x in v]), nr))]
+
+
+def _walk_q(v, levels):
+    """Q of the coordinates v as _ellipsoid_points' walk computes it at
+    its leaf, bit for bit: the same running sums, centres and partial
+    sums, level by level from the last coordinate.  levels holds per
+    level, from the last, D_i, R_i,i+1, rho0_i, rho1_i and the w of the
+    level above."""
+    q, a, b, y = 0.0, 0.0, 0.0, 0
+    for x, (di, ri, r0, r1, u1, v1) in zip(reversed(v), levels):
+        ce = -(ri * y + (r0 * a + r1 * b))
+        a, b = a + u1 * y, b + v1 * y
+        d = x - ce
+        q = q + di * d * d
+        y = x
+    return q
 
 
 def _factor(h, c, t, u, xi):

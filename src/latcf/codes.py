@@ -247,14 +247,6 @@ class NestedCodeChain:
         self.dims = dims
         self.levels = len(dims)
 
-    def level_code(self, level: int) -> LinearCode:
-        """The code C^level, levels counted from 1."""
-        if not 1 <= level <= self.levels:
-            raise ValueError(f"level {level} out of 1..{self.levels}")
-        return LinearCode(
-            PrimeField(self.p), self.basis[: self.dims[level - 1]], N=self.N
-        )
-
     def __repr__(self):
         return f"NestedCodeChain(p={self.p}, N={self.N}, dims={self.dims})"
 

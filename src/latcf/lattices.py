@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import cached_property
 
 import numpy as np
 
@@ -72,6 +71,7 @@ class LatticeDescriptor:
         self._cosets = None
         self._index = None
         self._geometry = None
+        self._residue_points = None
         self._checks = None
 
     def __repr__(self):
@@ -88,13 +88,6 @@ class LatticePair:
         self.fine = fine
         self.scale = float(scale)
         self.q = fine.q
-
-    @cached_property
-    def coarse(self) -> LatticeDescriptor:
-        """The fine lattice's levels with zero codes, built on first use:
-        the simulator reads only q and scale."""
-        zero_codes = [LinearCode(c.alphabet, [], N=self.fine.N) for c in self.fine.codes]
-        return LatticeDescriptor(self.fine.kind, self.fine.N, zero_codes, ideal=self.fine.ideal)
 
     def __repr__(self):
         return f"LatticePair(fine={self.fine!r}, scale={self.scale})"
@@ -307,13 +300,13 @@ def quantize(lat: LatticeDescriptor, y):
     cosets rep + Lambda_c^N, so the nearest point of a coset splits into one
     nearest point per coordinate, which depends only on that coordinate's
     residue.  One table per row holds, for each (coordinate, residue), that
-    point and its squared distance (rounding over q Z, a Babai floor and
-    its 4x4 neighbourhood over an ideal); each coset's distance is then one
-    gather-sum through an index built once per lattice, summed in
-    coordinate order, in cache-sized blocks of cosets that each pick their
-    rows' least coset, a later block winning only on a strictly smaller
-    distance: the same bits and first least coset as one argmin over all
-    cosets.  One tie rule, per coordinate and across cosets:
+    point and its squared distance (rounding over q Z, the best of the 4
+    corners of a Babai floor's cell in a Lagrange-reduced basis over an
+    ideal); each coset's distance is then one gather-sum through an index
+    built once per lattice, summed in coordinate order, in cache-sized
+    blocks of cosets that each pick their rows' least coset, a later block
+    winning only on a strictly smaller distance: the same bits and first
+    least coset as one argmin over all cosets.  One tie rule, per coordinate and across cosets:
     squared distances within 1e-9*max(1, dmin) of the row's minimum tie,
     and the lexicographically smallest integer coordinates win (ring
     coordinates (a, b) for A_OK; real coordinate ties round down).  The
@@ -345,9 +338,9 @@ def quantize(lat: LatticeDescriptor, y):
 
 def rows_per_pass(lat: LatticeDescriptor) -> int:
     """Rows quantize scores in one pass (one at least): a row takes a distance
-    per coset and an N x width table, 16 Babai candidates per A_OK entry."""
+    per coset and an N x width table, 4 Babai candidates per A_OK entry."""
     residues, index = _coset_index(lat)
-    candidates = len(_ideal_geometry(lat)[2]) if lat.ambient == "complex" else 1
+    candidates = len(_ideal_geometry(lat)[3]) if lat.ambient == "complex" else 1
     return max(1, _PASS_ELEMENTS // (index.shape[1] + lat.N * residues.shape[1] * candidates))
 
 
@@ -357,8 +350,9 @@ def _quantize_rows(lat: LatticeDescriptor, y):
     tables, so each coset's gather takes one contiguous run of R entries;
     the distances take cosets x R entries."""
     residues, index = _coset_index(lat)
-    points, d2 = (_table_mod_ideal if lat.ambient == "complex" else _table_mod_q)(
-        lat, residues[..., None], y.T[:, None])  # N x width x R
+    columns = y.T[:, None]  # N x 1 x R
+    points, d2 = (_table_mod_ideal(lat, columns) if lat.ambient == "complex"
+                  else _table_mod_q(lat, residues[..., None], columns))  # N x width x R
     rows = np.arange(len(y))
     dist, pick, dmin = _gather_sum(d2, index, rows)  # cosets x R, R, R
     tied = dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
@@ -411,34 +405,52 @@ def _table_mod_q(lat: LatticeDescriptor, residues, y):
     return points, (points - y) ** 2
 
 
-def _table_mod_ideal(lat: LatticeDescriptor, residues, y):
+def _table_mod_ideal(lat: LatticeDescriptor, y):
     """Nearest point of rep(r) + P to y_j, as ring coordinates (a, b), and
-    its squared distance, for each coordinate j (y is N x 1, or N x 1 x R
-    with residues[..., None]) and residue-field index r in that row of
-    residues."""
-    # ResidueFieldMap: index i0 + i1*p stands for the ring element i0 + i1*xi
+    its squared distance, for each coordinate j of y (N x 1 x R) and each
+    residue-field index r of its row of the table (`_coset_index`): the
+    best of the 4 corners of the Babai floor's cell in the Lagrange-reduced
+    basis.  Those hold the nearest point and every point tied with it, also
+    when the floor lands in a neighbouring cell, so the floor's last bit
+    does not matter."""
     xi = lat.ideal.ring.xi_numeric
-    b, a = np.divmod(residues, lat.ideal.p)
-    basis, B, offsets = _ideal_geometry(lat)
-    w = y - (a + b * xi)
-    k = np.floor(np.linalg.solve(B, [w.real.ravel(), w.imag.ravel()]))
-    base = np.stack([a, b], axis=-1) + (k.T.astype(np.int64) @ basis).reshape(w.shape + (2,))
-    cands = base[..., None, :] + offsets  # ... x N x width x 16 x (a, b)
+    basis, _, to_basis, corners = _ideal_geometry(lat)
+    ab, value = _residue_points(lat)
+    w = y - value
+    k = np.floor(w[..., None].view(np.float64) @ to_basis)
+    base = ab + k.astype(np.int64) @ basis
+    cands = base[..., None, :] + corners  # N x width x R x 4 x (a, b)
     diff = cands[..., 0] + cands[..., 1] * xi - y[..., None]
-    dist = (diff.real**2 + diff.imag**2).reshape(-1, len(offsets))  # a row per table entry
+    dist = (diff.real**2 + diff.imag**2).reshape(-1, len(corners))  # a row per table entry
     dmin = dist.min(axis=-1, keepdims=True)
     pick = (dist <= dmin + 1e-9 * np.maximum(1.0, dmin)).argmax(axis=-1)
-    return base + offsets[pick].reshape(base.shape), dist[np.arange(len(dist)), pick].reshape(w.shape)
+    return base + corners[pick].reshape(base.shape), dist[np.arange(len(dist)), pick].reshape(w.shape)
+
+
+def _residue_points(lat: LatticeDescriptor):
+    """Each residue of an A_OK table (`_coset_index`) as ring coordinates
+    (a, b) and as the complex a + b*xi, with an axis for the rows; built
+    once per lattice."""
+    if lat._residue_points is None:
+        # ResidueFieldMap: index i0 + i1*p stands for the ring element i0 + i1*xi
+        b, a = np.divmod(_coset_index(lat)[0][..., None], lat.ideal.p)
+        lat._residue_points = np.stack([a, b], axis=-1), a + b * lat.ideal.ring.xi_numeric
+    return lat._residue_points
 
 
 def _ideal_geometry(lat: LatticeDescriptor):
-    """The reduced ideal basis of an A_OK lattice (`_ideal_basis`) and the
-    Babai neighbourhood, the 4x4 basis offsets from -1 to 2 sorted by ring
-    coordinates; built once per lattice."""
+    """The reduced ideal basis of an A_OK lattice as integer rows of ring
+    coordinates and as a real 2x2 matrix B (`_ideal_basis`), the matrix
+    taking a row (re, im) to its coordinates in that basis (B's inverse,
+    transposed) and the 4 corners of a Babai cell, the basis offsets 0 and
+    1 sorted by ring coordinates; built once per lattice."""
     if lat._geometry is None:
         basis, B = _ideal_basis(lat.ideal)
-        offsets = (np.indices((4, 4)).reshape(2, 16).T - 1) @ basis
-        lat._geometry = basis, B, offsets[np.lexsort(offsets.T[::-1])]
+        (b00, b01), (b10, b11) = B.tolist()
+        det = b00 * b11 - b01 * b10
+        to_basis = np.array([[b11 / det, -b10 / det], [-b01 / det, b00 / det]])
+        corners = np.indices((2, 2)).reshape(2, 4).T @ basis
+        lat._geometry = basis, B, to_basis, corners[np.lexsort(corners.T[::-1])]
     return lat._geometry
 
 
@@ -451,14 +463,21 @@ def _ideal_basis(ideal: PrimeIdeal):
 
 
 def _reduced_ideal_basis(ideal: PrimeIdeal):
+    """A Lagrange-reduced basis (u, v) of the ideal: |2<u, v>| <= N(u) <=
+    N(v).  The float loop stops when round(mu) is 0, or when a (u, v)
+    comes back: for an exact mu of +-1/2 float error can round it to +-1
+    both ways and flip the basis forever, and that cycle's bases are
+    reduced."""
     u, v = ideal.basis()
     zu, zv = u.to_complex(), v.to_complex()
+    seen = set()
     while True:
         if abs(zu) > abs(zv):
             u, v, zu, zv = v, u, zv, zu
         mu = round((zv * zu.conjugate()).real / abs(zu) ** 2)
-        if mu == 0:
+        if mu == 0 or (u, v) in seen:
             return u, v
+        seen.add((u, v))
         v = v - u * mu
         zv = v.to_complex()
 

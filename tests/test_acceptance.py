@@ -51,6 +51,7 @@ from latcf.lattices import (
     enumerate_box,
 )
 from relay_functions import combined_message, function_coefficients
+from structure_views import sigma_vec
 
 
 def _report(num, label, ok, t0, budget, detail=""):
@@ -204,7 +205,7 @@ def test_04_crt_exhaustive():
         crt = CrtMap([p**e for p, e in factors])
         m = np.array(crt.moduli, dtype=np.int64)
         x = np.arange(q, dtype=np.int64)
-        S = np.stack(crt.sigma_vec(x), axis=1)
+        S = np.stack(sigma_vec(crt, x), axis=1)
 
         # bijectivity: M hits every residue exactly once, and M(sigma(x)) == x
         grids = np.meshgrid(*[np.arange(mi, dtype=np.int64) for mi in m], indexing="ij")

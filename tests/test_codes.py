@@ -13,6 +13,7 @@ from latcf.codes import (
     lift_chain_to_ring_code,
     solve_encoding,
 )
+from structure_views import level_code
 
 
 def _random_code(rng, alphabet, n, N):
@@ -133,8 +134,8 @@ def test_solve_handles_non_free_chain_ring_rows():
 
 def test_build_nested_chain_two_level_example():
     chain = build_nested_chain(2, [(1, 1), (0, 1)], (1, 2))
-    c1 = chain.level_code(1)
-    c2 = chain.level_code(2)
+    c1 = level_code(chain, 1)
+    c2 = level_code(chain, 2)
     assert set(codebook(c1)) == {(0, 0), (1, 1)}
     assert set(codebook(c2)) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
@@ -153,8 +154,8 @@ def test_chain_nesting_holds():
                 except ValueError:
                     continue
             for level in range(1, chain.levels):
-                upper = chain.level_code(level + 1)
-                for g in chain.level_code(level).G:
+                upper = level_code(chain, level + 1)
+                for g in level_code(chain, level).G:
                     assert contains_codeword(upper, g)
 
 
@@ -171,9 +172,9 @@ def test_chain_validation():
 
 def test_chain_degenerate_dims():
     full = build_nested_chain(3, [(1, 0), (0, 1)], (2, 2))
-    assert len(codebook(full.level_code(1))) == 9
+    assert len(codebook(level_code(full, 1))) == 9
     zero = build_nested_chain(2, [(1, 0), (0, 1)], (0,))
-    assert set(codebook(zero.level_code(1))) == {(0, 0)}
+    assert set(codebook(level_code(zero, 1))) == {(0, 0)}
 
 
 # -------------------- chain lift --------------------
@@ -187,8 +188,8 @@ def test_lift_two_level_example():
     assert words == {(a, b) for a in range(4) for b in range(4) if a % 2 == b % 2}
     # directly enumerate the per-level sums c1 + 2*c2 mod 4
     sums = set()
-    for c1 in codebook(chain.level_code(1)):
-        for c2 in codebook(chain.level_code(2)):
+    for c1 in codebook(level_code(chain, 1)):
+        for c2 in codebook(level_code(chain, 2)):
             sums.add(tuple((x + 2 * y) % 4 for x, y in zip(c1, c2)))
     assert sums == words
 
@@ -196,7 +197,7 @@ def test_lift_two_level_example():
 def test_lift_single_level_equals_base_code():
     chain = build_nested_chain(3, [(1, 2, 0), (0, 1, 1), (0, 0, 1)], (2,))
     lifted = lift_chain_to_ring_code(chain, 1)
-    assert set(codebook(lifted)) == set(codebook(chain.level_code(1)))
+    assert set(codebook(lifted)) == set(codebook(level_code(chain, 1)))
 
 
 def test_lift_zero_chain_is_zero_code():

@@ -26,6 +26,7 @@ from latcf.lattices import (
     mod_coarse,
     quantize,
 )
+from structure_views import coarse
 
 
 def _tile_box(reps, q, bounds):
@@ -476,7 +477,7 @@ def test_mod_coarse_idempotent_and_in_cell():
         assert np.all(out >= 0) and np.all(out < pair.q)
         assert np.allclose(mod_coarse(pair, out), out)
         # the drop is a coarse lattice point
-        assert contains(pair.coarse, np.round(v - out))
+        assert contains(coarse(pair), np.round(v - out))
 
 
 def test_mod_coarse_respects_scale():
@@ -515,7 +516,7 @@ def test_mod_coarse_complex_cell():
 def test_nested_pair_coarse_inside_fine():
     lat = construction_pi_d(12, [LinearCode(ChainRing(2, 2), [[1, 2]]), LinearCode(PrimeField(3), [[1, 1]])])
     pair = LatticePair(lat)
-    for pt in enumerate_box(pair.coarse, (-12, 12)):
+    for pt in enumerate_box(coarse(pair), (-12, 12)):
         assert contains(lat, pt)
 
 

@@ -84,8 +84,9 @@ def _rows(lat, count):
 
 def _table(lat, y):
     residues, index = _coset_index(lat)
-    make = _table_mod_ideal if lat.ambient == "complex" else _table_mod_q
-    return make(lat, residues[..., None], y.T[:, None])[1], index
+    if lat.ambient == "complex":
+        return _table_mod_ideal(lat, y.T[:, None])[1], index
+    return _table_mod_q(lat, residues[..., None], y.T[:, None])[1], index
 
 
 LATTICES = {

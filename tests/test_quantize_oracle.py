@@ -404,7 +404,7 @@ def test_a_ok_coset_distances_are_bit_identical(name):
     residues, index = _coset_index(lat)
     rng = np.random.default_rng(3)
     for y in _complex_inputs(lat, rng, 20):
-        got = _gather_sum(_table_mod_ideal(lat, residues, y[:, None])[1][..., None], index, np.arange(1))[0][:, 0]
+        got = _gather_sum(_table_mod_ideal(lat, y[:, None, None])[1], index, np.arange(1))[0][:, 0]
         assert np.array_equal(got, _nearest_mod_ideal(lat, _coset_reps(lat), y)[1]), y
 
 

@@ -19,6 +19,7 @@ from latcf.cfsim import SimConfig, make_pair
 from latcf.codes import LinearCode, NestedCodeChain
 from latcf.lattices import (
     _coset_index,
+    _ideal_geometry,
     construction_a,
     construction_a_ok,
     construction_d,
@@ -59,9 +60,9 @@ LATTICES = {
 
 def _row_elements(lat):
     """Table, candidate and distance elements of one row: cosets + N *
-    width, each A_OK table entry scoring 16 Babai candidates."""
+    width, each A_OK table entry scoring its Babai candidates."""
     residues, index = _coset_index(lat)
-    candidates = 16 if lat.ambient == "complex" else 1
+    candidates = len(_ideal_geometry(lat)[3]) if lat.ambient == "complex" else 1
     return index.shape[1] + lat.N * residues.shape[1] * candidates
 
 

@@ -1,8 +1,11 @@
-"""The coefficient search's walk against the slow path it replaced, kept
-here as the oracle: a generic G + LDL factorization in Python and the
-full Schnorr-Euchner walk over it.  `cfsim._factor` must give the same D
-and R to rounding, and `cfsim._ellipsoid_points` the same leaves, in
-mirror pairs (v, -v), from no more nodes."""
+"""The coefficient search's walk against the slow paths it replaced, kept
+here as the oracles: a generic G + LDL factorization in Python and the
+full Schnorr-Euchner walk over it, and the half walk that folded only
++-1.  `cfsim._factor` must give the same D and R to rounding, and
+`cfsim._ellipsoid_points` the same leaves, in mirror pairs (v, -v), from
+no more nodes than the full walk; exactly the half walk's leaves, from
+fewer nodes over Z[i] and Z[w] and the same nodes where the units are
++-1."""
 
 import math
 
@@ -127,6 +130,81 @@ def full_walk(h, c, bound, margin, t, u, xi):
     return [(v, nr) for q, v, nr in leaves if q <= radius], nodes
 
 
+def half_walk(h, c, bound, margin, t, u, xi):
+    """The leaves and the node count of the walk that folded only +-1:
+    a level whose higher coordinates are all 0 counts up from 0, and a
+    leaf brings its mirror; the other associates are walked."""
+    m = 1 if xi is None else 2
+    D, rin, rho0, rho1, wu, wv = cfsim._factor(h, c, t, u, xi)
+    n = len(D)
+    e = -u - t * t / 4
+    z = [0] * (n + 1)
+    s0 = [0.0] * (n + 1)
+    s1 = [0.0] * (n + 1)
+    centre = [0.0] * n
+    step = [0] * (n + 1)
+    lo = [0] * n
+    hi = [0] * n
+    zlo = [0] * n
+    zhi = [0] * n
+    dist = [0.0] * (n + 1)
+    norm = [0] * (n + 1)
+    radius = bound * (1 + margin)
+    leaves = []
+    nodes = 0
+    floor, ceil, sqrt = math.floor, math.ceil, math.sqrt
+    i, down = n, True
+    while True:
+        if down:
+            i -= 1
+            y = z[i + 1]
+            ce = -(rin[i] * y + (rho0[i] * s0[i + 1] + rho1[i] * s1[i + 1]))
+            s0[i] = s0[i + 1] + wu[i + 1] * y
+            s1[i] = s1[i + 1] + wv[i + 1] * y
+            rem = bound - norm[i + 1]
+            if i % m:
+                cn, w = 0.0, sqrt(rem / e)
+            else:
+                cn, w2 = -t * y / 2, rem - e * y * y
+                w = sqrt(w2) if w2 > 0 else 0.0
+            bot, top = floor(cn - w), ceil(cn + w)
+            x, r, step[i] = 0, top, 0
+            if step[i + 1] or y:
+                x = round(ce)
+                x = bot if x < bot else top if x > top else x
+                r = top - x if top - x > x - bot else x - bot
+                step[i] = 1 if ce >= x else -1
+            lo[i], hi[i], zlo[i], zhi[i], centre[i], z[i] = bot, top, x - r, x + r, ce, x
+            down = False
+        nodes += 1
+        x = z[i]
+        d = x - centre[i]
+        q = dist[i + 1] + D[i] * d * d
+        if q > radius or not zlo[i] <= x <= zhi[i]:
+            i += 1
+            if i == n:
+                break
+        elif lo[i] <= x <= hi[i]:
+            nr = norm[i + 1]
+            if i % m == 0:
+                y = z[i + 1]
+                nr += x * x + t * x * y - u * y * y
+            if nr <= bound:
+                if i:
+                    dist[i], norm[i] = q, nr
+                    down = True
+                    continue
+                if nr:
+                    v = z[:n]
+                    leaves.append((q, tuple(v), tuple([-x for x in v]), nr))
+                    radius = min(radius, q * (1 + margin))
+        s = step[i]
+        z[i] += s or 1
+        if s:
+            step[i] = -s - 1 if s > 0 else 1 - s
+    return [pt for q, v, mirror, nr in leaves if q <= radius for pt in ((v, nr), (mirror, nr))], nodes
+
+
 # ---------------------------------------------------------------------------
 # differential checks
 # ---------------------------------------------------------------------------
@@ -233,3 +311,38 @@ def test_walk_leaves_are_mirror_pairs_of_the_full_walks_from_fewer_nodes(ring, m
         half.append(nodes)
         full.append(want_nodes)
     assert sum(half) < 0.8 * sum(full)
+
+
+def _units_sample(rng, ring, count):
+    """_sample's channels, plus ok-relay's (K = 2, P = 8, h ~ CN(0, I))
+    and rows at rate 0 (P|h|^2 ~ 1e-20); over Z[i] and Z[w] also rows
+    whose best rate can be +inf (P|h|^2 near 1e15, where the margin is
+    about 1e3 and the folded walk widens its radius by 2)."""
+    yield from _sample(rng, ring, count)
+    for _ in range(count):
+        yield (rng.standard_normal(2) + 1j * rng.standard_normal(2)) / math.sqrt(2), 8.0, None
+    for K in (1, 2, 3):
+        h = (rng.standard_normal(K) + 1j * rng.standard_normal(K)) / math.sqrt(2)
+        yield h * math.sqrt(1e-20 / 8.0), 8.0, None
+        if ring != "Z" and ring.d in (-1, -3):
+            yield math.sqrt(rng.uniform(7e14, 2e15) / 8.0) * rng.permutation(np.eye(K))[0] * 1j**K + 0j, 8.0, None
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_unit_folded_walk_keeps_the_half_walks_leaves(ring, monkeypatch):
+    rng = np.random.default_rng(210 if ring == "Z" else 210 - ring.d)
+    folded, half = [], []
+    for h, P, cap in _units_sample(rng, ring, 80):
+        args = _walk_args(h, P, ring, cap)
+        want, want_nodes = half_walk(*args)
+        got = cfsim._ellipsoid_points(*args)
+        for (v, nv), (w, nw) in zip(got[0::2], got[1::2]):
+            assert w == tuple(-x for x in v) and nv == nw
+        assert sorted(got) == sorted(want), (h.tolist(), P, cap)
+        if args[3] < 1e-3:  # the +inf rows' walks are slow to count
+            folded.append(_nodes(monkeypatch, args))
+            half.append(want_nodes)
+    if ring != "Z" and ring.d in (-1, -3):  # 4 and 6 units
+        assert all(f <= g for f, g in zip(folded, half)) and sum(folded) < 0.85 * sum(half)
+    else:
+        assert folded == half
