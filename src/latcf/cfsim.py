@@ -11,33 +11,29 @@ Power convention: transmit symbols are uniform over the coarse cell
 their centered variance is exactly P.  The deterministic cell offset is
 known at the relays and does not count as noise.
 
-`run_trials` runs in two phases over chunks of trials.  Phase 1 makes
-each trial's random draws, and nothing else, exactly as its own generator
-default_rng([seed, trial]) makes them: H, the messages per source, level
-and real part, the dithers, then Z (`seeding.trial_draws`: one
-vectorised SeedSequence pass, numpy's standard_normal for H and Z, one
-random_raw call per trial decoded as numpy's integers and random decode
-it, and a trial with a Lemire rejection redrawn through those calls).
-Phase 2 does the chunk's arithmetic in numpy: encoding and CRT, the
-channel, the relays' scaling and reduction, the relays' scalars of
-(h, a, P) (alpha, the analytic noise variance, the zero-divisor flag),
-one `quantize` over every (trial, relay, real part) row, and the decode
-check.  The coefficient search takes the chunk's relays at once
-(`_search_rows`): P and the ring checked once, then per relay, in trial
-order, its checks, O(K) factorization, folded walk and the filter's
-Python complex cross, then numpy's abs and log2 once over every relay's
-vectors, and per relay its exact re-rank and the one tie rule.  alpha
-reuses each relay's one 1 + P|h|^2, searched or noiseless; its np.vdot
-and abs(alpha)**2 stay per relay (once per relay under a fixed H).  A
-chunk is one `quantize` pass of relay rows (`rows_per_pass`), so memory
-does not grow with the trial count.  Every element goes through the
-same floating-point operations, in the same order, as a trial run
-alone: the records are a function of (config, seed) only, whatever the
-chunking.
+`run_trials` runs in two phases over chunks of trials, which share what
+`_per_run` computes once per call.  Phase 1 makes each trial's random
+draws, and nothing else, exactly as its own generator default_rng([seed,
+trial]) makes them: H, the messages per source, level and real part, the
+dithers, then Z (`seeding.trial_draws`: one vectorised SeedSequence pass,
+numpy's standard_normal for H and Z, one random_raw call per trial decoded
+as numpy's integers and random decode it, and a trial with a Lemire
+rejection redrawn through those calls).  Phase 2 does the chunk's
+arithmetic in numpy: every level's encoding and the CRT in one product
+with the lattice's G_q mod q, the channel, the relays' scaling and
+reduction, the relays' scalars of (h, a, P) (`_relay_scalars`: one
+coefficient search over the chunk's relays, `_search_rows`, then alpha,
+the analytic noise variance and the zero-divisor flag; under a fixed H
+once per call, broadcast over the trials), one `quantize` over every
+(trial, relay, real part) row, and the decode check.  A chunk is one
+`quantize` pass of relay rows (`rows_per_pass`), so memory does not grow
+with the trial count.  Every element goes through the same
+floating-point operations, in the same order, as a trial run alone: the
+records are a function of (config, seed) only, whatever the chunking.
 
 The engine and the per-relay functions share one body per decode step:
-`_crt_points`, `_function_point` (sum_k a_k t_k mod q), `_decoded_points`
-and `_level_messages`.
+`_crt_points` (with multistage_roundtrip), `_function_point` (sum_k a_k t_k
+mod q), `_decoded_points` and `_level_messages`.
 """
 
 from __future__ import annotations
@@ -51,8 +47,7 @@ import numpy as np
 
 from .algebra import QuadraticRing
 from .codes import solve_encoding
-from .codes import encode as encode_codeword
-from .lattices import LatticePair, contains, mod_coarse, quantize, rows_per_pass
+from .lattices import LatticePair, _generator_mod_q, contains, mod_coarse, quantize, rows_per_pass
 from .seeding import seed_words, trial_draws
 
 _SEARCH_HARD_CAP = 5 * 10**6
@@ -569,8 +564,8 @@ def _function_point(a, points, q):
 
 def _decoded_points(pair: LatticePair, parts):
     """The fine-lattice points, mod q, nearest the real parts (... x N, at
-    signal scale): one quantize over every part at once."""
-    rows = np.asarray(parts, dtype=float) / pair.scale
+    signal scale, any strides): one quantize over every part at once."""
+    rows = np.divide(parts, pair.scale, dtype=float, order="C")
     return np.mod(quantize(pair.fine, rows.reshape(-1, rows.shape[-1])), pair.fine.q).reshape(rows.shape)
 
 
@@ -583,9 +578,10 @@ def _level_messages(fine, point):
 
 
 def _crt_points(fine, words):
-    """The integer CRT points in [0, q) of each level's messages words[l]
-    (... x n_l): every level encoded, then combined coordinatewise."""
-    return fine.map.forward_vec([encode_codeword(code, w) for code, w in zip(fine.codes, words)])
+    """The integer CRT points in [0, q) (... x N) of the levels' messages,
+    laid end to end in the int64 words (... x sum_l n_l): every level
+    encoded and the levels combined in one product with G_q mod q."""
+    return words @ _generator_mod_q(fine) % fine.q
 
 
 def multistage_roundtrip(pair: LatticePair, messages, a):
@@ -602,13 +598,13 @@ def multistage_roundtrip(pair: LatticePair, messages, a):
         raise ValueError("levels must be prime fields")
     if len(a) != len(messages) or not messages:
         raise ValueError("one coefficient per source")
-    points = []
-    for w_levels in messages:
-        if len(w_levels) != len(fine.codes):
-            raise ValueError(f"need {len(fine.codes)} level messages per source")
-        points.append(_crt_points(fine, w_levels))
+    lengths = [c.n for c in fine.codes]
+    if any([len(w) for w in w_levels] != lengths for w_levels in messages):
+        raise ValueError(f"need {len(lengths)} level messages per source, of lengths {lengths}")
+    words = [[int(x) % c.alphabet.size for c, w in zip(fine.codes, w_levels) for x in w] for w_levels in messages]
     a_mod = np.array([int(x) % fine.q for x in a], dtype=np.int64)
-    out = _level_messages(fine, _function_point(a_mod, np.array(points), fine.q))
+    points = _crt_points(fine, np.array(words, dtype=np.int64).reshape(len(words), -1))
+    out = _level_messages(fine, _function_point(a_mod, points, fine.q))
     if None in out:
         raise ArithmeticError("noiseless reduction left the codebook")
     return out
@@ -667,10 +663,10 @@ def run_trials(config: SimConfig, trials: int, seed: int):
     index is one 32-bit seed word; both are checked before any work.
 
     Trials run in chunks of _chunk_trials(config), one quantize pass of
-    relay rows each, that take the seed's words and their trial range
-    alone (the module docstring has the two phases).  The search runs
-    once over the chunk's relays (once over the relays before the first
-    trial under a fixed channel), walking each relay in trial order; a
+    relay rows each, that take the seed's words, their trial range and
+    what _per_run computes once per call (the module docstring has the two
+    phases).  The search runs once over the chunk's relays (once per call
+    under a fixed channel), walking each relay in trial order; a
     noiseless relay's rounded vector is checked nonzero instead.  So
     errors come in trial order, and a relay's refusal names its trial and
     relay ("trial 3, relay 1: ...", trial 0 under a fixed channel).  The
@@ -682,13 +678,10 @@ def run_trials(config: SimConfig, trials: int, seed: int):
         raise ValueError("trials must be >= 1")
     if trials > 1 << 32:
         raise ValueError(f"trial index {trials - 1} is 2**32 or more; trials must be <= 2**32")
-    fixed = None
-    if config.fixed_H is not None:
-        fixed = _relay_scalars(config, np.asarray(config.fixed_H, dtype=complex))
-    chunk = _chunk_trials(config)
+    run, chunk = _per_run(config), _chunk_trials(config)
     records = []
     for start in range(0, trials, chunk):
-        records += _run_chunk(config, words, range(start, min(start + chunk, trials)), fixed)
+        records += _run_chunk(config, words, range(start, min(start + chunk, trials)), run)
     return records
 
 
@@ -763,39 +756,47 @@ def _relay_scalars(config: SimConfig, H, first=0) -> _Relays:
     fine = config.pair.fine
     zflag = np.zeros(len(H), dtype=np.int64)
     for code, m in zip(fine.codes, fine.moduli):
-        A = code.alphabet
-        if A.e > 1:
-            b = a % m
-            zflag |= ((b != 0) & (b % A.p == 0)).any(axis=1)
+        if code.alphabet.e > 1:  # a coefficient nonzero mod m_l that p divides
+            zflag |= ((a % m != 0) & (a % m % code.alphabet.p == 0)).any(axis=1)
     return _Relays(a, np.array(rates, dtype=float), alpha, np.array(noise_var), zflag)
 
 
-def _run_chunk(config: SimConfig, words, trials: range, fixed):
-    pair = config.pair
-    fine = pair.fine
+def _per_run(config: SimConfig):
+    """What every chunk of a run_trials call shares: the relays' scalars
+    under a fixed channel (else None), the bounds of a trial's messages in
+    draw order, the places of a source's messages as (re, im) x sum_l n_l
+    for _crt_points, the coarse cell's side and its mean cell/2*(1+1j)."""
+    fixed = None if config.fixed_H is None else _relay_scalars(config, np.asarray(config.fixed_H, dtype=complex))
+    sizes, parts = [], []
+    for code in config.pair.fine.codes:  # a source draws, per level, n_l real parts, then n_l imaginary
+        sizes, parts = sizes + [code.alphabet.size] * (2 * code.n), parts + [0] * code.n + [1] * code.n
+    cell = config.pair.fine.q * config.pair.scale
+    order = np.argsort(parts, kind="stable").reshape(2, -1)
+    return fixed, np.array(sizes * config.K, dtype=np.int64), order, cell, cell / 2.0 * (1 + 1j)
+
+
+def _run_chunk(config: SimConfig, words, trials: range, run):
+    pair, fine = config.pair, config.pair.fine
     K, M, N, T = config.K, config.M, fine.N, len(trials)
-    cell = fine.q * pair.scale
+    fixed, bounds, order, cell, mean = run
 
     # phase 1: each trial's draws, in the order of a trial run alone
     # (`trial_draws`): H (real parts, then imaginary parts), the messages
     # (one bound per source, level and real part), the dithers from random(),
     # scaled below as uniform(0, cell) scales them, then Z, zero when noiseless
-    bounds = np.concatenate([np.full(2 * code.n, code.alphabet.size) for code in fine.codes] * K)
     H2, W, D, Z2 = trial_draws(words, trials, None if fixed is not None else (2, M, K), bounds,
                                (K, 2, N), None if config.noiseless else (2, M, N))
     if Z2 is None:
         Z2 = np.zeros((T, 2, M, N))
 
-    # phase 2: the chunk's arithmetic, each element as a lone trial computes it
+    # phase 2: the chunk's arithmetic, each element as a lone trial computes it;
+    # a fixed channel's relays broadcast over the trials (1 x M x ...)
     if fixed is None:
         H = (H2[:, 0] + 1j * H2[:, 1]) / math.sqrt(2)
         relays = _relay_scalars(config, H.reshape(T * M, K), trials[0])
     else:
-        H = np.asarray(config.fixed_H, dtype=complex)
-        relays = _Relays(*(np.concatenate([x] * T) for x in fixed))
-    cuts = np.cumsum([2 * code.n for code in fine.codes])[:-1]
-    points = _crt_points(fine, [w.reshape(T, K, 2, code.n) for code, w in zip(
-        fine.codes, np.split(W.reshape(T, K, -1), cuts, axis=2))])  # T x K x (re, im) x N
+        H, relays = np.asarray(config.fixed_H, dtype=complex), fixed
+    points = _crt_points(fine, W.reshape(T, K, -1)[:, :, order])  # T x K x (re, im) x N
     D = 0.0 + cell * D  # uniform(0, cell) is 0 + cell * random()
     U = D[:, :, 0] + 1j * D[:, :, 1]
     t = (points[:, :, 0] + 1j * points[:, :, 1]) * pair.scale
@@ -803,30 +804,29 @@ def _run_chunk(config: SimConfig, words, trials: range, fixed):
     Z = (Z2[:, 0] + 1j * Z2[:, 1]) / math.sqrt(2)
     Y = H @ X + Z
 
-    a = relays.a.reshape(T, M, K)
+    a = relays.a.reshape(-1, M, K)
     av = a.astype(complex)
-    alpha = relays.alpha.reshape(T, M, 1)
+    alpha = relays.alpha.reshape(-1, M, 1)
     c = alpha * H - av  # alpha*h - a per relay
     z_eq = (c[:, :, None, :] @ X[:, None])[:, :, 0] + alpha * Z
-    # the half-open cell gives every x_k the known mean cell/2*(1+1j); its
-    # deterministic contribution to the effective noise scales with the
-    # cell, so it must come off before quantizing
-    # sum_k (alpha*h_k - a_k) times that mean, as numpy's scalar complex
-    # product rounds it (an array product can round the last bit otherwise)
-    s = np.sum(c, axis=-1, keepdims=True)
-    mean = cell / 2.0 * (1 + 1j)
+    # the half-open cell gives every x_k the known mean cell/2*(1+1j), whose
+    # contribution to the effective noise scales with the cell and must come
+    # off before quantizing: sum_k (alpha*h_k - a_k) times that mean, as
+    # numpy's scalar complex product rounds it (an array product can differ)
+    s = c.sum(axis=-1, keepdims=True)
     offset = (s.real * mean.real - s.imag * mean.imag) + 1j * (s.real * mean.imag + s.imag * mean.real)
-    noise_var_emp = np.mean(np.abs(z_eq - offset) ** 2, axis=-1)
+    noise_var_emp = np.add.reduce(np.abs(z_eq - offset) ** 2, axis=-1) / N  # np.mean's steps
     y_prime = mod_coarse(pair, _relay_combine(
-        alpha, Y, np.moveaxis(av, 2, 0)[..., None], np.moveaxis(U, 1, 0)[:, :, None]))
+        alpha, Y, av.transpose(2, 0, 1)[..., None], U.transpose(1, 0, 2)[:, :, None]))
     want = _function_point(a, points.reshape(T, K, 2 * N), fine.q).reshape(T, M, 2, N)
     y_prime = mod_coarse(pair, y_prime - offset)
-    got = _decoded_points(pair, np.stack([y_prime.real, y_prime.imag], axis=-2))
+    got = _decoded_points(pair, y_prime[..., None].view(float).swapaxes(-1, -2))  # T x M x (re, im) x N
     ok = (got == want).all(axis=(-2, -1))
 
+    times = T * M // len(relays.a)  # T under a fixed channel, else 1
     return [
         TrialRecord(trial, m, tuple(a_r), rate, al, var, v, int(d), z)
         for (trial, m), a_r, rate, al, var, z, v, d in zip(
-            itertools.product(trials, range(M)), *(x.tolist() for x in relays),
+            itertools.product(trials, range(M)), *(x.tolist() * times for x in relays),
             noise_var_emp.ravel().tolist(), ok.ravel().tolist())
     ]

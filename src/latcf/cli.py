@@ -458,29 +458,11 @@ def _simulation_config(doc):
     fixed_H = None
     if "fixed_H" in sim:
         rows = sim["fixed_H"]
-        good = (
-            isinstance(rows, list)
-            and len(rows) == M
-            and all(
-                isinstance(r, list)
-                and len(r) == K
-                and all(
-                    isinstance(z, list)
-                    and len(z) == 2
-                    and all(
-                        not isinstance(x, bool) and isinstance(x, (int, float))
-                        for x in z
-                    )
-                    for z in r
-                )
-                for r in rows
-            )
-        )
-        if not good:
+        shaped = isinstance(rows, list) and len(rows) == M and all(isinstance(r, list) and len(r) == K for r in rows)
+        if not shaped or not all(isinstance(z, list) and len(z) == 2 and all(
+                not isinstance(x, bool) and isinstance(x, (int, float)) for x in z) for r in rows for z in r):
             raise SchemaError("simulation.fixed_H: expected M x K [re, im] pairs")
-        fixed_H = np.array(
-            [[complex(z[0], z[1]) for z in row] for row in rows], dtype=complex
-        )
+        fixed_H = np.array([[complex(z[0], z[1]) for z in row] for row in rows], dtype=complex)
     cap = _max_norm_cap(doc)
     if noiseless and cap is not None:
         raise SchemaError("simulation.noiseless: a noiseless run does no coefficient search, "

@@ -3,25 +3,20 @@
 Every real-ambient lattice here is one of Construction pi_D's:
 M(C_1 x ... x C_L) + q Z^N, where the levels are codes over the chain
 rings Z/m_l Z for pairwise-coprime prime powers m_l with product q, and M
-applies the CRT reconstruction coordinatewise.  Constructions A (one code
-over F_p), D (a nested chain over F_p, lifted to one code over Z/p^L) and
-pi_A (codes over distinct prime fields) are pi_D's special cases: each
-checks its own precondition on the levels and builds the same descriptor,
-whose CRT map the level alphabets determine, so membership, enumeration
-and quantization share one code path.  Complex-
-ambient lattices (A_OK) replace q Z^N by the N-fold product of a prime
-ideal P of a quadratic integer ring.  Membership is one parity check
-H v = 0 (mod Q) for both ambients, on the integer coordinates (Q = q) or
-on the ring coordinates of each entry (Q = p).  Quantization shares its
-path too: the nearest point of a coset splits into one nearest point per
-coordinate that depends only on the coordinate's residue, so one table
-per (coordinate, residue) -- the nearest point of r + q Z or of
-rep(r) + P, the only step that differs -- and one gather-sum per coset,
-in coordinate order, score every coset, for one row or for many rows at
-once.  The cosets are scored in cache-sized blocks, each block picking
-its rows' least coset while it is still in cache; the distances keep
-their bits and the pick and tie rule are those of one pass over all
-cosets.
+applies the CRT reconstruction coordinatewise.  M is linear mod q, so
+encoding every level and combining the levels is one integer matrix G_q
+mod q (`_generator_mod_q`).  Constructions A (one code over F_p), D (a
+nested chain over F_p, lifted to one code over Z/p^L) and pi_A (codes
+over distinct prime fields) are pi_D's special cases: each checks its own
+precondition on the levels and builds the same descriptor, so
+membership, enumeration and quantization share one code path.
+Complex-ambient lattices (A_OK) replace q Z^N by the N-fold product of a
+prime ideal P of a quadratic integer ring.  Membership is one parity
+check H v = 0 (mod Q) for both ambients, on the integer coordinates
+(Q = q) or on the ring coordinates of each entry (Q = p).  Quantization
+shares its path too: one table per (coordinate, residue), the nearest
+point of r + q Z or of rep(r) + P, then one gather-sum per coset, in
+cache-sized blocks of cosets (`quantize`).
 """
 
 from __future__ import annotations
@@ -73,6 +68,7 @@ class LatticeDescriptor:
         self._geometry = None
         self._residue_points = None
         self._checks = None
+        self._generator = None
 
     def __repr__(self):
         tail = f"ideal={self.ideal!r}" if self.ambient == "complex" else f"q={self.q}"
@@ -207,6 +203,16 @@ def _checks(lat: LatticeDescriptor):
             H = [[Q // m * h for h in row] for c, m in zip(lat.codes, lat.moduli) for row in _kernel(c).H.tolist()]
         lat._checks = np.array(H, dtype=_dtype(Q, width * lat.N)).reshape(len(H), width * lat.N), Q
     return lat._checks
+
+
+def _generator_mod_q(lat: LatticeDescriptor):
+    """G_q = stack_l(E_l G_l mod q), E_l the CRT idempotents, built once per
+    real lattice: E_l m_l = 0 (mod q), so (concat_l w_l) @ G_q % q is the
+    CRT point of the codewords encode(C_l, w_l), its sums below sum n_l q^2."""
+    if lat._generator is None:
+        rows = [[e * g % lat.q for g in row] for c, e in zip(lat.codes, lat.map._idem) for row in c.G]
+        lat._generator = np.array(rows, dtype=_dtype(lat.q, len(rows))).reshape(len(rows), lat.N)
+    return lat._generator
 
 
 def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
@@ -486,7 +492,8 @@ def mod_coarse(pair: LatticePair, v):
     """Reduce v into the half-open fundamental cell of the coarse lattice.
 
     Over a real lattice a complex input reduces its two real parts
-    independently (the simulator sends one real lattice point per part).
+    independently (the simulator sends one real lattice point per part),
+    each np.mod written into its view of one complex output.
     """
     if pair.fine.ambient == "complex":  # floor in the reduced ideal basis
         v = np.asarray(v, dtype=complex)
@@ -497,6 +504,9 @@ def mod_coarse(pair: LatticePair, v):
     v = np.asarray(v)
     cell = pair.q * pair.scale
     if np.iscomplexobj(v):
-        return np.mod(v.real, cell) + 1j * np.mod(v.imag, cell)
+        out = np.empty_like(v)
+        np.mod(v.real, cell, out=out.real)
+        np.mod(v.imag, cell, out=out.imag)
+        return out[()]
     return np.mod(v.astype(float), cell)
 

@@ -487,6 +487,31 @@ def test_mod_coarse_respects_scale():
     assert np.all(out < pair.q * pair.scale)
 
 
+def test_mod_coarse_complex_input_keeps_the_two_mods_bits():
+    # a real lattice reduces the two real parts of a complex input apart,
+    # each np.mod written into its view of one complex output: bit for bit
+    # the old np.mod(v.real, cell) + 1j * np.mod(v.imag, cell), dtype and
+    # 0-d scalar included
+    full3 = LinearCode(PrimeField(3), [[1, 0], [0, 1]])
+    for scale in (1.0, 0.37, 2.5):
+        pair = LatticePair(construction_pi_a([REP2, full3]), scale=scale)
+        cell = pair.q * pair.scale
+        edges = [0.0, -0.0, cell, -cell, 2 * cell, -7 * cell, np.nextafter(0.0, -1.0),
+                 np.nextafter(cell, 0.0), np.nextafter(-cell, 0.0), -1e-300, 1e-300,
+                 2.0**52, -(2.0**52), 2.0**52 - 0.5, -(2.0**52) + 0.5, 2.0**52 + 1.0, 2.0**53,
+                 np.nextafter(2.0**52, 0.0), 3.5, -3.5]
+        rng = np.random.default_rng(int(100 * scale))
+        parts = np.array(edges + rng.uniform(-50, 50, 40).tolist() + (rng.uniform(-1, 1, 20) * 2.0**52).tolist())
+        re, im = np.meshgrid(parts, parts[::-1])
+        cases = [re + 1j * im, (re + 1j * im).T, (re + 1j * im)[::3, 1::2], np.zeros((0, 2), dtype=complex),
+                 np.zeros(0, dtype=complex), np.array(complex(-0.0, -cell)), np.array(complex(-1e-17, 2.0**52))]
+        for v in cases:
+            want = np.mod(v.real, cell) + 1j * np.mod(v.imag, cell)
+            got = mod_coarse(pair, v)
+            assert type(got) is type(want) and got.dtype == want.dtype and np.shape(got) == np.shape(want)
+            assert got.tobytes() == want.tobytes(), v
+
+
 def test_mod_coarse_complex_cell():
     ring = make_quadratic_ring(-1)
     ideal, _ = factor_rational_prime(ring, 5)

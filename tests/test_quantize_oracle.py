@@ -11,6 +11,8 @@ points for real lattices, the same QuadInt tuples for A_OK."""
 import itertools
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -85,14 +87,18 @@ def reference_quantize(lat, y):
 
 
 def _reduced_ideal_basis(ideal: PrimeIdeal):
+    # stops on a repeated (u, v) too: a float mu of +-1/2 can round to +-1
+    # both ways and flip the basis forever (Z[w] at p = 13, for one)
     u, v = ideal.basis()
     zu, zv = u.to_complex(), v.to_complex()
+    seen = set()
     while True:
         if abs(zu) > abs(zv):
             u, v, zu, zv = v, u, zv, zu
         mu = round((zv * zu.conjugate()).real / abs(zu) ** 2)
-        if mu == 0:
+        if mu == 0 or (u, v) in seen:
             return u, v
+        seen.add((u, v))
         v = v - u * mu
         zv = v.to_complex()
 
@@ -484,3 +490,30 @@ def test_a_ok_ideal_geometry_is_built_once(monkeypatch):
         quantize(lat, y)
         lattices.mod_coarse(pair, y)
     assert len(calls) == 1
+
+
+def check_nearest_ideal_point_ends(d, p):
+    """The oracle's nearest point of the first ideal above p, against the
+    nearest of the ideal's elements a + b*xi with |a|, |b| <= 12."""
+    ring = make_quadratic_ring(d)
+    ideal = factor_rational_prime(ring, p)[0]
+    box = [x for x in (ring.element(a, b) for a in range(-12, 13) for b in range(-12, 13)) if ideal.contains(x)]
+    rng = np.random.default_rng(p)
+    for w in list(rng.uniform(-3, 3, 30) + 1j * rng.uniform(-3, 3, 30)) + [0j, 0.5 + 0j]:
+        x = _nearest_ideal_point(ideal, complex(w))
+        assert ideal.contains(x), (d, p, w)
+        assert abs(x.to_complex() - w) <= min(abs(y.to_complex() - w) for y in box) + 1e-12, (d, p, w)
+
+
+def test_nearest_ideal_point_ends_on_ideals_whose_reduction_cycled():
+    # Z[w] at p = 13 and 19 and d = -11 at p = 3 flipped the oracle's
+    # reduction forever; in a subprocess, a regression fails instead of
+    # hanging the suite
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (f"import sys; sys.path[:0] = [{src!r}, {tests!r}]\n"
+            "from test_quantize_oracle import check_nearest_ideal_point_ends\n"
+            "for d, p in ((-3, 13), (-3, 19), (-11, 3)):\n"
+            "    check_nearest_ideal_point_ends(d, p)\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -114,11 +114,9 @@ def test_a_rejecting_trial_matches_the_oracle(monkeypatch, p, mode, M, seed, tri
         rng.standard_normal((2, M, 2))
     assert _rejects(rng.bit_generator.random_raw(2), bounds)
 
-    fixed = None
-    if config.fixed_H is not None:
-        fixed = cfsim._relay_scalars(config, np.asarray(config.fixed_H, dtype=complex))
+    run = cfsim._per_run(config)
     calls = _count_integers(monkeypatch)
     trials = range(trial - 1, trial + 2)  # the rejecting trial between two that do not
-    got = cfsim._run_chunk(config, seeding.seed_words(seed), trials, fixed)
+    got = cfsim._run_chunk(config, seeding.seed_words(seed), trials, run)
     assert got == _records_of_the_oracle(config, seed, trials)
     assert calls == [tuple(seeding.seed_states(seeding.seed_words(seed), range(trial, trial + 1))[0])]

@@ -31,6 +31,7 @@ from latcf.cfsim import (
 )
 from latcf.codes import LinearCode, NestedCodeChain
 from latcf.lattices import (
+    LatticeDescriptor,
     LatticePair,
     construction_a,
     construction_d,
@@ -408,6 +409,35 @@ def test_one_search_per_relay_and_trial(monkeypatch, mode, calls):
     monkeypatch.setattr(cfsim, "_ellipsoid_points", counting)
     run_trials(config, 5, seed=2)
     assert len(counted) == calls
+
+
+@pytest.mark.parametrize("mode, searches", [("fixed", 1), ("noiseless", 1), ("random", 4)])
+def test_per_run_work_runs_once_per_call(monkeypatch, mode, searches):
+    # 7 trials in chunks of 2: four chunks.  Under a fixed channel the
+    # relays' scalars come once per run_trials call, else once per chunk;
+    # G_q is built once per lattice, not again by a second call
+    fine = construction_pi_a([REP2, F3])  # fresh caches
+    config = _config(fine, 2, 3, mode)
+    monkeypatch.setattr(cfsim, "_chunk_trials", lambda config: 2)
+    scalars, calls, builds = cfsim._relay_scalars, [], []
+
+    def counting(*args):
+        calls.append(args)
+        return scalars(*args)
+
+    def build(lat, G):
+        builds.append(G)
+        lat.__dict__["_generator"] = G
+
+    monkeypatch.setattr(cfsim, "_relay_scalars", counting)
+    monkeypatch.setattr(LatticeDescriptor, "_generator",
+                        property(lambda lat: lat.__dict__["_generator"], build), raising=False)
+    first = run_trials(config, 7, seed=3)
+    assert len(calls) == searches and len(builds) == 1
+    assert run_trials(config, 7, seed=3) == first
+    assert len(calls) == 2 * searches and len(builds) == 1
+    monkeypatch.undo()
+    assert run_trials(config, 7, seed=3) == first  # whatever the chunking
 
 
 # ---------------------------------------------------------------------------
