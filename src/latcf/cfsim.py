@@ -603,7 +603,7 @@ def multistage_roundtrip(pair: LatticePair, messages, a):
         raise ValueError(f"need {len(lengths)} level messages per source, of lengths {lengths}")
     words = [[int(x) % c.alphabet.size for c, w in zip(fine.codes, w_levels) for x in w] for w_levels in messages]
     a_mod = np.array([int(x) % fine.q for x in a], dtype=np.int64)
-    points = _crt_points(fine, np.array(words, dtype=np.int64).reshape(len(words), -1))
+    points = _crt_points(fine, np.array(words, dtype=np.int64))
     out = _level_messages(fine, _function_point(a_mod, points, fine.q))
     if None in out:
         raise ArithmeticError("noiseless reduction left the codebook")
