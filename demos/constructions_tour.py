@@ -15,8 +15,8 @@ from latcf import (
     ChainRing,
     LatticePair,
     LinearCode,
+    NestedCodeChain,
     PrimeField,
-    build_nested_chain,
     construction_a,
     construction_a_ok,
     construction_d,
@@ -43,7 +43,7 @@ print("  (3,5) in?", contains(lat_a, [3, 5]), "   (1,0) in?", contains(lat_a, [1
 ###############################################################################
 # Construction D: two nested binary codes sharing a generator basis
 
-chain = build_nested_chain(2, [[1, 1], [0, 1]], [1, 2])
+chain = NestedCodeChain(2, [[1, 1], [0, 1]], [1, 2])
 lat_d = construction_d(chain, 2)
 print("\nD from a 2-level chain (dims 1 then 2), modulus", lat_d.q)
 print("  a few points:", sorted(enumerate_box(lat_d, (0, 3))))

@@ -12,10 +12,10 @@ p or p^2 elements, and the package hands you that field with tables.
 import itertools
 
 from latcf import (
+    ResidueFieldMap,
     factor_rational_prime,
     kronecker_at_prime,
     make_quadratic_ring,
-    residue_field_map,
 )
 
 ring = make_quadratic_ring(-15)
@@ -33,7 +33,7 @@ gen = ring.element(5, 2)  # 5 + 2*xi == 6 + sqrt(-15)
 print("\n6+sqrt(-15) lies in exactly one of the two ideals above 17:",
       [i.contains(gen) for i in p17])
 
-rm = residue_field_map(p17[0])
+rm = ResidueFieldMap(p17[0])
 print("residue field size:", rm.field.size)
 print("representatives of the 17 cosets:", [str(r) for r in rm.representatives[:6]], "...")
 
@@ -46,7 +46,7 @@ for i, j in itertools.product(range(17), repeat=2):
 print("isomorphism violations over all 17^2 pairs:", bad)
 
 # an inert prime gives a degree-2 extension: O_K / 7 has 49 elements
-rm7 = residue_field_map(factor_rational_prime(ring, 7)[0])
+rm7 = ResidueFieldMap(factor_rational_prime(ring, 7)[0])
 print("\np=7 is", rm7.ideal.kind, "-> residue field GF(", rm7.field.size, ")")
 two_xi = rm7.to_field(ring.element(0, 2))
 print("the class of 2*xi is field element", two_xi,

@@ -33,7 +33,6 @@ from .algebra import (
     factor_rational_prime,
     kronecker_at_prime,
     make_quadratic_ring,
-    residue_field_map,
 )
 from .cfsim import (
     BestCoefficients,
@@ -53,7 +52,6 @@ from .cfsim import (
 from .codes import (
     LinearCode,
     NestedCodeChain,
-    build_nested_chain,
     contains_codeword,
     encode,
     lift_chain_to_ring_code,
@@ -91,7 +89,6 @@ __all__ = [
     "SourceState",
     "TrialRecord",
     "best_coefficients",
-    "build_nested_chain",
     "computation_rate",
     "construction_a",
     "construction_a_ok",
@@ -114,6 +111,5 @@ __all__ = [
     "multistage_roundtrip",
     "quantize",
     "relay_process",
-    "residue_field_map",
     "run_trials",
 ]

@@ -240,12 +240,10 @@ class CrtMap:
         moduli = tuple(map(int, moduli))
         if not moduli:
             raise ValueError("need at least one modulus")
-        primes, exponents = zip(*map(factor_prime_power, moduli))
+        primes = [factor_prime_power(m)[0] for m in moduli]
         if len(set(primes)) != len(primes):
             raise ValueError(f"moduli {moduli} share a prime factor")
         self.moduli = moduli
-        self.primes = primes
-        self.exponents = exponents
         self.q = math.prod(moduli)
         self.levels = len(moduli)
         # idempotents: E_l = 1 mod m_l, = 0 mod every other modulus
@@ -546,7 +544,3 @@ class ResidueFieldMap:
 
     def __repr__(self):
         return f"ResidueFieldMap({self.ideal!r})"
-
-
-def residue_field_map(ideal: PrimeIdeal) -> ResidueFieldMap:
-    return ResidueFieldMap(ideal)

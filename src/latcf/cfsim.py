@@ -47,7 +47,7 @@ import numpy as np
 
 from .algebra import QuadraticRing
 from .codes import solve_encoding
-from .lattices import LatticePair, _generator_mod_q, contains, mod_coarse, quantize, rows_per_pass
+from .lattices import LatticeDescriptor, LatticePair, _generator_mod_q, contains, mod_coarse, quantize, rows_per_pass
 from .seeding import seed_words, trial_draws
 
 _SEARCH_HARD_CAP = 5 * 10**6
@@ -61,8 +61,8 @@ _SEARCH_HARD_CAP = 5 * 10**6
 def computation_rate(h, a, P: float) -> float:
     """Achievable rate log2+(1/(|a|^2 - P|h*a|^2/(1+P|h|^2))) in bits
     per complex channel use; +inf when the inner term vanishes (a
-    proportional to h at working precision).  Non-finite h or P raise
-    ValueError."""
+    proportional to h at working precision).  Non-finite h or P, or an
+    overflowing 1 + P|h|^2, raise ValueError."""
     if P <= 0:
         raise ValueError("P must be positive")
     h = np.asarray(h, dtype=complex)
@@ -73,9 +73,12 @@ def computation_rate(h, a, P: float) -> float:
 
 
 def _rate_denominator(h, P):
-    """1 + P|h|^2, refusing a non-finite h or P."""
+    """1 + P|h|^2, refusing a non-finite h or P, and finite ones whose
+    1 + P|h|^2 overflows."""
     den = 1.0 + P * float(np.vdot(h, h).real)
     if not math.isfinite(den):
+        if math.isfinite(P) and np.isfinite(h).all():
+            raise ValueError("1 + P|h|^2 overflows; lower P or |h|")
         raise ValueError("h and P must be finite")
     return den
 
@@ -466,17 +469,16 @@ class FunctionDecode(NamedTuple):
     ok: bool
 
 
-def _require_real(pair: LatticePair):
-    """The per-relay protocol's one guard: encode_source, decode_function
-    and multistage_roundtrip carry real lattice points."""
-    if pair.fine.ambient != "real":
-        raise ValueError("the per-relay protocol needs a real-ambient lattice, "
-                         f"got {pair.fine.kind} over {pair.fine.q!r}")
+def _require_real(lat: LatticeDescriptor):
+    """The one ambient test of make_pair, the simulator and the per-relay
+    protocol: all of them carry real lattice points."""
+    if lat.ambient != "real":
+        raise ValueError(f"a real-ambient lattice is needed, got {lat.kind} over {lat.q!r}")
 
 
 def encode_source(state: SourceState, pair: LatticePair) -> np.ndarray:
     """Transmit signal (t - u) mod coarse."""
-    _require_real(pair)
+    _require_real(pair.fine)
     t = np.asarray(state.t)
     u = np.asarray(state.u)
     for part in ([t.real, t.imag] if np.iscomplexobj(t) else [t]):
@@ -490,8 +492,8 @@ def encode_source(state: SourceState, pair: LatticePair) -> np.ndarray:
 
 
 def mmse_alpha(h, a, P: float) -> complex:
-    """Minimizer of |alpha|^2 + P|alpha*h - a|^2.  Non-finite h or P
-    raise ValueError."""
+    """Minimizer of |alpha|^2 + P|alpha*h - a|^2.  Non-finite h or P, or
+    an overflowing 1 + P|h|^2, raise ValueError."""
     h = np.asarray(h, dtype=complex)
     return _alphas_and_variances(h[None], _coeffs_to_complex(a)[None], P, "mmse")[0].item()
 
@@ -536,7 +538,7 @@ def _relay_combine(alpha, y, av, dithers):
     return acc
 
 
-def decode_function(y_prime, pair: LatticePair, a) -> FunctionDecode:
+def decode_function(y_prime, pair: LatticePair) -> FunctionDecode:
     """Quantize to the fine lattice, reduce mod coarse, then read the
     per-level codewords off and invert the encodings.
 
@@ -544,8 +546,8 @@ def decode_function(y_prime, pair: LatticePair, a) -> FunctionDecode:
     through numeric damage given the exact quantizer) is reported, not
     raised.
     """
-    _require_real(pair)
     fine = pair.fine
+    _require_real(fine)
     y_prime = np.asarray(y_prime)
     complex_in = np.iscomplexobj(y_prime)
     parts = np.stack([y_prime.real, y_prime.imag]) if complex_in else y_prime[None]
@@ -592,8 +594,8 @@ def multistage_roundtrip(pair: LatticePair, messages, a):
     sources with integer weights a, reducing mod q, and decoding each
     prime level on its own.
     """
-    _require_real(pair)
     fine = pair.fine
+    _require_real(fine)
     if any(c.alphabet.e > 1 for c in fine.codes):
         raise ValueError("levels must be prime fields")
     if len(a) != len(messages) or not messages:
@@ -644,9 +646,7 @@ def make_pair(fine, P: float) -> LatticePair:
     """Nested pair scaled so transmit symbols have variance P."""
     if not (math.isfinite(P) and P > 0):
         raise ValueError("P must be positive")
-    if fine.ambient != "real":
-        raise ValueError("make_pair and the simulator need a real-ambient lattice, "
-                         f"got {fine.kind} over {fine.q!r}")
+    _require_real(fine)
     return LatticePair(fine, scale=_power_scale(fine, P))
 
 
@@ -686,8 +686,7 @@ def run_trials(config: SimConfig, trials: int, seed: int):
 
 
 def _check_config(config: SimConfig):
-    if config.pair.fine.ambient != "real":
-        raise ValueError("simulation supports real-ambient lattices")
+    _require_real(config.pair.fine)
     if config.K < 1 or config.M < 1:
         raise ValueError("need K >= 1 sources and M >= 1 relays")
     if not (math.isfinite(config.P) and config.P > 0):

@@ -46,14 +46,9 @@ import sys
 
 import numpy as np
 
-from .algebra import (
-    ChainRing,
-    factor_rational_prime,
-    make_quadratic_ring,
-    residue_field_map,
-)
+from .algebra import ChainRing, ResidueFieldMap, factor_rational_prime, make_quadratic_ring
 from .cfsim import SimConfig, best_coefficients, computation_rate, make_pair, run_trials
-from .codes import LinearCode, build_nested_chain
+from .codes import LinearCode, NestedCodeChain
 from .lattices import (
     LatticeDescriptor,
     construction_a,
@@ -175,7 +170,7 @@ def _chain_from_json(doc, where):
     dims = _get_int_list(doc, "dims", where)
     if len(basis) != N * N:
         raise SchemaError(f"{where}.basis: expected {N * N} entries")
-    return build_nested_chain(p, [basis[i * N:(i + 1) * N] for i in range(N)], dims)
+    return NestedCodeChain(p, [basis[i * N:(i + 1) * N] for i in range(N)], dims)
 
 
 def _ideal_from_json(doc, where):
@@ -226,7 +221,7 @@ def build_construction(doc) -> LatticeDescriptor:
         if not isinstance(codes, list) or len(codes) != 1:
             raise SchemaError("construction.codes: A_OK takes exactly one code")
         entry = codes[0]
-        field = residue_field_map(ideal).field
+        field = ResidueFieldMap(ideal).field
         code = _code_from_json(entry, "construction.codes[0]", alphabet=field)
         if (entry["prime"], entry["power"]) != (ideal.p, ideal.f):
             raise ValueError(
@@ -307,8 +302,9 @@ def descriptor_from_json(doc) -> LatticeDescriptor:
 # literals
 # ---------------------------------------------------------------------------
 
-_FLOAT = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^({_FLOAT})({_FLOAT})i$")
+_UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_FLOAT = rf"[+-]?{_UFLOAT}"
+_COMPLEX_RE = re.compile(rf"^({_FLOAT})([+-]{_UFLOAT})i$")
 _IMAG_RE = re.compile(rf"^({_FLOAT})i$")
 
 
@@ -318,8 +314,6 @@ def parse_complex_token(tok: str) -> complex:
         raise SchemaError("empty complex literal")
     m = _COMPLEX_RE.match(tok)
     if m:
-        if m.group(2)[0] not in "+-":
-            raise SchemaError(f"malformed complex literal {tok!r}")
         return complex(float(m.group(1)), float(m.group(2)))
     m = _IMAG_RE.match(tok)
     if m:

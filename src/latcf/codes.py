@@ -251,10 +251,6 @@ class NestedCodeChain:
         return f"NestedCodeChain(p={self.p}, N={self.N}, dims={self.dims})"
 
 
-def build_nested_chain(p: int, basis, dims) -> NestedCodeChain:
-    return NestedCodeChain(p, basis, dims)
-
-
 def lift_chain_to_ring_code(chain: NestedCodeChain, e: int) -> LinearCode:
     """Collapse e levels of a nested chain into one code over Z_{p^e}.
 

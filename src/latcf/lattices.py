@@ -26,7 +26,7 @@ import numbers
 
 import numpy as np
 
-from .algebra import ChainRing, CrtMap, PrimeIdeal, factorize, residue_field_map
+from .algebra import ChainRing, CrtMap, PrimeIdeal, ResidueFieldMap, factorize
 from .codes import LinearCode, NestedCodeChain, _codewords, _dtype, _kernel, lift_chain_to_ring_code
 
 _BOX_CAP = 10**6
@@ -54,7 +54,7 @@ class LatticeDescriptor:
         if ideal is not None:
             self.ambient = "complex"
             self.ideal = ideal
-            self.map = residue_field_map(ideal)
+            self.map = ResidueFieldMap(ideal)
             self.q = ideal
             self.moduli = None
         else:
@@ -217,7 +217,8 @@ def _generator_mod_q(lat: LatticeDescriptor):
 
 def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
     """All lattice points with coordinates in the inclusive bounds, in
-    lexicographic order of their integer coordinates.
+    lexicographic order of their integer coordinates; a box that holds no
+    integer point gives [].
 
     bounds is one (lo, hi) pair for every coordinate or a per-coordinate
     list; for complex lattices the pair bounds both integer coordinates
@@ -227,11 +228,11 @@ def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
     """
     if len(bounds) == 2 and isinstance(bounds[0], numbers.Real):
         bounds = [tuple(bounds)] * lat.N
-    bounds = [(int(lo), int(hi)) for lo, hi in bounds]
     if len(bounds) != lat.N:
         raise ValueError("need one bound pair per coordinate")
     if any(hi < lo for lo, hi in bounds):
         raise ValueError("empty bounds")
+    bounds = [(math.ceil(lo), math.floor(hi)) for lo, hi in bounds]
     if lat.ambient == "complex":  # the (a, b) coordinates of each entry
         bounds = [b for b in bounds for _ in range(2)]
     sides = [hi - lo + 1 for lo, hi in bounds]

@@ -25,7 +25,7 @@ def function_decoded(y_prime, pair: LatticePair, a, points) -> bool:
     codewords, not messages, which chain-ring levels with non-unique
     messages need.
     """
-    _require_real(pair)
+    _require_real(pair.fine)
     q = pair.fine.q
     a_mod = np.array([int(x) % q for x in a], dtype=np.int64)
     points = np.asarray(points, dtype=np.int64)

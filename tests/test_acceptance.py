@@ -17,11 +17,11 @@ from latcf.algebra import (
     ChainRing,
     CrtMap,
     PrimeField,
+    ResidueFieldMap,
     factor_rational_prime,
     factorize,
     kronecker_at_prime,
     make_quadratic_ring,
-    residue_field_map,
 )
 from latcf.cfsim import (
     SimConfig,
@@ -37,7 +37,7 @@ from latcf.cfsim import (
 )
 from latcf.codes import (
     LinearCode,
-    build_nested_chain,
+    NestedCodeChain,
     encode as encode_word,
     lift_chain_to_ring_code,
 )
@@ -109,9 +109,9 @@ def test_02_construction_equivalences():
 
     # single level, e=2 with the lifted chain: pi_D realizes construction D
     chains = [
-        build_nested_chain(2, [[1, 1], [0, 1]], [1, 2]),
-        build_nested_chain(3, [[1, 2], [0, 1]], [1, 1]),
-        build_nested_chain(2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]], [1, 3]),
+        NestedCodeChain(2, [[1, 1], [0, 1]], [1, 2]),
+        NestedCodeChain(3, [[1, 2], [0, 1]], [1, 1]),
+        NestedCodeChain(2, [[1, 1, 0], [0, 1, 1], [0, 0, 1]], [1, 3]),
     ]
     for chain in chains:
         lifted = lift_chain_to_ring_code(chain, 2)
@@ -252,7 +252,7 @@ def test_05_quadratic_integer_example():
     }
     assert len(cosets) == 17
 
-    rm = residue_field_map(ideal)
+    rm = ResidueFieldMap(ideal)
     assert [rm.to_field(rm.to_ring(i)) for i in range(17)] == list(range(17))
     for i, j in itertools.product(range(17), repeat=2):
         xi, xj = rm.to_ring(i), rm.to_ring(j)
@@ -326,7 +326,7 @@ def test_06_noiseless_end_to_end():
         y = h @ X  # integer channel, zero noise
         relay = relay_process(y, a, dithers, h, 1.0, pair, alpha_mode="unit")
         assert relay.alpha == 1.0 + 0.0j
-        decoded = decode_function(relay.y_prime, pair, a)
+        decoded = decode_function(relay.y_prime, pair)
         assert decoded.ok
 
         b = function_coefficients(a, fine.moduli)

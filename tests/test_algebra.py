@@ -8,13 +8,13 @@ from latcf.algebra import (
     CrtMap,
     GaloisField,
     PrimeField,
+    ResidueFieldMap,
     factor_prime_power,
     factor_rational_prime,
     factorize,
     is_prime,
     kronecker_at_prime,
     make_quadratic_ring,
-    residue_field_map,
 )
 from structure_views import is_zero_divisor, minimal_polynomial
 
@@ -85,6 +85,8 @@ def test_prime_field_axioms_and_inverses():
 
 def test_chain_ring_units_and_zero_divisors():
     rng = random.Random(1)
+    with pytest.raises(ValueError, match="exponent must be >= 1"):
+        ChainRing(2, 0)
     for p, e in ((2, 2), (2, 3), (3, 2), (5, 2)):
         R = ChainRing(p, e)
         _check_ring_axioms(R, rng)
@@ -115,6 +117,10 @@ def test_galois_field_axioms_and_inverses():
             assert F.mul(a, F.inv(a)) == F.one
     with pytest.raises(ValueError):
         GaloisField(5, 2, reduction=(4, 0))  # x^2 = 4 has root 2 mod 5
+    with pytest.raises(ValueError, match="4 is not prime"):
+        GaloisField(4, 2, reduction=(1, 1))
+    with pytest.raises(ValueError, match="degree-2 field needs a reduction polynomial"):
+        GaloisField(5, 2)
 
 
 # -------------------- CRT --------------------
@@ -167,6 +173,10 @@ def test_crt_rejects_shared_primes():
         CrtMap([4, 6])
     with pytest.raises(ValueError):
         CrtMap([3, 9])
+    with pytest.raises(ValueError, match="need at least one modulus"):
+        CrtMap([])
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+        CrtMap([2, 3]).forward((1, 2, 0))
 
 
 def test_crt_single_level():
@@ -198,6 +208,11 @@ def test_quadratic_ring_validation_and_pid_flag():
         assert make_quadratic_ring(d).is_pid is True
     assert make_quadratic_ring(-5).is_pid is None
     assert make_quadratic_ring(2).is_pid is None
+    ring = make_quadratic_ring(-1)
+    with pytest.raises(ValueError, match="element from a different ring"):
+        ring.coerce(make_quadratic_ring(-3).one)
+    with pytest.raises(TypeError, match="cannot coerce 1.5"):
+        ring.coerce(1.5)
 
 
 def test_quad_int_arithmetic_matches_complex_embedding():
@@ -266,6 +281,8 @@ def test_gaussian_integer_factorizations():
     g = ring.element(1, 1)
     assert p2.contains(g) and p2.contains(g * ring.element(3, -2))
     assert not p2.contains(ring.element(1, 0))
+    with pytest.raises(ValueError, match="9 is not prime"):
+        factor_rational_prime(ring, 9)
 
 
 def test_seventeen_splits_in_d_minus_15():
@@ -323,7 +340,7 @@ def test_residue_map_is_field_isomorphism():
     for d, p in cases:
         ring = make_quadratic_ring(d)
         for ideal in factor_rational_prime(ring, p):
-            rm = residue_field_map(ideal)
+            rm = ResidueFieldMap(ideal)
             F = rm.field
             assert F.size == ideal.residue_size
             # round trip on every field element
@@ -344,12 +361,12 @@ def test_residue_map_is_field_isomorphism():
 def test_residue_map_representative_shapes():
     ring = make_quadratic_ring(-15)
     ideal, _ = factor_rational_prime(ring, 17)
-    rm = residue_field_map(ideal)
+    rm = ResidueFieldMap(ideal)
     assert [r.a for r in rm.representatives] == list(range(17))
     assert all(r.b == 0 for r in rm.representatives)
 
     (inert,) = factor_rational_prime(make_quadratic_ring(-1), 3)
-    rm2 = residue_field_map(inert)
+    rm2 = ResidueFieldMap(inert)
     assert len(rm2.representatives) == 9
     assert rm2.to_ring(5) == inert.ring.element(2, 1)  # 5 = 2 + 1*3
 

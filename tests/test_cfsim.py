@@ -89,6 +89,15 @@ def test_non_finite_h_or_power_names_the_cause():
                 fn(h, a, P)
         with pytest.raises(ValueError, match="h and P must be finite"):
             best_coefficients(h, P)
+    # finite h and P whose 1 + P|h|^2 overflows: the overflow is the cause
+    overflow = r"^1 \+ P\|h\|\^2 overflows; lower P or \|h\|$"
+    for h, P in (([2.0], 1e308), ([1e200, 1.0], 1.0)):
+        a = [1] * len(h)
+        for fn in (computation_rate, mmse_alpha):
+            with pytest.raises(ValueError, match=overflow):
+                fn(h, a, P)
+        with pytest.raises(ValueError, match=overflow):
+            best_coefficients(h, P)
 
 
 def test_rate_accepts_ring_coefficients():
@@ -265,11 +274,16 @@ def test_make_pair_refuses_non_positive_or_non_finite_power():
     assert make_pair(fine, 6.0).scale == pytest.approx(1.0)  # q^2/6 = P
 
 
+# make_pair, run_trials and the per-relay protocol's one refusal of the
+# A_OK lattice over PrimeIdeal((7, xi-3), d=-3, split) that these tests build
+A_OK_REFUSAL = r"^a real-ambient lattice is needed, got A_OK over PrimeIdeal\(\(7, xi-3\), d=-3, split\)$"
+
+
 def test_make_pair_names_a_complex_ambient_lattice_as_the_cause():
     # an A_OK lattice tiles by a prime ideal, which has no q^2/6 power scale
     ideal = factor_rational_prime(make_quadratic_ring(-3), 7)[0]
     fine = construction_a_ok(LinearCode(PrimeField(7), [[1, 3, 5]]), ideal)
-    with pytest.raises(ValueError, match="make_pair and the simulator need a real-ambient lattice"):
+    with pytest.raises(ValueError, match=A_OK_REFUSAL):
         make_pair(fine, 8.0)
 
 
@@ -281,12 +295,12 @@ def test_the_per_relay_protocol_refuses_a_complex_ambient_pair_alike():
     t = np.zeros(3, dtype=complex)
     steps = [
         lambda: encode_source(SourceState(None, t, t), pair),
-        lambda: decode_function(t, pair, [1, 1]),
+        lambda: decode_function(t, pair),
         lambda: function_decoded(t, pair, [1, 1], np.zeros((2, 2, 3), dtype=np.int64)),
         lambda: multistage_roundtrip(pair, [[(1,)], [(2,)]], [1, 1]),
     ]
     for step in steps:
-        with pytest.raises(ValueError, match=r"^the per-relay protocol needs a real-ambient lattice, got A_OK"):
+        with pytest.raises(ValueError, match=A_OK_REFUSAL):
             step()
 
 
@@ -343,7 +357,7 @@ def _noiseless_function_run(pair, K, a, rng):
     ]
     y = sum(ak * xk for ak, xk in zip(a, xs))
     out = relay_process(y, a, dithers, np.array(a, dtype=complex), 9.0, pair, alpha_mode="unit")
-    return messages, decode_function(out.y_prime, pair, a)
+    return messages, decode_function(out.y_prime, pair)
 
 
 def test_noiseless_decode_matches_field_computation():
@@ -378,7 +392,7 @@ def test_decode_single_user_identity_and_zero_messages():
     # zero messages decode to zero for any a
     fine = pair.fine
     zero_y = np.zeros(fine.N, dtype=complex)
-    out = decode_function(zero_y, pair, [3, -2])
+    out = decode_function(zero_y, pair)
     for part in range(2):
         for li, code in enumerate(fine.codes):
             assert out.functions[part][li] == (0,) * code.n
@@ -391,8 +405,8 @@ def test_decode_invariant_under_coarse_shift():
         base = rng.randrange(6)
         t = np.array([base, base], dtype=float)
         shift = 6 * np.array([rng.randrange(-2, 3), rng.randrange(-2, 3)], dtype=float)
-        d1 = decode_function(mod_coarse(pair, t), pair, [1])
-        d2 = decode_function(mod_coarse(pair, t + shift), pair, [1])
+        d1 = decode_function(mod_coarse(pair, t), pair)
+        d2 = decode_function(mod_coarse(pair, t + shift), pair)
         assert d1.functions == d2.functions
 
 
@@ -439,7 +453,7 @@ def test_multistage_single_level_matches_decode_function():
             np.array(encode(pair.fine.codes[0], m[0]), dtype=float) for m in messages
         ]
         y = mod_coarse(pair, sum(ak * pk for ak, pk in zip(a, points)))
-        direct = decode_function(y, pair, a)
+        direct = decode_function(y, pair)
         assert direct.functions[0][0] == levels[0]
 
 
@@ -504,7 +518,7 @@ def test_run_trials_refuses_an_a_ok_pair():
     # make_pair refuses an A_OK lattice; a pair built by hand is refused here
     ideal = factor_rational_prime(make_quadratic_ring(-3), 7)[0]
     pair = LatticePair(construction_a_ok(LinearCode(PrimeField(7), [[1, 3, 5]]), ideal))
-    with pytest.raises(ValueError, match="^simulation supports real-ambient lattices$"):
+    with pytest.raises(ValueError, match=A_OK_REFUSAL):
         run_trials(SimConfig(pair=pair, K=2, M=1, P=8.0), 3, seed=1)
 
 

@@ -82,6 +82,19 @@ def test_construct_schema_violations(tmp_path, capsys):
     for doc in bad:
         cfg = _write(tmp_path, "c.json", doc)
         assert _run(capsys, ["construct", "--config", cfg, "--out", out])[0] == 2
+    f17 = {"prime": 17, "power": 1, "N": 2, "n": 1, "rows": [1, 1]}
+    named = [
+        ({"kind": "A", "codes": [{**REP2, "prime": 4}]}, "construction.codes[0]: 4 is not prime"),
+        ({"kind": "D", "chain": {"prime": 2, "N": 2, "basis": [1, 1, 0], "dims": [1, 2]}},
+         "construction.chain.basis: expected 4 entries"),
+        ({"kind": "A_OK", "quadratic": {"d": -15, "p": 17}, "codes": [f17, f17]},
+         "construction.codes: A_OK takes exactly one code"),
+        ({"kind": "A", "codes": [REP2, REP2]}, "construction.codes: A takes exactly one code"),
+    ]
+    for doc, want in named:
+        cfg = _write(tmp_path, "c.json", {"construction": doc})
+        assert cli.main(["construct", "--config", cfg, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
 
     cfg = _write(tmp_path, "broken.json", "{not json")
     assert _run(capsys, ["construct", "--config", cfg, "--out", out])[0] == 2
@@ -156,6 +169,8 @@ def test_member_complex_ambient(tmp_path, capsys):
     assert _run(capsys, ["member", "--config", cfg, "--vector", "1+1i,1+1i"])[0] == 0
     assert _run(capsys, ["member", "--config", cfg, "--vector", "1+0i,0+0i"])[0] == 1
     assert _run(capsys, ["member", "--config", cfg, "--vector", "0+0i,0+0i"])[0] == 0
+    assert _run(capsys, ["member", "--config", cfg, "--vector", "0+12i,12i"])[0] == 0
+    assert _run(capsys, ["member", "--config", cfg, "--vector", "13i,0+0i"])[0] == 1
     assert _run(capsys, ["member", "--config", cfg, "--vector", "1.5+0i,0+0i"])[0] == 2
 
 
@@ -190,11 +205,16 @@ def test_rate_rejects_non_finite_h_and_power_as_search_does(capsys):
         assert (code, capsys.readouterr().err.strip()) == (2, "error: h and P must be finite")
 
 
-def test_complex_literal_grammar():
+def test_complex_literal_grammar(capsys):
     assert cli.parse_complex_token("1.5-2i") == complex(1.5, -2.0)
     assert cli.parse_complex_token("-0.25+3e-1i") == complex(-0.25, 0.3)
     assert cli.parse_complex_token("2") == complex(2.0, 0.0)
     assert cli.parse_complex_token("-3i") == complex(0.0, -3.0)
+    # pure imaginary literals with more than one character before i are
+    # one number, not two (12i is not 1 and 2i)
+    for tok, im in (("12i", 12.0), ("1.5i", 1.5), ("0.5i", 0.5), ("-12i", -12.0), (".5i", 0.5), ("1e3i", 1e3)):
+        assert cli.parse_complex_token(tok) == complex(0.0, im)
+    assert _run(capsys, ["rate", "--h", "12i,1+0i", "--a", "1,1", "--power", "3"])[0] == 0
     for bad in ["", "i", "1+i", "1+2", "1 + 2i", "2i+1"]:
         with pytest.raises(cli.SchemaError):
             cli.parse_complex_token(bad)
@@ -350,7 +370,8 @@ def test_simulate_a_ok_is_a_simulation_refusal(tmp_path, capsys):
     code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: simulation: make_pair and the simulator need a real-ambient lattice")
+    assert err == ("error: simulation: a real-ambient lattice is needed, "
+                   "got A_OK over PrimeIdeal((17, xi-6), d=-15, split)\n")
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -419,7 +440,7 @@ def test_simulate_noiseless_rate_refusal_names_the_trial_and_relay(tmp_path, cap
     code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert capsys.readouterr().err == (
-        "error: simulation: trial 0, relay 0: h and P must be finite\n")
+        "error: simulation: trial 0, relay 0: 1 + P|h|^2 overflows; lower P or |h|\n")
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +540,11 @@ def test_construct_a_ok_power_mismatch(tmp_path, capsys):
                           "codes": [{"prime": 17, "power": 2, "N": 1, "n": 1, "rows": [1]}]}},
     )
     assert _run(capsys, ["construct", "--config", cfg, "--out", str(tmp_path / "o.json")])[0] == 3
+    # a root that names no prime above p
+    doc = {**ROUND_TRIP_CONFIGS[-1], "quadratic": {"d": -15, "p": 17, "root": 5}}
+    cfg = _write(tmp_path, "c.json", {"construction": doc})
+    assert cli.main(["construct", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+    assert capsys.readouterr().err == "construction error: no prime above 17 with root 5\n"
 
 
 def test_module_entry_point():

@@ -21,15 +21,14 @@ from latcf.algebra import (
     ChainRing,
     GaloisField,
     PrimeField,
+    ResidueFieldMap,
     factor_rational_prime,
     make_quadratic_ring,
-    residue_field_map,
 )
 from latcf.codes import (
     LinearCode,
     NestedCodeChain,
     _kernel,
-    build_nested_chain,
     codebook,
     contains_codeword,
     encode,
@@ -371,11 +370,11 @@ def _workload(name):
 
 def _a_ok(d, p, rows):
     ideal = factor_rational_prime(make_quadratic_ring(d), p)[0]
-    return construction_a_ok(LinearCode(residue_field_map(ideal).field, rows), ideal)
+    return construction_a_ok(LinearCode(ResidueFieldMap(ideal).field, rows), ideal)
 
 
 def _lattices():
-    chain = build_nested_chain(2, [(1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)], (1, 3))
+    chain = NestedCodeChain(2, [(1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)], (1, 3))
     z8 = LinearCode(ChainRing(2, 3), [[1, 2, 4], [0, 2, 6]])
     return {
         "A F5 [3,2]": construction_a(LinearCode(PrimeField(5), [[1, 0, 2], [0, 1, 3]])),

@@ -6,7 +6,7 @@ import pytest
 from latcf.algebra import ChainRing, GaloisField, PrimeField
 from latcf.codes import (
     LinearCode,
-    build_nested_chain,
+    NestedCodeChain,
     codebook,
     contains_codeword,
     encode,
@@ -44,6 +44,10 @@ def test_encode_length_check():
     code = LinearCode(PrimeField(3), [[1, 2, 0]])
     with pytest.raises(ValueError):
         encode(code, (1, 2))
+    with pytest.raises(ValueError, match="generator rows have unequal lengths"):
+        LinearCode(PrimeField(3), [[1, 2, 0], [1, 2]])
+    with pytest.raises(ValueError, match="a code with no generators needs an explicit block length"):
+        LinearCode(PrimeField(3), [])
 
 
 def test_encode_is_linear():
@@ -133,7 +137,7 @@ def test_solve_handles_non_free_chain_ring_rows():
 
 
 def test_build_nested_chain_two_level_example():
-    chain = build_nested_chain(2, [(1, 1), (0, 1)], (1, 2))
+    chain = NestedCodeChain(2, [(1, 1), (0, 1)], (1, 2))
     c1 = level_code(chain, 1)
     c2 = level_code(chain, 2)
     assert set(codebook(c1)) == {(0, 0), (1, 1)}
@@ -149,7 +153,7 @@ def test_chain_nesting_holds():
                 basis = [[rng.randrange(p) for _ in range(N)] for _ in range(N)]
                 try:
                     dims = sorted(rng.randrange(N + 1) for _ in range(3))
-                    chain = build_nested_chain(p, basis, dims)
+                    chain = NestedCodeChain(p, basis, dims)
                     break
                 except ValueError:
                     continue
@@ -161,19 +165,23 @@ def test_chain_nesting_holds():
 
 def test_chain_validation():
     with pytest.raises(ValueError):
-        build_nested_chain(2, [(1, 1), (1, 1)], (1, 2))  # rank 1
+        NestedCodeChain(2, [(1, 1), (1, 1)], (1, 2))  # rank 1
     with pytest.raises(ValueError):
-        build_nested_chain(2, [(1, 0), (0, 1)], (2, 1))  # dims decrease
+        NestedCodeChain(2, [(1, 0), (0, 1)], (2, 1))  # dims decrease
     with pytest.raises(ValueError):
-        build_nested_chain(4, [(1, 0), (0, 1)], (1, 2))  # 4 not prime
+        NestedCodeChain(4, [(1, 0), (0, 1)], (1, 2))  # 4 not prime
     with pytest.raises(ValueError):
-        build_nested_chain(2, [(1, 0), (0, 1)], (1, 3))  # dim > N
+        NestedCodeChain(2, [(1, 0), (0, 1)], (1, 3))  # dim > N
+    for basis, dims, why in (([], (1,), "empty basis"), ([(1, 0)], (1,), "basis must be 2 vectors of length 2"),
+                             ([(1, 0), (0, 1)], (), "need at least one level")):
+        with pytest.raises(ValueError, match=why):
+            NestedCodeChain(2, basis, dims)
 
 
 def test_chain_degenerate_dims():
-    full = build_nested_chain(3, [(1, 0), (0, 1)], (2, 2))
+    full = NestedCodeChain(3, [(1, 0), (0, 1)], (2, 2))
     assert len(codebook(level_code(full, 1))) == 9
-    zero = build_nested_chain(2, [(1, 0), (0, 1)], (0,))
+    zero = NestedCodeChain(2, [(1, 0), (0, 1)], (0,))
     assert set(codebook(level_code(zero, 1))) == {(0, 0)}
 
 
@@ -181,7 +189,7 @@ def test_chain_degenerate_dims():
 
 
 def test_lift_two_level_example():
-    chain = build_nested_chain(2, [(1, 1), (0, 1)], (1, 2))
+    chain = NestedCodeChain(2, [(1, 1), (0, 1)], (1, 2))
     lifted = lift_chain_to_ring_code(chain, 2)
     assert lifted.alphabet == ChainRing(2, 2)
     words = set(codebook(lifted))
@@ -195,13 +203,13 @@ def test_lift_two_level_example():
 
 
 def test_lift_single_level_equals_base_code():
-    chain = build_nested_chain(3, [(1, 2, 0), (0, 1, 1), (0, 0, 1)], (2,))
+    chain = NestedCodeChain(3, [(1, 2, 0), (0, 1, 1), (0, 0, 1)], (2,))
     lifted = lift_chain_to_ring_code(chain, 1)
     assert set(codebook(lifted)) == set(codebook(level_code(chain, 1)))
 
 
 def test_lift_zero_chain_is_zero_code():
-    chain = build_nested_chain(2, [(1, 0), (0, 1)], (0, 0))
+    chain = NestedCodeChain(2, [(1, 0), (0, 1)], (0, 0))
     lifted = lift_chain_to_ring_code(chain, 2)
     assert set(codebook(lifted)) == {(0, 0)}
 
@@ -214,7 +222,7 @@ def test_lift_cardinality():
         while True:
             basis = [[rng.randrange(p) for _ in range(N)] for _ in range(N)]
             try:
-                chain = build_nested_chain(p, basis, dims)
+                chain = NestedCodeChain(p, basis, dims)
                 break
             except ValueError:
                 continue
@@ -228,7 +236,7 @@ def test_lift_cardinality():
 
 def test_lift_extends_saturated_chain():
     # e beyond the chain depth reuses the top level
-    chain = build_nested_chain(2, [(1, 1), (0, 1)], (1, 2))
+    chain = NestedCodeChain(2, [(1, 1), (0, 1)], (1, 2))
     lifted = lift_chain_to_ring_code(chain, 3)
     assert lifted.alphabet == ChainRing(2, 3)
     assert len(codebook(lifted)) == 2 * 4 * 4
@@ -238,7 +246,7 @@ def test_lift_extends_saturated_chain():
 
 def test_lift_closed_under_addition():
     # the lifted codebook is a group even when carries cross levels
-    chain = build_nested_chain(2, [(1, 1, 0), (0, 1, 1), (0, 0, 1)], (2, 2))
+    chain = NestedCodeChain(2, [(1, 1, 0), (0, 1, 1), (0, 0, 1)], (2, 2))
     lifted = lift_chain_to_ring_code(chain, 2)
     words = set(codebook(lifted))
     m = 4

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latcf.algebra import factor_rational_prime, is_prime, make_quadratic_ring, residue_field_map
+from latcf.algebra import ResidueFieldMap, factor_rational_prime, is_prime, make_quadratic_ring
 from latcf.codes import LinearCode
 from latcf.lattices import (
     LatticePair,
@@ -112,7 +112,7 @@ def test_reduction_ends_reduced_and_keeps_every_basis_that_ended():
 
 def _lattice(d, p, rows):
     ideal = factor_rational_prime(make_quadratic_ring(d), p)[0]
-    return construction_a_ok(LinearCode(residue_field_map(ideal).field, rows), ideal)
+    return construction_a_ok(LinearCode(ResidueFieldMap(ideal).field, rows), ideal)
 
 
 def check_cycling_ideal(d, p):

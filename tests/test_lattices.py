@@ -9,11 +9,11 @@ from latcf.algebra import (
     ChainRing,
     CrtMap,
     PrimeField,
+    ResidueFieldMap,
     factor_rational_prime,
     make_quadratic_ring,
-    residue_field_map,
 )
-from latcf.codes import LinearCode, build_nested_chain, codebook, lift_chain_to_ring_code
+from latcf.codes import LinearCode, NestedCodeChain, codebook, lift_chain_to_ring_code
 from latcf.lattices import (
     LatticePair,
     construction_a,
@@ -109,7 +109,7 @@ def _eq9_points(chain, L, bounds):
 
 
 def test_d_single_level_equals_a():
-    chain = build_nested_chain(2, [(1, 1), (0, 1)], (1,))
+    chain = NestedCodeChain(2, [(1, 1), (0, 1)], (1,))
     lat_d = construction_d(chain, 1)
     lat_a = construction_a(REP2)
     bounds = [(-4, 4)] * 2
@@ -124,7 +124,7 @@ def test_d_matches_direct_sum_enumeration():
         (2, [(1, 1), (0, 1)], (0, 1), 2),
     ]
     for p, basis, dims, L in cases:
-        chain = build_nested_chain(p, basis, dims)
+        chain = NestedCodeChain(p, basis, dims)
         lat = construction_d(chain, L)
         q = p**L
         bounds = [(-q, q)] * chain.N
@@ -132,18 +132,18 @@ def test_d_matches_direct_sum_enumeration():
 
 
 def test_d_trivial_chains():
-    full = build_nested_chain(2, [(1, 0), (0, 1)], (2, 2))
+    full = NestedCodeChain(2, [(1, 0), (0, 1)], (2, 2))
     lat = construction_d(full, 2)
     for pt in itertools.product(range(-2, 3), repeat=2):
         assert contains(lat, pt)
-    empty = build_nested_chain(2, [(1, 0), (0, 1)], (0,))
+    empty = NestedCodeChain(2, [(1, 0), (0, 1)], (0,))
     lat0 = construction_d(empty, 1)
     for pt in itertools.product(range(-2, 3), repeat=2):
         assert contains(lat0, pt) == all(x % 2 == 0 for x in pt)
 
 
 def test_d_depth_check():
-    chain = build_nested_chain(2, [(1, 0), (0, 1)], (1, 2))
+    chain = NestedCodeChain(2, [(1, 0), (0, 1)], (1, 2))
     with pytest.raises(ValueError):
         construction_d(chain, 3)
     with pytest.raises(ValueError):
@@ -209,7 +209,7 @@ def test_pi_d_reduces_to_a():
 
 
 def test_pi_d_subsumes_d_via_lift():
-    chain = build_nested_chain(2, [(1, 1), (0, 1)], (1, 2))
+    chain = NestedCodeChain(2, [(1, 1), (0, 1)], (1, 2))
     lat_d = construction_d(chain, 2)
     lat_pd = construction_pi_d(4, [lift_chain_to_ring_code(chain, 2)])
     bounds = [(-8, 8)] * 2
@@ -332,6 +332,13 @@ def test_enumerate_box_caps_and_bounds():
         enumerate_box(lat, [(0, 1)])
     with pytest.raises(ValueError):
         enumerate_box(lat, (2, 0))
+    # inclusive bounds: lo rounds up and hi down, whatever their signs
+    rep = construction_a(REP2)
+    assert enumerate_box(rep, (0.5, 2.5)) == enumerate_box(rep, (1, 2)) == [(1, 1), (2, 2)]
+    assert enumerate_box(rep, (-2.5, -0.5)) == enumerate_box(rep, (-2, -1)) == [(-2, -2), (-1, -1)]
+    assert enumerate_box(rep, [(0.5, 2.5), (-0.5, 1.5)]) == [(1, 1), (2, 0)]
+    assert enumerate_box(rep, (0.0, 2.0)) == enumerate_box(rep, (0, 2))
+    assert enumerate_box(rep, (0.2, 0.8)) == enumerate_box(rep, [(0, 1), (-0.5, -0.1)]) == []
 
 
 def test_lattice_points_form_group():
@@ -448,6 +455,13 @@ def test_quantize_refuses_complex_input_on_a_real_lattice():
     assert tuple(quantize(lat, np.array([0.6 + 5j, 3.4 - 2j]).real)) == (2, 2)
 
 
+def test_quantize_refuses_more_cosets_than_the_cap(monkeypatch):
+    monkeypatch.setattr("latcf.lattices._COSET_CAP", 5)
+    lat = construction_pi_a([REP2, LinearCode(PrimeField(3), [[1, 1]])])  # 2 x 3 cosets
+    with pytest.raises(ValueError, match="^6 cosets exceed the enumeration cap$"):
+        quantize(lat, [0.0, 0.0])
+
+
 def test_quantize_takes_zero_rows():
     rep = construction_a(REP2)
     got = quantize(rep, np.zeros((0, 2)))
@@ -551,7 +565,7 @@ def test_mod_coarse_complex_matches_per_coordinate_solve():
     rng = np.random.default_rng(29)
     for d, p, scale in ((-1, 5, 1.0), (-3, 7, 0.37), (-15, 17, 2.5), (-1, 3, 1.0)):
         ideal = factor_rational_prime(make_quadratic_ring(d), p)[0]
-        lat = construction_a_ok(LinearCode(residue_field_map(ideal).field, [[1, 1, 1]]), ideal)
+        lat = construction_a_ok(LinearCode(ResidueFieldMap(ideal).field, [[1, 1, 1]]), ideal)
         pair = LatticePair(lat, scale=scale)
         u, w = _reduced_ideal_basis(ideal)
         zu, zw = u.to_complex(), w.to_complex()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from latcf.algebra import ChainRing, GaloisField, PrimeField
-from latcf.codes import LinearCode, build_nested_chain, lift_chain_to_ring_code
+from latcf.codes import LinearCode, NestedCodeChain, lift_chain_to_ring_code
 from latcf.lattices import (
     _checks,
     _coset_reps,
@@ -77,7 +77,7 @@ def test_construction_pi_a_is_pi_d_with_unit_exponents(primes):
     (3, [(1, 2), (0, 1)], (1, 1), 1),
 ])
 def test_construction_d_is_pi_d_over_the_lift(p, basis, dims, L):
-    chain = build_nested_chain(p, basis, dims)
+    chain = NestedCodeChain(p, basis, dims)
     lifted = lift_chain_to_ring_code(chain, L)
     _assert_same_lattice(construction_d(chain, L), construction_pi_d(p**L, [lifted]))
 

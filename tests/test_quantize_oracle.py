@@ -25,11 +25,11 @@ from latcf.algebra import (
     PrimeField,
     PrimeIdeal,
     QuadInt,
+    ResidueFieldMap,
     factor_rational_prime,
     make_quadratic_ring,
-    residue_field_map,
 )
-from latcf.codes import LinearCode, build_nested_chain, codebook
+from latcf.codes import LinearCode, NestedCodeChain, codebook
 from latcf.lattices import (
     LatticeDescriptor,
     _coset_index,
@@ -207,13 +207,13 @@ def _workload(name):
 
 
 def _lifted_d():
-    chain = build_nested_chain(2, [(1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)], (1, 3))
+    chain = NestedCodeChain(2, [(1, 1, 0, 1), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1)], (1, 3))
     return construction_d(chain, 2)
 
 
 def _a_ok(d, p, rows):
     ideal = factor_rational_prime(make_quadratic_ring(d), p)[0]
-    field = residue_field_map(ideal).field
+    field = ResidueFieldMap(ideal).field
     return lambda: construction_a_ok(LinearCode(field, rows), ideal)
 
 
@@ -336,7 +336,7 @@ def _non_free_pi_d():
 
 def _a_ok_zero_code(d, p, N):
     ideal = factor_rational_prime(make_quadratic_ring(d), p)[0]
-    field = residue_field_map(ideal).field
+    field = ResidueFieldMap(ideal).field
     return lambda: construction_a_ok(LinearCode(field, [], N=N), ideal)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from latcf import cfsim, cli, lattices
-from latcf.algebra import ChainRing, PrimeField, factor_rational_prime, make_quadratic_ring, residue_field_map
+from latcf.algebra import ChainRing, PrimeField, ResidueFieldMap, factor_rational_prime, make_quadratic_ring
 from latcf.cfsim import SimConfig, make_pair
 from latcf.codes import LinearCode, NestedCodeChain
 from latcf.lattices import (
@@ -102,7 +102,7 @@ def test_real_rows_across_passes_match_one_row_calls(monkeypatch):
 
 def test_a_ok_rows_across_passes_match_one_row_calls(monkeypatch):
     ideal = factor_rational_prime(make_quadratic_ring(-3), 7)[0]
-    lat = construction_a_ok(LinearCode(residue_field_map(ideal).field, [[1, 3, 5]]), ideal)
+    lat = construction_a_ok(LinearCode(ResidueFieldMap(ideal).field, [[1, 3, 5]]), ideal)
     rng = np.random.default_rng(12)
     rows = (rng.normal(0.0, 3.0, size=(30, lat.N)) + 1j * rng.normal(0.0, 3.0, size=(30, lat.N)))
     rows[:10] = np.round(2 * rows[:10].real) / 2 + 1j * np.round(2 * rows[:10].imag) / 2

@@ -46,7 +46,7 @@ LATTICES = {
 def reference_decoded(y_prime, pair, a, messages):
     """The two-stage check; messages[k][level][part] are message vectors."""
     fine = pair.fine
-    decode = decode_function(y_prime, pair, a)
+    decode = decode_function(y_prime, pair)
     if not decode.ok:
         return False
     b_levels = function_coefficients(a, fine.moduli)
