@@ -46,7 +46,7 @@ import sys
 
 import numpy as np
 
-from .algebra import ChainRing, ResidueFieldMap, factor_rational_prime, make_quadratic_ring
+from .algebra import ChainRing, ResidueFieldMap, factor_rational_prime, is_prime, make_quadratic_ring
 from .cfsim import SimConfig, best_coefficients, computation_rate, make_pair, run_trials
 from .codes import LinearCode, NestedCodeChain
 from .lattices import (
@@ -94,6 +94,13 @@ def _get_int(obj, key, where, minimum=None):
     return v
 
 
+def _get_prime(obj, key, where):
+    p = _get_int(obj, key, where, minimum=2)
+    if not is_prime(p):
+        raise SchemaError(f"{where}: {p} is not prime")
+    return p
+
+
 def _get_number(obj, key, where, positive=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -137,7 +144,7 @@ def _get_bool(obj, key, where, default):
 
 def _code_from_json(doc, where, alphabet=None):
     _check_keys(doc, ["prime", "power", "N", "n", "rows"], [], where)
-    p = _get_int(doc, "prime", where, minimum=2)
+    p = _get_prime(doc, "prime", where)
     e = _get_int(doc, "power", where, minimum=1)
     N = _get_int(doc, "N", where, minimum=1)
     n = _get_int(doc, "n", where, minimum=0)
@@ -145,10 +152,7 @@ def _code_from_json(doc, where, alphabet=None):
     if len(rows) != n * N:
         raise SchemaError(f"{where}.rows: expected {n * N} entries, got {len(rows)}")
     if alphabet is None:
-        try:
-            alphabet = ChainRing(p, e)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        alphabet = ChainRing(p, e)
     return LinearCode(alphabet, [rows[i * N:(i + 1) * N] for i in range(n)], N=N)
 
 
@@ -164,7 +168,7 @@ def _code_to_json(code, prime, power):
 
 def _chain_from_json(doc, where):
     _check_keys(doc, ["prime", "N", "basis", "dims"], [], where)
-    p = _get_int(doc, "prime", where, minimum=2)
+    p = _get_prime(doc, "prime", where)
     N = _get_int(doc, "N", where, minimum=1)
     basis = _get_int_list(doc, "basis", where)
     dims = _get_int_list(doc, "dims", where)
@@ -176,7 +180,7 @@ def _chain_from_json(doc, where):
 def _ideal_from_json(doc, where):
     _check_keys(doc, ["d", "p"], ["root"], where)
     d = _get_int(doc, "d", where)
-    p = _get_int(doc, "p", where, minimum=2)
+    p = _get_prime(doc, "p", where)
     ring = make_quadratic_ring(d)
     ideals = factor_rational_prime(ring, p)
     if "root" in doc:
@@ -302,26 +306,29 @@ def descriptor_from_json(doc) -> LatticeDescriptor:
 # literals
 # ---------------------------------------------------------------------------
 
-_UFLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+# README's grammar, ASCII digits only: int() and float() would also take
+# 1_0, inf, nan and other scripts' digits
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+_UFLOAT = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 _FLOAT = rf"[+-]?{_UFLOAT}"
-_COMPLEX_RE = re.compile(rf"^({_FLOAT})([+-]{_UFLOAT})i$")
-_IMAG_RE = re.compile(rf"^({_FLOAT})i$")
+_COMPLEX_RE = re.compile(rf"({_FLOAT})([+-]{_UFLOAT})i")
+_IMAG_RE = re.compile(rf"({_FLOAT})i")
+_REAL_RE = re.compile(_FLOAT)
 
 
 def parse_complex_token(tok: str) -> complex:
     tok = tok.strip()
     if not tok:
         raise SchemaError("empty complex literal")
-    m = _COMPLEX_RE.match(tok)
+    m = _COMPLEX_RE.fullmatch(tok)
     if m:
         return complex(float(m.group(1)), float(m.group(2)))
-    m = _IMAG_RE.match(tok)
+    m = _IMAG_RE.fullmatch(tok)
     if m:
         return complex(0.0, float(m.group(1)))
-    try:
+    if _REAL_RE.fullmatch(tok):
         return complex(float(tok), 0.0)
-    except ValueError:
-        raise SchemaError(f"malformed complex literal {tok!r}") from None
+    raise SchemaError(f"malformed complex literal {tok!r}")
 
 
 def parse_complex_vector(text: str) -> np.ndarray:
@@ -332,10 +339,9 @@ def parse_int_vector(text: str):
     out = []
     for tok in text.split(","):
         tok = tok.strip()
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise SchemaError(f"expected an integer, got {tok!r}") from None
+        if not _INT_RE.fullmatch(tok):
+            raise SchemaError(f"expected an integer, got {tok!r}")
+        out.append(int(tok))
     return out
 
 

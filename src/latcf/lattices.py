@@ -15,8 +15,10 @@ prime ideal P of a quadratic integer ring.  Membership is one parity
 check H v = 0 (mod Q) for both ambients, on the integer coordinates
 (Q = q) or on the ring coordinates of each entry (Q = p).  Quantization
 shares its path too: one table per (coordinate, residue), the nearest
-point of r + q Z or of rep(r) + P, then one gather-sum per coset, in
-cache-sized blocks of cosets (`quantize`).
+point of r + q Z or of rep(r) + P, then each coset's sum of its entries in
+coordinate order, each residue prefix the cosets share summed once
+(`_coset_trie`) and the other coordinates gathered in cache-sized blocks
+of cosets (`quantize`).
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class LatticeDescriptor:
             self.q = self.map.q
         self._cosets = None
         self._index = None
+        self._trie = None
         self._geometry = None
         self._residue_points = None
         self._checks = None
@@ -257,17 +260,23 @@ def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _level_books(lat: LatticeDescriptor):
+    """Each level code's codewords (int64 rows) and alphabet size, and the
+    coset count, the product of the codebook sizes."""
+    books = [_codewords(c)[0] for c in lat.codes]
+    total = math.prod(len(b) for b in books)
+    if total > _COSET_CAP:
+        raise ValueError(f"{total} cosets exceed the enumeration cap")
+    return books, [c.alphabet.size for c in lat.codes], total
+
+
 def _coset_reps(lat: LatticeDescriptor):
     """One row per codebook coset, in itertools.product order over the
     levels: CRT residues in [0, q)^N (real) or residue-field indices (A_OK).
-    quantize never scores these rows one by one: `_coset_index` turns them
-    into positions in its per-call (coordinate, residue) table, and each
-    coset's distance is a gather-sum over them in coordinate order."""
+    quantize reads them only for a table of coset residues, when the
+    residues outnumber the cosets (`_coset_index`)."""
     if lat._cosets is None:
-        books = [_codewords(c)[0] for c in lat.codes]
-        total = math.prod(len(b) for b in books)
-        if total > _COSET_CAP:
-            raise ValueError(f"{total} cosets exceed the enumeration cap")
+        books, _, total = _level_books(lat)
         if lat.ambient == "complex":
             lat._cosets = books[0]
         else:  # level l's codewords along axis l: forward_vec broadcasts the product
@@ -281,21 +290,52 @@ def _coset_reps(lat: LatticeDescriptor):
 def _coset_index(lat: LatticeDescriptor):
     """The residues quantize tabulates per call and, per coordinate j and
     coset i, the flat position of coset i's residue at j in that N x width
-    table; built once per lattice from the coset table.  The residues are
-    all of them, 0..q-1 (0..p^f-1 for A_OK) for every coordinate, when they
-    are no more than the cosets, else each coordinate's coset residues, so
-    the table never outgrows the cosets x N work it saves."""
+    table; built once per lattice.  When the residues, q of them (p^f for
+    A_OK), are no more than the cosets, every coordinate tabulates all of
+    them in the mixed-radix order of their level residues (level l's digit
+    in Z/m_l, the first slowest), so coset i's position at j is j*q plus
+    that number for its codewords' entries at j, and the coset table is
+    never built.  Else each coordinate tabulates its coset residues
+    (`_coset_reps`), so the table never outgrows the cosets x N work it
+    saves."""
     if lat._index is None:
-        reps = _coset_reps(lat)
-        total, N = reps.shape
-        count = lat.ideal.residue_size if lat.ambient == "complex" else lat.q
-        if count <= total:
-            residues, cols = np.arange(count)[None, :], reps.T
+        books, sizes, total = _level_books(lat)
+        count, N = math.prod(sizes), lat.N
+        if count > total:
+            residues = np.ascontiguousarray(_coset_reps(lat).T)
+            index = np.arange(total) + total * np.arange(N)[:, None]
         else:
-            residues, cols = np.ascontiguousarray(reps.T), np.arange(total)[None, :]
-        width = residues.shape[1]
-        lat._index = residues, (cols + width * np.arange(N)[:, None]).astype(np.intp, order="C")
+            residues = (np.arange(count) if lat.ambient == "complex"
+                        else lat.map.forward_vec(np.indices(sizes).reshape(len(sizes), count)))[None, :]
+            # the first digit plus j*m_0, which the later digits scale to j*q
+            index = books[0].T + sizes[0] * np.arange(N)[:, None]
+            for b, m in zip(books[1:], sizes[1:]):  # the cosets in itertools.product order
+                index = np.add((index * m)[:, :, None], b.T[:, None, :], order="C").reshape(N, -1)
+        lat._index = residues, index.astype(np.intp, order="C", copy=False)
     return lat._index
+
+
+def _coset_trie(lat: LatticeDescriptor):
+    """The levels s quantize sums as residue prefixes, and each coset's
+    prefix id, built once per lattice from the index (`_coset_index`).
+    Level j holds every prefix of table columns over coordinates 0..j,
+    width^(j+1) of them, its id the mixed-radix number of its columns: so a
+    prefix's parent is its id // width and its last column its id % width,
+    and the cosets sharing a prefix share its partial sum.  Level 0 is the
+    first coordinate's table itself; level j >= 1 is kept while it holds
+    at most half the cosets, as it costs an add per prefix and saves a
+    take and an add per coset.  On a table of coset residues, or when no
+    coordinate pair merges half the cosets, s = 1 and the ids are the
+    first coordinate's positions: the plain gather."""
+    if lat._trie is None:
+        residues, index = _coset_index(lat)
+        (N, total), width = index.shape, residues.shape[1]
+        levels, ids = 1, index[0]
+        while levels < N and 2 * width ** (levels + 1) <= total:
+            ids = ids * width + (index[levels] - levels * width)
+            levels += 1
+        lat._trie = levels, ids
+    return lat._trie
 
 
 def quantize(lat: LatticeDescriptor, y):
@@ -309,13 +349,16 @@ def quantize(lat: LatticeDescriptor, y):
     residue.  One table per row holds, for each (coordinate, residue), that
     point and its squared distance (rounding over q Z, the best of the 4
     corners of a Babai floor's cell in a Lagrange-reduced basis over an
-    ideal); each coset's distance is then one gather-sum through an index
-    built once per lattice, summed in coordinate order, in cache-sized
-    blocks of cosets that each pick their rows' least coset, a later block
+    ideal); each coset's distance is then its entries summed in coordinate
+    order, through an index and a prefix trie built once per lattice: each
+    residue prefix of the leading coordinates once, shared by the cosets
+    that start with it, then the other coordinates in cache-sized blocks
+    of cosets that each pick their rows' least coset, a later block
     winning only on a strictly smaller distance: the same bits and first
-    least coset as one argmin over all cosets.  One tie rule, per coordinate and across cosets:
-    squared distances within 1e-9*max(1, dmin) of the row's minimum tie,
-    and the lexicographically smallest integer coordinates win (ring
+    least coset as one gather-sum and argmin over all cosets.  One tie
+    rule, per coordinate and across cosets: squared distances within
+    1e-9*max(1, dmin) of the row's minimum tie, and the
+    lexicographically smallest integer coordinates win (ring
     coordinates (a, b) for A_OK; real coordinate ties round down).  The
     rows go in passes of rows_per_pass(lat), so memory stays bounded
     whatever the row count, and every row of a pass is scored at once;
@@ -361,7 +404,7 @@ def _quantize_rows(lat: LatticeDescriptor, y):
     points, d2 = (_table_mod_ideal(lat, columns) if lat.ambient == "complex"
                   else _table_mod_q(lat, residues[..., None], columns))  # N x width x R
     rows = np.arange(len(y))
-    dist, pick, dmin = _gather_sum(d2, index, rows)  # cosets x R, R, R
+    dist, pick, dmin = _gather_sum(d2, index, _coset_trie(lat), rows)  # cosets x R, R, R
     tied = dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
     # x, or (a, b), per table entry and row; R may be 0
     points = points.reshape(points.shape[0] * points.shape[1], *points.shape[2:])
@@ -373,25 +416,35 @@ def _quantize_rows(lat: LatticeDescriptor, y):
     return best.swapaxes(0, 1)
 
 
-def _gather_sum(table, index, rows):
+def _gather_sum(table, index, trie, rows):
     """Each coset's squared distance per row (cosets x R), and each row's
-    first least coset and its distance (R each), for a table N x width x R
-    and rows = arange(R).  A coset's distance is its residues' table
-    entries summed over the coordinates in order (numpy's sum(axis=0) over
-    the gathered N x cosets array would go pairwise for N >= 8).  The first
-    coordinate's gather fills every coset's distance; the other
-    coordinates go in cache-sized blocks of cosets, at most _PASS_ELEMENTS
-    gathered entries (N per coset and row), and each block takes its rows'
-    first least coset while it is still in cache.  A later block replaces
-    a row's pick only with a strictly smaller distance: argmin's
-    first-index rule over all cosets."""
-    (N, total), R = index.shape, table.shape[2]
-    table = table.reshape(N * table.shape[1], R)
-    dist = table.take(index[0], axis=0)
-    block = _PASS_ELEMENTS // (N * R or 1) or 1  # one coset at the least
+    first least coset and its distance (R each), for a table N x width x R,
+    the lattice's `_coset_trie` and rows = arange(R).  A coset's distance
+    is its residues' table entries summed over the coordinates in order
+    (numpy's sum(axis=0) over the gathered N x cosets array would go
+    pairwise for N >= 8).  The trie's s levels sum each prefix of
+    coordinates 0..s-1 once, its parent's sum plus its last entry,
+    broadcast over the table's row for coordinate j, and every coset takes
+    its prefix's sum: those sums are fewer than the cosets, and one level
+    is the plain first gather.  Coordinates s..N-1 go in cache-sized
+    blocks of cosets, at most _PASS_ELEMENTS entries (N - s + 1 per coset
+    and row: its prefix's sum and its other coordinates'), and each block
+    takes its rows' first least coset while it is still in cache.  A later
+    block replaces a row's pick only with a strictly smaller distance:
+    argmin's first-index rule over all cosets.  The operands and their
+    order are those of the coordinate-order fold, so every distance keeps
+    its bits."""
+    (N, total), (width, R) = index.shape, table.shape[1:]
+    levels, ids = trie
+    sums = table[0]
+    for j in range(1, levels):
+        sums = (sums[:, None] + table[j]).reshape(width ** (j + 1), R)
+    dist = sums.take(ids, axis=0)
+    table = table.reshape(N * width, R)
+    block = _PASS_ELEMENTS // ((N - levels + 1) * R or 1) or 1  # one coset at the least
     for start in range(0, total, block):
         part = dist[start:start + block]
-        for at in index[1:, start:start + block]:
+        for at in index[levels:, start:start + block]:
             part += table.take(at, axis=0)
         least = part.argmin(axis=0)
         d = part[least, rows]

@@ -4,6 +4,7 @@ exit codes, and the CSV contract."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -90,6 +91,10 @@ def test_construct_schema_violations(tmp_path, capsys):
         ({"kind": "A_OK", "quadratic": {"d": -15, "p": 17}, "codes": [f17, f17]},
          "construction.codes: A_OK takes exactly one code"),
         ({"kind": "A", "codes": [REP2, REP2]}, "construction.codes: A takes exactly one code"),
+        ({"kind": "D", "chain": {"prime": 4, "N": 2, "basis": [1, 1, 0, 1], "dims": [1, 2]}},
+         "construction.chain: 4 is not prime"),
+        ({"kind": "A_OK", "quadratic": {"d": -3, "p": 4}, "codes": [f17]},
+         "construction.quadratic: 4 is not prime"),
     ]
     for doc, want in named:
         cfg = _write(tmp_path, "c.json", {"construction": doc})
@@ -197,8 +202,9 @@ def test_rate_rejects_bad_input(capsys):
 
 
 def test_rate_rejects_non_finite_h_and_power_as_search_does(capsys):
-    # rate printed 0.000000000 and exited 0 here
-    for h, a, power in (("1+0i,nan", "1,1", "16"), ("1+0i", "1", "nan"), ("1+0i", "1", "inf")):
+    # rate printed 0.000000000 and exited 0 here; nan is no complex
+    # literal, but 1e999 is one and overflows to inf
+    for h, a, power in (("1+0i,1e999", "1,1", "16"), ("1+0i", "1", "nan"), ("1+0i", "1", "inf")):
         code = cli.main(["rate", "--h", h, "--a", a, "--power", power])
         assert (code, capsys.readouterr().err.strip()) == (2, "error: h and P must be finite")
         code = cli.main(["search", "--h", h, "--power", power])
@@ -218,6 +224,27 @@ def test_complex_literal_grammar(capsys):
     for bad in ["", "i", "1+i", "1+2", "1 + 2i", "2i+1"]:
         with pytest.raises(cli.SchemaError):
             cli.parse_complex_token(bad)
+    # float() would take these; README's grammar does not
+    for bad in ["1_0", "infinity", "-inf", "nan", "1_0i", "1+2_0i", "\u0663"]:
+        with pytest.raises(cli.SchemaError, match=f"^malformed complex literal {re.escape(repr(bad))}$"):
+            cli.parse_complex_token(bad)
+    for tok, z in (("+3", 3), ("5.", 5), (".5", 0.5), ("-1E2", -100), (" 2 ", 2), ("0x1", None)):
+        if z is None:
+            with pytest.raises(cli.SchemaError):
+                cli.parse_complex_token(tok)
+        else:
+            assert cli.parse_complex_token(tok) == complex(z, 0.0)
+    assert cli.main(["rate", "--h", "1_0,infinity", "--a", "1,1", "--power", "3"]) == 2
+    assert capsys.readouterr().err == "error: malformed complex literal '1_0'\n"
+
+
+def test_integer_literal_grammar(capsys):
+    assert cli.parse_int_vector("1, -2,+3,007,-0") == [1, -2, 3, 7, 0]
+    for bad in ["1_0", "1.0", "1e3", "", "0x10", "\u0663", "+-1", "1 2"]:
+        with pytest.raises(cli.SchemaError, match=f"^expected an integer, got {re.escape(repr(bad))}$"):
+            cli.parse_int_vector(f"0,{bad}")
+    assert cli.main(["rate", "--h", "1+0i,1", "--a", "1,1_0", "--power", "3"]) == 2
+    assert capsys.readouterr().err == "error: expected an integer, got '1_0'\n"
 
 
 def test_search_prints_best_vector(tmp_path, capsys):
