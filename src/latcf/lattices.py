@@ -305,8 +305,8 @@ def _coset_index(lat: LatticeDescriptor):
             residues = np.ascontiguousarray(_coset_reps(lat).T)
             index = np.arange(total) + total * np.arange(N)[:, None]
         else:
-            residues = (np.arange(count) if lat.ambient == "complex"
-                        else lat.map.forward_vec(np.indices(sizes).reshape(len(sizes), count)))[None, :]
+            residues = (np.arange(count) if lat.ambient == "complex"  # the CRT of every digit tuple
+                        else np.indices(sizes).reshape(len(sizes), count).T @ lat.map._idem % count)[None, :]
             # the first digit plus j*m_0, which the later digits scale to j*q
             index = books[0].T + sizes[0] * np.arange(N)[:, None]
             for b, m in zip(books[1:], sizes[1:]):  # the cosets in itertools.product order
