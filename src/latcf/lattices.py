@@ -324,8 +324,8 @@ def _coset_trie(lat: LatticeDescriptor):
     and the cosets sharing a prefix share its partial sum.  Level 0 is the
     first coordinate's table itself; level j >= 1 is kept while it holds
     at most half the cosets, as it costs an add per prefix and saves a
-    take and an add per coset.  On a table of coset residues, or when no
-    coordinate pair merges half the cosets, s = 1 and the ids are the
+    take and an add per coset.  On a table of coset residues, or when the
+    pairs of residues outnumber half the cosets, s = 1 and the ids are the
     first coordinate's positions: the plain gather."""
     if lat._trie is None:
         residues, index = _coset_index(lat)
@@ -388,7 +388,9 @@ def quantize(lat: LatticeDescriptor, y):
 
 def rows_per_pass(lat: LatticeDescriptor) -> int:
     """Rows quantize scores in one pass (one at least): a row takes a distance
-    per coset and an N x width table, 4 Babai candidates per A_OK entry."""
+    per coset and an N x width table, 4 Babai candidates per A_OK entry.
+    The trie's prefix sums (`_coset_trie`), at most three quarters of the
+    cosets alive at once, ride on top of that count."""
     residues, index = _coset_index(lat)
     candidates = len(_ideal_geometry(lat)[3]) if lat.ambient == "complex" else 1
     return max(1, _PASS_ELEMENTS // (index.shape[1] + lat.N * residues.shape[1] * candidates))

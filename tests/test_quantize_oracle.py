@@ -404,19 +404,14 @@ def test_table_is_never_wider_than_the_coset_count(make, shape):
     assert index.min() >= 0 and index.max() < lat.N * shape[1]
 
 
-def _tries(lat):
-    """The lattice's prefix trie (`_coset_trie`) and the plain one-level
-    trie, the first coordinate's gather."""
-    return _coset_trie(lat), (1, _coset_index(lat)[1][0])
-
-
 @pytest.mark.parametrize("name", ["d=-3 p=7 N=8", "d=-7 p=2 split"])
 def test_a_ok_coset_distances_are_bit_identical(name):
     # coordinate-order sums, as the coset-wise cumsum: also for N >= 8
     lat = {**A_OK, **MORE_A_OK}[name]()
     residues, index = _coset_index(lat)
     rng = np.random.default_rng(3)
-    for y, trie in itertools.product(_complex_inputs(lat, rng, 20), _tries(lat)):
+    tries = _coset_trie(lat), (1, index[0])  # the lattice's, and the plain first gather
+    for y, trie in itertools.product(_complex_inputs(lat, rng, 20), tries):
         got = _gather_sum(_table_mod_ideal(lat, y[:, None, None])[1], index, trie, np.arange(1))[0][:, 0]
         assert np.array_equal(got, _nearest_mod_ideal(lat, _coset_reps(lat), y)[1]), y
 
@@ -428,7 +423,7 @@ def test_real_coset_distances_sum_in_coordinate_order():
     for y in _real_inputs(lat, rng, 5):
         cands = _nearest_mod_q(lat, _coset_reps(lat), y)[0]
         want = ((cands - y) ** 2).cumsum(axis=1)[:, -1]
-        for trie in _tries(lat):
+        for trie in (_coset_trie(lat), (1, index[0])):  # the lattice's, and the plain first gather
             assert np.array_equal(_gather_sum(_table_mod_q(lat, residues, y[:, None])[1][..., None], index, trie, np.arange(1))[0][:, 0], want)
 
 
