@@ -305,7 +305,8 @@ def _coset_index(lat: LatticeDescriptor):
             residues = np.ascontiguousarray(_coset_reps(lat).T)
             index = np.arange(total) + total * np.arange(N)[:, None]
         else:
-            residues = (np.arange(count) if lat.ambient == "complex"  # the CRT of every digit tuple
+            # field indices, or the CRT value of every digit tuple
+            residues = (np.arange(count) if lat.ambient == "complex"
                         else np.indices(sizes).reshape(len(sizes), count).T @ lat.map._idem % count)[None, :]
             # the first digit plus j*m_0, which the later digits scale to j*q
             index = books[0].T + sizes[0] * np.arange(N)[:, None]
