@@ -6,7 +6,7 @@ Quadratic integers and prime splitting
 How a rational prime p behaves in Z[xi] for Q(sqrt(d)): it splits into
 two conjugate ideals, stays inert, or ramifies — read off the quadratic
 character of the discriminant.  The residue ring O_K / p is a field with
-p or p^2 elements, and the package hands you that field with tables.
+p or p^2 elements, and the package hands you that field and its maps.
 """
 
 import itertools
@@ -35,7 +35,7 @@ print("\n6+sqrt(-15) lies in exactly one of the two ideals above 17:",
 
 rm = ResidueFieldMap(p17[0])
 print("residue field size:", rm.field.size)
-print("representatives of the 17 cosets:", [str(r) for r in rm.representatives[:6]], "...")
+print("representatives of the 17 cosets:", [str(rm.to_ring(i)) for i in range(6)], "...")
 
 # the map is a ring isomorphism; spot-check every pair
 bad = 0

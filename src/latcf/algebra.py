@@ -512,35 +512,29 @@ def factor_rational_prime(ring: QuadraticRing, p: int) -> tuple[PrimeIdeal, ...]
 
 
 class ResidueFieldMap:
-    """Tables realizing the ring isomorphism F_{p^f} -> O_K / ideal.
+    """The ring isomorphism F_{p^f} -> O_K / ideal and its inverse.
 
     Field elements are ints in [0, p^f); the representative of index
-    i = i0 + i1*p is the ring element i0 + i1*xi (i1 = 0 when f = 1).
+    i = i0 + i1*p is the ring element i0 + i1*xi (i1 = 0 when f = 1),
+    the ideal's canonical coset representative (`PrimeIdeal.reduce`).
     """
 
     def __init__(self, ideal: PrimeIdeal):
         self.ideal = ideal
-        ring = ideal.ring
         p = ideal.p
         if ideal.f == 1:
             self.field = PrimeField(p)
-            self.representatives = [ring.element(k) for k in range(p)]
         else:
-            t, u = ring.xi_sq
+            t, u = ideal.ring.xi_sq
             self.field = GaloisField(p, 2, reduction=(u % p, t % p))
-            self.representatives = [
-                ring.element(i % p, i // p) for i in range(p * p)
-            ]
 
     def to_ring(self, fe: int) -> QuadInt:
-        return self.representatives[fe % self.field.size]
+        b, a = divmod(fe % self.field.size, self.ideal.p)
+        return self.ideal.ring.element(a, b)
 
     def to_field(self, x: QuadInt) -> int:
-        ideal = self.ideal
-        x = ideal.ring.coerce(x)
-        if ideal.f == 1:
-            return (x.a + x.b * ideal.root) % ideal.p
-        return x.a % ideal.p + (x.b % ideal.p) * ideal.p
+        r = self.ideal.reduce(x)
+        return r.a + r.b * self.ideal.p
 
     def __repr__(self):
         return f"ResidueFieldMap({self.ideal!r})"

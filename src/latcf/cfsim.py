@@ -136,9 +136,9 @@ def best_coefficients(h, P: float, ring="Z", max_norm_cap=None) -> BestCoefficie
     matrix product a @ conj(h), then the same steps, over Z; over O_K
     computation_rate's arithmetic (numpy's vdot and its scalar abs and
     power).  These fix the bits.  If max_norm_cap trims the bound the
-    result is flagged truncated.  P <= 0 or another ring raise ValueError
-    before h is read; then a zero or non-finite h, a non-finite P, and
-    P|h|^2 so large (about 1e15) that Q is no longer positive definite.
+    result is flagged truncated.  P <= 0, a NaN cap or another ring raise
+    ValueError before h is read; then a zero or non-finite h, a non-finite
+    P, and P|h|^2 so large (about 1e15) that Q is no longer positive definite.
     """
     return _search_rows(np.asarray(h, dtype=complex)[None], P, ring, max_norm_cap)[0]
 
@@ -156,9 +156,9 @@ def _search_rows(H, P, ring, max_norm_cap, dens=None):
     """best_coefficients of each row h of the complex R x K array H, bit
     for bit.
 
-    The call's checks (P > 0, the ring) come first.  Then per row, in
-    order: its checks, the walk and the filter's cross of each pair +-v,
-    so a row's refusal (a _RowError naming the row) comes after every
+    The call's checks (P > 0, no NaN cap, the ring) come first.  Then per
+    row, in order: its checks, the walk and the filter's cross of each pair
+    +-v, so a row's refusal (a _RowError naming the row) comes after every
     earlier row's.  Once over all rows: numpy's abs and log2 of the filter
     and, over Z, of the re-rank (elementwise, so batching keeps the bits).
     Per row: the re-rank's matmul over exactly its near vectors, -v too,
@@ -166,6 +166,8 @@ def _search_rows(H, P, ring, max_norm_cap, dens=None):
     O_K, and the tie rule.  A list dens gets each row's 1 + P|h|^2."""
     if P <= 0:
         raise ValueError("P must be positive")
+    if max_norm_cap is not None and math.isnan(max_norm_cap):
+        raise ValueError("max_norm_cap must not be NaN")
     if ring == "Z":
         t, u, xi = 0, 0, None
     elif not isinstance(ring, QuadraticRing):
@@ -645,7 +647,7 @@ class TrialRecord:
 def make_pair(fine, P: float) -> LatticePair:
     """Nested pair scaled so transmit symbols have variance P."""
     if not (math.isfinite(P) and P > 0):
-        raise ValueError("P must be positive")
+        raise ValueError(f"P must be positive and finite, got {P!r}")
     _require_real(fine)
     return LatticePair(fine, scale=_power_scale(fine, P))
 
@@ -690,11 +692,13 @@ def _check_config(config: SimConfig):
     if config.K < 1 or config.M < 1:
         raise ValueError("need K >= 1 sources and M >= 1 relays")
     if not (math.isfinite(config.P) and config.P > 0):
-        raise ValueError("P must be positive")
+        raise ValueError(f"P must be positive and finite, got {config.P!r}")
     if config.pair.scale != _power_scale(config.pair.fine, config.P):
         raise ValueError(f"pair.scale {config.pair.scale!r} is not make_pair's for P = {config.P!r}")
     if config.alpha_mode not in ("mmse", "unit"):
         raise ValueError(f"unknown alpha_mode {config.alpha_mode!r}")
+    if config.noiseless and config.max_norm_cap is not None:
+        raise ValueError("a noiseless run does no coefficient search, so max_norm_cap would be ignored")
     if config.fixed_H is not None:
         H = np.asarray(config.fixed_H, dtype=complex)
         if H.shape != (config.M, config.K):

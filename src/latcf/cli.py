@@ -26,8 +26,8 @@ Config document layout (strict: unknown keys are rejected)::
     }
 
 Vector literals are comma-separated integers; complex-ambient lattices
-take `a+bi` tokens whose two integers are coordinates in the ring basis
-(1, xi).  Channel literals use `<float>[+|-]<float>i` with no spaces.
+take `a`, `bi`, `a+bi` or `a-bi` tokens of decimal integers, coordinates
+in the ring basis (1, xi).  Channel literals use `<float>[+|-]<float>i` with no spaces.
 
 Exit codes: 0 success (member: vector is in the lattice), 1 member
 verdict "out", 2 schema or literal violation, a file that cannot be read
@@ -105,6 +105,8 @@ def _get_number(obj, key, where, positive=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}.{key}: expected a number")
+    if not math.isfinite(v):  # json reads NaN and Infinity
+        raise SchemaError(f"{where}.{key}: must be finite")
     if positive and v <= 0:
         raise SchemaError(f"{where}.{key}: must be positive")
     return float(v)
@@ -314,6 +316,8 @@ _FLOAT = rf"[+-]?{_UFLOAT}"
 _COMPLEX_RE = re.compile(rf"({_FLOAT})([+-]{_UFLOAT})i")
 _IMAG_RE = re.compile(rf"({_FLOAT})i")
 _REAL_RE = re.compile(_FLOAT)
+# a ring element's coordinates: a, bi, a+bi or a-bi
+_RING_RE = re.compile(r"([+-]?[0-9]+)(?:([+-][0-9]+)i)?|([+-]?[0-9]+)i")
 
 
 def parse_complex_token(tok: str) -> complex:
@@ -348,14 +352,13 @@ def parse_int_vector(text: str):
 def parse_member_vector(text: str, lat: LatticeDescriptor):
     if lat.ambient == "real":
         return parse_int_vector(text)
-    ring = lat.ideal.ring
     out = []
     for tok in text.split(","):
-        z = parse_complex_token(tok)
-        a, b = z.real, z.imag
-        if a != int(a) or b != int(b):
+        m = _RING_RE.fullmatch(tok.strip())
+        if not m:
             raise SchemaError(f"ring coordinates must be integers: {tok!r}")
-        out.append(ring.element(int(a), int(b)))
+        a, b, imag = m.groups()
+        out.append(lat.ideal.ring.element(int(a or 0), int(b or imag or 0)))
     return out
 
 

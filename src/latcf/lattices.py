@@ -157,12 +157,11 @@ def construction_pi_d(q: int, codes) -> LatticeDescriptor:
 
 
 def construction_a_ok(code: LinearCode, ideal: PrimeIdeal) -> LatticeDescriptor:
-    """M(C) + ideal^N inside C^N, M the residue-field section."""
-    if code.alphabet.size != ideal.residue_size:
-        raise ValueError(
-            f"code alphabet size {code.alphabet.size} != residue size {ideal.residue_size}"
-        )
-    return LatticeDescriptor("A_OK", code.N, [code], ideal=ideal)
+    """M(C) + ideal^N inside C^N, M the section of C's alphabet, the residue field."""
+    lat = LatticeDescriptor("A_OK", code.N, [code], ideal=ideal)
+    if code.alphabet != lat.map.field:
+        raise ValueError(f"code alphabet {code.alphabet!r} is not the residue field {lat.map.field!r}")
+    return lat
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +551,11 @@ def mod_coarse(pair: LatticePair, v):
     independently (the simulator sends one real lattice point per part),
     each np.mod written into its view of one complex output.
     """
-    if pair.fine.ambient == "complex":  # floor in the reduced ideal basis
-        v = np.asarray(v, dtype=complex)
-        B = _ideal_geometry(pair.fine)[1] * pair.scale
-        x = np.linalg.solve(B, np.stack([v.real, v.imag]))
-        re, im = B @ (x - np.floor(x))
-        return re + 1j * im
+    if pair.fine.ambient == "complex":  # floor in the reduced ideal basis, as quantize's table does
+        _, B, to_basis, _ = _ideal_geometry(pair.fine)
+        x = np.asarray(v, dtype=complex)[..., None].view(np.float64) @ to_basis / pair.scale
+        z = (x - np.floor(x)) @ B.T * pair.scale
+        return z[..., 0] + 1j * z[..., 1]
     v = np.asarray(v)
     cell = pair.q * pair.scale
     if np.iscomplexobj(v):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -358,16 +359,41 @@ def test_residue_map_is_field_isomorphism():
                 assert (rm.to_field(x) == 0) == ideal.contains(x)
 
 
+def test_residue_map_and_reduce_are_inverse_both_ways():
+    for d, p in ((-1, 7), (-15, 17)):  # inert, split
+        ring = make_quadratic_ring(d)
+        ideal = factor_rational_prime(ring, p)[0]
+        rm = ResidueFieldMap(ideal)
+        assert [rm.to_field(rm.to_ring(i)) for i in range(ideal.residue_size)] == list(range(ideal.residue_size))
+        for a in range(-2 * p, 2 * p):
+            for b in range(-3, 4):
+                x = ring.element(a, b)
+                assert rm.to_ring(rm.to_field(x)) == ideal.reduce(x)
+
+
+def test_residue_map_over_a_large_inert_prime_builds_no_table():
+    (ideal,) = factor_rational_prime(make_quadratic_ring(-1), 1019)  # 1019 = 3 mod 4: inert
+    tracemalloc.start()
+    try:
+        rm = ResidueFieldMap(ideal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert rm.field.size == 1019**2
+    assert rm.to_ring(1019**2 - 1) == ideal.ring.element(1018, 1018)
+
+
 def test_residue_map_representative_shapes():
     ring = make_quadratic_ring(-15)
     ideal, _ = factor_rational_prime(ring, 17)
     rm = ResidueFieldMap(ideal)
-    assert [r.a for r in rm.representatives] == list(range(17))
-    assert all(r.b == 0 for r in rm.representatives)
+    assert [rm.to_ring(i).a for i in range(17)] == list(range(17))
+    assert all(rm.to_ring(i).b == 0 for i in range(17))
 
     (inert,) = factor_rational_prime(make_quadratic_ring(-1), 3)
     rm2 = ResidueFieldMap(inert)
-    assert len(rm2.representatives) == 9
+    assert len({rm2.to_ring(i) for i in range(9)}) == 9
     assert rm2.to_ring(5) == inert.ring.element(2, 1)  # 5 = 2 + 1*3
 
 

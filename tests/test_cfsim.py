@@ -274,6 +274,21 @@ def test_make_pair_refuses_non_positive_or_non_finite_power():
     assert make_pair(fine, 6.0).scale == pytest.approx(1.0)  # q^2/6 = P
 
 
+def test_a_refused_power_is_named():
+    with pytest.raises(ValueError, match="^P must be positive and finite, got nan$"):
+        make_pair(construction_pi_a([REP2, REP3]), math.nan)
+    with pytest.raises(ValueError, match="^P must be positive and finite, got inf$"):
+        run_trials(SimConfig(pair=_rep6_pair(), K=2, M=1, P=math.inf), 3, seed=1)
+
+
+def test_a_nan_max_norm_cap_is_refused_before_any_row():
+    # nan > bound is false, so a NaN cap would drop silently
+    for h in ([1.0, 0.5], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="^max_norm_cap must not be NaN$"):
+            best_coefficients(h, 8.0, max_norm_cap=math.nan)
+    assert best_coefficients([1.0, 0.5], 8.0, max_norm_cap=math.inf).truncated is False
+
+
 # make_pair, run_trials and the per-relay protocol's one refusal of the
 # A_OK lattice over PrimeIdeal((7, xi-3), d=-3, split) that these tests build
 A_OK_REFUSAL = r"^a real-ambient lattice is needed, got A_OK over PrimeIdeal\(\(7, xi-3\), d=-3, split\)$"
@@ -543,6 +558,14 @@ def test_run_trials_refuses_a_pair_scaled_for_another_power():
     for P in (math.nan, math.inf):  # refused as make_pair refuses it, before the scale
         with pytest.raises(ValueError, match="P must be positive"):
             run_trials(SimConfig(pair=make_pair(fine, 8.0), K=2, M=1, P=P), 3, seed=1)
+
+
+def test_run_trials_refuses_noiseless_with_a_max_norm_cap():
+    config = _basic_config(fixed_H=np.array([[1.0, -2.0], [2.0, 1.0]]), noiseless=True,
+                           alpha_mode="unit", max_norm_cap=1.5)
+    with pytest.raises(ValueError, match="^a noiseless run does no coefficient search, "
+                                         "so max_norm_cap would be ignored$"):
+        run_trials(config, 3, seed=1)
 
 
 def test_run_trials_noiseless_integer_channel_always_decodes():

@@ -179,6 +179,20 @@ def test_member_complex_ambient(tmp_path, capsys):
     assert _run(capsys, ["member", "--config", cfg, "--vector", "1.5+0i,0+0i"])[0] == 2
 
 
+def test_member_a_ok_literals_are_exact_integers(tmp_path, capsys):
+    # A_OK over the split 7 in Z[w], row [1, 3, 5]; 7 lies in the ideal
+    cfg = _write(tmp_path, "c.json", {"construction": {
+        "kind": "A_OK", "quadratic": {"d": -3, "p": 7},
+        "codes": [{"prime": 7, "power": 1, "N": 3, "n": 1, "rows": [1, 3, 5]}]}})
+    # 7 * (2**53 + 1): a float would round it off the ideal
+    assert _run(capsys, ["member", "--config", cfg, "--vector", "63050394783186951+0i,0+0i,0+0i"]) == (0, "in\n")
+    assert _run(capsys, ["member", "--config", cfg, "--vector", "7,7i,-7-14i"]) == (0, "in\n")
+    assert _run(capsys, ["member", "--config", cfg, "--vector", "1,0,0"]) == (1, "out\n")
+    for tok in ("7.0+0i", "7e0+0i", "1.5+0i", "7+i", "0+-1i", ""):
+        assert cli.main(["member", "--config", cfg, "--vector", f"{tok},0,0"]) == 2
+        assert capsys.readouterr().err == f"error: ring coordinates must be integers: {tok!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # rate / search
 # ---------------------------------------------------------------------------
@@ -380,6 +394,19 @@ def test_max_norm_cap_errors_are_the_same_for_search_and_simulate(tmp_path, caps
             assert capsys.readouterr().err == want
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_config_numbers_are_refused_and_named(tmp_path, capsys, value):
+    cfg = _write(tmp_path, "c.json", _sim_config(P=value))
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == "error: simulation.P: must be finite\n"
+    cfg = _write(tmp_path, "c.json", dict(_sim_config(), search={"max_norm_cap": value}))
+    for args in (["search", "--h", "1,0.5", "--power", "2", "--config", cfg],
+                 ["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]):
+        assert cli.main(args) == 2
+        assert capsys.readouterr().err == "error: search.max_norm_cap: must be finite\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_search_failure_names_the_simulation(tmp_path, capsys):
     # a valid construction whose coefficient search the cap leaves empty
     doc = dict(_sim_config(), search={"max_norm_cap": 0.5})
@@ -572,6 +599,18 @@ def test_construct_a_ok_power_mismatch(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", {"construction": doc})
     assert cli.main(["construct", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
     assert capsys.readouterr().err == "construction error: no prime above 17 with root 5\n"
+
+
+@pytest.mark.parametrize("argv", [[], ["member", "--config", "x"], ["rate", "--power", "x"]])
+def test_main_returns_2_with_argparse_usage_on_a_bad_command_line(capsys, argv):
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: latcf") and "error:" in err
+
+
+def test_main_help_returns_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: latcf")
 
 
 def test_module_entry_point():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from latcf.algebra import (
     ChainRing,
     CrtMap,
+    GaloisField,
     PrimeField,
     ResidueFieldMap,
     factor_rational_prime,
@@ -268,6 +270,16 @@ def test_a_ok_size_mismatch():
     (inert,) = factor_rational_prime(ring, 3)  # residue field size 9
     with pytest.raises(ValueError):
         construction_a_ok(REP2, inert)
+
+
+@pytest.mark.parametrize("alphabet", [ChainRing(3, 2), GaloisField(3, 2, reduction=(1, 1))],
+                         ids=["Z/9", "another F_9"])
+def test_a_ok_refuses_a_code_not_over_the_residue_field(alphabet):
+    # both have the 9 elements of Z[i]/(3), whose xi squares to -1 = 2
+    (inert,) = factor_rational_prime(make_quadratic_ring(-1), 3)
+    want = re.escape(f"code alphabet {alphabet!r} is not the residue field GaloisField(3, 2, reduction=(2, 0))")
+    with pytest.raises(ValueError, match=want):
+        construction_a_ok(LinearCode(alphabet, [[1, 1]]), inert)
 
 
 def test_a_ok_closed_under_addition():
