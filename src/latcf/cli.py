@@ -26,8 +26,8 @@ Config document layout (strict: unknown keys are rejected)::
     }
 
 Vector literals are comma-separated integers; complex-ambient lattices
-take `a`, `bi`, `a+bi` or `a-bi` tokens of decimal integers, coordinates
-in the ring basis (1, xi).  Channel literals use `<float>[+|-]<float>i` with no spaces.
+take `a`, `bi`, `a+bi` or `a-bi` tokens, integer coordinates in the ring
+basis (1, xi).  Channel literals use `<float>[+|-]<float>i` with no spaces.
 
 Exit codes: 0 success (member: vector is in the lattice), 1 member
 verdict "out", 2 schema or literal violation, a file that cannot be read
@@ -105,7 +105,7 @@ def _get_number(obj, key, where, positive=False):
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(f"{where}.{key}: expected a number")
-    if not math.isfinite(v):  # json reads NaN and Infinity
+    if not abs(v) <= sys.float_info.max:  # json reads NaN, Infinity and ints past a float's range
         raise SchemaError(f"{where}.{key}: must be finite")
     if positive and v <= 0:
         raise SchemaError(f"{where}.{key}: must be positive")

@@ -394,7 +394,7 @@ def test_max_norm_cap_errors_are_the_same_for_search_and_simulate(tmp_path, caps
             assert capsys.readouterr().err == want
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"])
 def test_non_finite_config_numbers_are_refused_and_named(tmp_path, capsys, value):
     cfg = _write(tmp_path, "c.json", _sim_config(P=value))
     assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
