@@ -273,7 +273,7 @@ def test_a_ok_size_mismatch():
 
 
 @pytest.mark.parametrize("alphabet", [ChainRing(3, 2), GaloisField(3, 2, reduction=(1, 1))],
-                         ids=["Z/9", "another F_9"])
+                         ids=["Z9", "F9-other-reduction"])
 def test_a_ok_refuses_a_code_not_over_the_residue_field(alphabet):
     # both have the 9 elements of Z[i]/(3), whose xi squares to -1 = 2
     (inert,) = factor_rational_prime(make_quadratic_ring(-1), 3)
@@ -562,6 +562,16 @@ def test_mod_coarse_complex_cell():
         assert ideal.contains(u * int(k[0]) + w * int(k[1]))
         out2 = mod_coarse(pair, out)
         assert np.allclose(out2, out, atol=1e-9)
+
+
+def test_mod_coarse_complex_takes_rows():
+    ideal = factor_rational_prime(make_quadratic_ring(-3), 7)[0]
+    pair = LatticePair(construction_a_ok(LinearCode(PrimeField(7), [[1, 3, 5]]), ideal), scale=0.37)
+    v = np.random.default_rng(30).normal(size=(4, 3, 2)) @ [5, 5j]
+    got = mod_coarse(pair, v)
+    assert got.shape == (4, 3)
+    for row, out in zip(v, got):
+        assert np.allclose(mod_coarse(pair, row), out, rtol=0, atol=1e-12)
 
 
 def test_nested_pair_coarse_inside_fine():
