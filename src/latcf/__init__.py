@@ -37,16 +37,12 @@ from .algebra import (
 from .cfsim import (
     BestCoefficients,
     SimConfig,
-    SourceState,
     TrialRecord,
     best_coefficients,
     computation_rate,
-    decode_function,
-    encode_source,
     make_pair,
     mmse_alpha,
     multistage_roundtrip,
-    relay_process,
     run_trials,
 )
 from .codes import (
@@ -86,7 +82,6 @@ __all__ = [
     "QuadraticRing",
     "ResidueFieldMap",
     "SimConfig",
-    "SourceState",
     "TrialRecord",
     "best_coefficients",
     "computation_rate",
@@ -97,9 +92,7 @@ __all__ = [
     "construction_pi_d",
     "contains",
     "contains_codeword",
-    "decode_function",
     "encode",
-    "encode_source",
     "enumerate_box",
     "factor_rational_prime",
     "kronecker_at_prime",
@@ -110,6 +103,5 @@ __all__ = [
     "mod_coarse",
     "multistage_roundtrip",
     "quantize",
-    "relay_process",
     "run_trials",
 ]

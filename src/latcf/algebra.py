@@ -159,7 +159,11 @@ class GaloisField:
         if reduction is None:
             raise ValueError("degree-2 field needs a reduction polynomial")
         const, lin = reduction[0] % p, reduction[1] % p
-        if any((x * x - lin * x - const) % p == 0 for x in range(p)):
+        if p == 2:  # only t^2 + t + 1 has no root in F_2
+            reducible = (const, lin) != (1, 1)
+        else:  # Euler's criterion: a root exists iff lin^2 + 4*const is a square
+            reducible = pow(lin * lin + 4 * const, (p - 1) // 2, p) != p - 1
+        if reducible:
             raise ValueError("reduction polynomial is reducible mod p")
         self.p = p
         self.f = 2

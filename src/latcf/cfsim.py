@@ -31,9 +31,10 @@ with the trial count.  Every element goes through the same
 floating-point operations, in the same order, as a trial run alone: the
 records are a function of (config, seed) only, whatever the chunking.
 
-The engine and the per-relay functions share one body per decode step:
-`_crt_points` (with multistage_roundtrip), `_function_point` (sum_k a_k t_k
-mod q), `_decoded_points` and `_level_messages`.
+This engine is the one trial path.  multistage_roundtrip, the noiseless
+level-by-level decoding, shares its steps `_crt_points`, `_function_point`
+(sum_k a_k t_k mod q) and `_level_messages`.  The one-relay protocol, the
+engine's slow path, is the tests' oracle (tests/relay_functions.py).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from .algebra import QuadraticRing
 from .codes import solve_encoding
-from .lattices import LatticeDescriptor, LatticePair, _generator_mod_q, contains, mod_coarse, quantize, rows_per_pass
+from .lattices import LatticeDescriptor, LatticePair, _generator_mod_q, mod_coarse, quantize, rows_per_pass
 from .seeding import seed_words, trial_draws
 
 _SEARCH_HARD_CAP = 5 * 10**6
@@ -446,51 +447,15 @@ def _factor(h, c, t, u, xi):
 
 
 # ---------------------------------------------------------------------------
-# protocol pieces
+# relay and decode steps
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SourceState:
-    """message is caller bookkeeping; t and u live at signal scale."""
-
-    message: object
-    t: np.ndarray
-    u: np.ndarray
-
-
-class RelayOutput(NamedTuple):
-    y_prime: np.ndarray
-    alpha: complex
-    noise_var_analytic: float
-
-
-class FunctionDecode(NamedTuple):
-    t_eq: np.ndarray
-    functions: tuple  # per real part, per level: decoded message vector or None
-    ok: bool
-
-
 def _require_real(lat: LatticeDescriptor):
-    """The one ambient test of make_pair, the simulator and the per-relay
-    protocol: all of them carry real lattice points."""
+    """The one ambient test of make_pair, the simulator and
+    multistage_roundtrip: all of them carry real lattice points."""
     if lat.ambient != "real":
         raise ValueError(f"a real-ambient lattice is needed, got {lat.kind} over {lat.q!r}")
-
-
-def encode_source(state: SourceState, pair: LatticePair) -> np.ndarray:
-    """Transmit signal (t - u) mod coarse."""
-    _require_real(pair.fine)
-    t = np.asarray(state.t)
-    u = np.asarray(state.u)
-    for part in ([t.real, t.imag] if np.iscomplexobj(t) else [t]):
-        coords = np.asarray(part, dtype=float) / pair.scale
-        rounded = np.round(coords)
-        if np.max(np.abs(coords - rounded)) > 1e-6:
-            raise ValueError("t is not a scaled lattice point")
-        if not contains(pair.fine, rounded.astype(np.int64)):
-            raise ValueError("t fails fine-lattice membership")
-    return mod_coarse(pair, t - u)
 
 
 def mmse_alpha(h, a, P: float) -> complex:
@@ -498,20 +463,6 @@ def mmse_alpha(h, a, P: float) -> complex:
     an overflowing 1 + P|h|^2, raise ValueError."""
     h = np.asarray(h, dtype=complex)
     return _alphas_and_variances(h[None], _coeffs_to_complex(a)[None], P, "mmse")[0].item()
-
-
-def relay_process(y, a, dithers, h, P, pair: LatticePair, alpha_mode="mmse") -> RelayOutput:
-    """(alpha*y + sum_k a_k u_k) mod coarse, plus the analytic variance
-    of the effective noise alpha*z + sum_k (alpha*h_k - a_k) x_k."""
-    h = np.asarray(h, dtype=complex)
-    av = _coeffs_to_complex(a)
-    if not len(av) == len(h) == len(dithers):
-        raise ValueError(f"a, h and dithers have lengths {len(av)}, {len(h)}, {len(dithers)}; "
-                         "need one per source")
-    alpha, noise_var = _alphas_and_variances(h[None], av[None], P, alpha_mode)
-    alpha = alpha.item()
-    y_prime = _relay_combine(alpha, np.asarray(y, dtype=complex), av, map(np.asarray, dithers))
-    return RelayOutput(mod_coarse(pair, y_prime), alpha, noise_var[0])
 
 
 def _alphas_and_variances(H, av, P, alpha_mode, dens=None):
@@ -538,25 +489,6 @@ def _relay_combine(alpha, y, av, dithers):
     for ak, uk in zip(av, dithers):
         acc = acc + ak * uk
     return acc
-
-
-def decode_function(y_prime, pair: LatticePair) -> FunctionDecode:
-    """Quantize to the fine lattice, reduce mod coarse, then read the
-    per-level codewords off and invert the encodings.
-
-    A failed inversion (reduction is not a codeword, possible only
-    through numeric damage given the exact quantizer) is reported, not
-    raised.
-    """
-    fine = pair.fine
-    _require_real(fine)
-    y_prime = np.asarray(y_prime)
-    complex_in = np.iscomplexobj(y_prime)
-    parts = np.stack([y_prime.real, y_prime.imag]) if complex_in else y_prime[None]
-    points = _decoded_points(pair, parts)
-    functions = tuple(_level_messages(fine, pt) for pt in points)
-    t_eq = (points[0] + 1j * points[1] if complex_in else points[0]) * pair.scale
-    return FunctionDecode(t_eq, functions, all(None not in levels for levels in functions))
 
 
 def _function_point(a, points, q):

@@ -25,14 +25,10 @@ from latcf.algebra import (
 )
 from latcf.cfsim import (
     SimConfig,
-    SourceState,
     best_coefficients,
-    decode_function,
-    encode_source,
     make_pair,
     mmse_alpha,
     multistage_roundtrip,
-    relay_process,
     run_trials,
 )
 from latcf.codes import (
@@ -50,7 +46,14 @@ from latcf.lattices import (
     contains,
     enumerate_box,
 )
-from relay_functions import combined_message, function_coefficients
+from relay_functions import (
+    SourceState,
+    combined_message,
+    decode_function,
+    encode_source,
+    function_coefficients,
+    relay_process,
+)
 from structure_views import sigma_vec
 
 

@@ -124,6 +124,20 @@ def test_galois_field_axioms_and_inverses():
         GaloisField(5, 2)
 
 
+def test_galois_field_irreducibility_matches_a_root_scan():
+    # Euler's criterion on the discriminant (and t^2 + t + 1 alone over F_2)
+    # against a search for a root, for every reduction polynomial mod every
+    # prime below 60
+    for p in filter(is_prime, range(60)):
+        for const in range(p):
+            for lin in range(p):
+                if any((x * x - lin * x - const) % p == 0 for x in range(p)):
+                    with pytest.raises(ValueError, match="^reduction polynomial is reducible mod p$"):
+                        GaloisField(p, 2, reduction=(const, lin))
+                else:
+                    assert GaloisField(p, 2, reduction=(const, lin)).reduction == (const, lin)
+
+
 # -------------------- CRT --------------------
 
 

@@ -10,15 +10,11 @@ from latcf import cfsim
 from latcf.algebra import CrtMap, PrimeField, factor_rational_prime, make_quadratic_ring
 from latcf.cfsim import (
     SimConfig,
-    SourceState,
     best_coefficients,
     computation_rate,
-    decode_function,
-    encode_source,
     make_pair,
     mmse_alpha,
     multistage_roundtrip,
-    relay_process,
     run_trials,
 )
 from latcf.codes import LinearCode, encode
@@ -29,7 +25,7 @@ from latcf.lattices import (
     construction_pi_a,
     mod_coarse,
 )
-from relay_functions import function_decoded
+from relay_functions import SourceState, decode_function, encode_source, function_decoded, relay_process
 
 REP2 = LinearCode(PrimeField(2), [[1, 1]])
 REP3 = LinearCode(PrimeField(3), [[1, 1]])
@@ -290,7 +286,8 @@ def test_a_nan_max_norm_cap_is_refused_before_any_row():
 
 
 # make_pair, run_trials and the per-relay protocol's one refusal of the
-# A_OK lattice over PrimeIdeal((7, xi-3), d=-3, split) that these tests build
+# A_OK lattice over PrimeIdeal((7, xi-3), d=-3, split) that these tests
+# build; the protocol lives in tests/relay_functions.py, the engine's oracle
 A_OK_REFUSAL = r"^a real-ambient lattice is needed, got A_OK over PrimeIdeal\(\(7, xi-3\), d=-3, split\)$"
 
 
@@ -303,8 +300,8 @@ def test_make_pair_names_a_complex_ambient_lattice_as_the_cause():
 
 
 def test_the_per_relay_protocol_refuses_a_complex_ambient_pair_alike():
-    # relay_process only scales and reduces, which an ideal supports; the
-    # steps that carry real lattice points share one guard
+    # relay_process (in relay_functions) only scales and reduces, which an
+    # ideal supports; the steps that carry real lattice points share one guard
     ideal = factor_rational_prime(make_quadratic_ring(-3), 7)[0]
     pair = LatticePair(construction_a_ok(LinearCode(PrimeField(7), [[1, 3, 5]]), ideal))
     t = np.zeros(3, dtype=complex)

@@ -593,7 +593,8 @@ def test_construct_a_ok_power_mismatch(tmp_path, capsys):
         {"construction": {"kind": "A_OK", "quadratic": {"d": -15, "p": 17},
                           "codes": [{"prime": 17, "power": 2, "N": 1, "n": 1, "rows": [1]}]}},
     )
-    assert _run(capsys, ["construct", "--config", cfg, "--out", str(tmp_path / "o.json")])[0] == 3
+    assert cli.main(["construct", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 3
+    assert capsys.readouterr().err == "construction error: code alphabet 17^2 does not match the residue field 17^1\n"
     # a root that names no prime above p
     doc = {**ROUND_TRIP_CONFIGS[-1], "quadratic": {"d": -15, "p": 17, "root": 5}}
     cfg = _write(tmp_path, "c.json", {"construction": doc})

@@ -17,7 +17,6 @@ import pytest
 
 from latcf import cli
 from latcf.algebra import ChainRing, PrimeField
-from latcf.cfsim import decode_function
 from latcf.codes import LinearCode, NestedCodeChain, codebook, encode
 from latcf.lattices import (
     LatticePair,
@@ -27,7 +26,7 @@ from latcf.lattices import (
     construction_pi_d,
     mod_coarse,
 )
-from relay_functions import combined_message, function_coefficients, function_decoded
+from relay_functions import combined_message, decode_function, function_coefficients, function_decoded
 
 F2 = LinearCode(PrimeField(2), [[1, 0, 1, 1], [0, 1, 1, 0]])
 F3 = LinearCode(PrimeField(3), [[1, 1, 1, 0], [0, 1, 2, 1]])

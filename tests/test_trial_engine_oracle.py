@@ -1,6 +1,7 @@
 """Differential test of the two-phase trial engine against the serial loop
 it replaced: `run_trials` running `_one_trial` once per trial, with the
-per-relay `relay_process` and `function_decoded` and the symbol-by-symbol
+per-relay `relay_process` and `function_decoded` (both in
+`relay_functions`, the engine's slow path) and the symbol-by-symbol
 `encode` it called, kept here verbatim as the oracle.  The CSV that
 `write_csv` makes of the records must be byte-identical, over every
 construction, K, M, channel mode and chunk boundary, and a run that
@@ -19,13 +20,10 @@ import pytest
 from latcf import cfsim, cli
 from latcf.algebra import ChainRing, PrimeField
 from latcf.cfsim import (
-    RelayOutput,
     SimConfig,
-    SourceState,
     TrialRecord,
     _coeffs_to_complex,
     computation_rate,
-    encode_source,
     make_pair,
     run_trials,
 )
@@ -40,7 +38,7 @@ from latcf.lattices import (
     mod_coarse,
     quantize,
 )
-from relay_functions import function_coefficients
+from relay_functions import RelayOutput, SourceState, encode_source, function_coefficients, relay_process
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
@@ -501,7 +499,7 @@ def test_relay_process_and_mmse_alpha_match_the_oracle(alpha_mode):
             P = float(10.0 ** rng.uniform(-3, 4))
             y = rng.standard_normal(pair.fine.N) + 1j * rng.standard_normal(pair.fine.N)
             dithers = [rng.random(pair.fine.N) for _ in range(K)]
-            got = cfsim.relay_process(y, a, dithers, h, P, pair, alpha_mode=alpha_mode)
+            got = relay_process(y, a, dithers, h, P, pair, alpha_mode=alpha_mode)
             want = reference_relay_process(y, a, dithers, h, P, pair, alpha_mode=alpha_mode)
             assert repr((got.alpha, got.noise_var_analytic)) == repr((want.alpha, want.noise_var_analytic))
             assert np.array_equal(got.y_prime, want.y_prime)
