@@ -504,7 +504,7 @@ def factor_rational_prime(ring: QuadraticRing, p: int) -> tuple[PrimeIdeal, ...]
     if symbol == -1:
         return (PrimeIdeal(ring, p, "inert", 2, None),)
     t, u = ring.xi_sq
-    roots = sorted(x for x in range(p) if (x * x - t * x - u) % p == 0)
+    roots = _quadratic_roots(t, u, p)
     if symbol == 0:
         if len(roots) != 1:
             raise ArithmeticError(f"expected a double root mod {p}, got {roots}")
@@ -513,6 +513,43 @@ def factor_rational_prime(ring: QuadraticRing, p: int) -> tuple[PrimeIdeal, ...]
         raise ArithmeticError(f"expected two roots mod {p}, got {roots}")
     first = PrimeIdeal(ring, p, "split", 1, roots[0])
     return (first, PrimeIdeal(ring, p, "split", 1, roots[1]))
+
+
+def _quadratic_roots(t: int, u: int, p: int) -> list:
+    """The roots of x^2 - t x - u mod the prime p, ascending: (t +- s) / 2
+    for s a square root of the discriminant t^2 + 4u (`_sqrt_mod`), one
+    root when it is 0 mod p, none when it is a non-residue; for p = 2, the
+    two residues tried."""
+    if p == 2:
+        return [x for x in range(2) if (x * x - t * x - u) % 2 == 0]
+    disc, half = (t * t + 4 * u) % p, (p + 1) // 2
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return []
+    s = _sqrt_mod(disc, p)
+    return sorted({(t + s) * half % p, (t - s) * half % p})
+
+
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of the quadratic residue a mod the odd prime p, by
+    Tonelli-Shanks: O(log^2 p) products mod p, after a search for a
+    non-residue z that takes 2 tries on average."""
+    a %= p
+    if a == 0:
+        return 0
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # t has order 2^i < 2^s
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 class ResidueFieldMap:

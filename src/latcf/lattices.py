@@ -14,17 +14,22 @@ Complex-ambient lattices (A_OK) replace q Z^N by the N-fold product of a
 prime ideal P of a quadratic integer ring.  Membership is one parity
 check H v = 0 (mod Q) for both ambients, on the integer coordinates
 (Q = q) or on the ring coordinates of each entry (Q = p).  Quantization
-shares its path too: one table per (coordinate, residue), the nearest
-point of r + q Z or of rep(r) + P, then each coset's sum of its entries in
-coordinate order, each residue prefix the cosets share summed once
-(`_coset_trie`) and the other coordinates gathered in cache-sized blocks
-of cosets (`quantize`).
+takes one of two paths, chosen by the lattice's codebook bound
+(`_searched`).  A_OK and a real lattice with few cosets use the coset
+table: one table per (coordinate, residue), the nearest point of r + q Z
+or of rep(r) + P, then each coset's sum of its entries in coordinate
+order and one argmin.  A real lattice with many cosets uses the
+closest-point search: Schnorr-Euchner enumeration in an LLL-reduced basis
+of M(C_1 x ... x C_L) + q Z^N (`_search_basis`), which keeps every point
+the table could tie and scores those with the table's arithmetic, so both
+paths return the same points.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +37,13 @@ from .algebra import ChainRing, CrtMap, PrimeIdeal, ResidueFieldMap, factorize
 from .codes import LinearCode, NestedCodeChain, _codewords, _dtype, _kernel, lift_chain_to_ring_code
 
 _BOX_CAP = 10**6
-_COSET_CAP = 10**6
-# elements one batch holds: a quantize pass, the table entries a block of
-# its cosets gathers, or an enumerate_box block
+# elements one batch holds: a quantize pass or an enumerate_box block
 _PASS_ELEMENTS = 1 << 17
+# quantize scores every coset up to this codebook bound and searches above
+# it (`_searched`), the crossover of the layer sweep in BENCH_27.json
+_TABLE_COSETS = 4096
+# elements per coordinate a searched quantize row holds (`rows_per_pass`)
+_SEARCH_ROW_ELEMENTS = 8
 
 
 class LatticeDescriptor:
@@ -67,7 +75,7 @@ class LatticeDescriptor:
             self.q = self.map.q
         self._cosets = None
         self._index = None
-        self._trie = None
+        self._search = None
         self._geometry = None
         self._residue_points = None
         self._checks = None
@@ -263,10 +271,7 @@ def _level_books(lat: LatticeDescriptor):
     """Each level code's codewords (int64 rows) and alphabet size, and the
     coset count, the product of the codebook sizes."""
     books = [_codewords(c)[0] for c in lat.codes]
-    total = math.prod(len(b) for b in books)
-    if total > _COSET_CAP:
-        raise ValueError(f"{total} cosets exceed the enumeration cap")
-    return books, [c.alphabet.size for c in lat.codes], total
+    return books, [c.alphabet.size for c in lat.codes], math.prod(len(b) for b in books)
 
 
 def _coset_reps(lat: LatticeDescriptor):
@@ -315,27 +320,13 @@ def _coset_index(lat: LatticeDescriptor):
     return lat._index
 
 
-def _coset_trie(lat: LatticeDescriptor):
-    """The levels s quantize sums as residue prefixes, and each coset's
-    prefix id, built once per lattice from the index (`_coset_index`).
-    Level j holds every prefix of table columns over coordinates 0..j,
-    width^(j+1) of them, its id the mixed-radix number of its columns: so a
-    prefix's parent is its id // width and its last column its id % width,
-    and the cosets sharing a prefix share its partial sum.  Level 0 is the
-    first coordinate's table itself; level j >= 1 is kept while it holds
-    at most half the cosets, as it costs an add per prefix and saves a
-    take and an add per coset.  On a table of coset residues, or when the
-    pairs of residues outnumber half the cosets, s = 1 and the ids are the
-    first coordinate's positions: the plain gather."""
-    if lat._trie is None:
-        residues, index = _coset_index(lat)
-        (N, total), width = index.shape, residues.shape[1]
-        levels, ids = 1, index[0]
-        while levels < N and 2 * width ** (levels + 1) <= total:
-            ids = ids * width + (index[levels] - levels * width)
-            levels += 1
-        lat._trie = levels, ids
-    return lat._trie
+def _searched(lat: LatticeDescriptor) -> bool:
+    """Whether quantize finds lat's points by the closest-point search
+    (`_closest_rows`) rather than the coset table: a real lattice whose
+    codebook bound prod_l m_l^(n_l) exceeds _TABLE_COSETS.  The bound is
+    read off the generators, so the choice builds nothing, and it is the
+    coset count for free codes."""
+    return lat.ambient == "real" and math.prod(c.codebook_bound() for c in lat.codes) > _TABLE_COSETS
 
 
 def quantize(lat: LatticeDescriptor, y):
@@ -343,26 +334,25 @@ def quantize(lat: LatticeDescriptor, y):
 
     y is one vector of length N or an array of rows (R, N), R >= 0.  A
     real lattice gives an int64 array of y's shape; A_OK gives a tuple of
-    QuadInt, or a list of them, one per row.  The lattice is a union of
-    cosets rep + Lambda_c^N, so the nearest point of a coset splits into one
-    nearest point per coordinate, which depends only on that coordinate's
-    residue.  One table per row holds, for each (coordinate, residue), that
-    point and its squared distance (rounding over q Z, the best of the 4
-    corners of a Babai floor's cell in a Lagrange-reduced basis over an
-    ideal); each coset's distance is then its entries summed in coordinate
-    order, through an index and a prefix trie built once per lattice: each
-    residue prefix of the leading coordinates once, shared by the cosets
-    that start with it, then the other coordinates in cache-sized blocks
-    of cosets that each pick their rows' least coset, a later block
-    winning only on a strictly smaller distance: the same bits and first
-    least coset as one gather-sum and argmin over all cosets.  One tie
-    rule, per coordinate and across cosets: squared distances within
-    1e-9*max(1, dmin) of the row's minimum tie, and the
-    lexicographically smallest integer coordinates win (ring
-    coordinates (a, b) for A_OK; real coordinate ties round down).  The
-    rows go in passes of rows_per_pass(lat), so memory stays bounded
-    whatever the row count, and every row of a pass is scored at once;
-    only a row with several tied cosets picks its winner in Python.
+    QuadInt, or a list of them, one per row.  One tie rule: the lattice is
+    a union of cosets rep + Lambda_c^N, each coset's point is its nearest
+    one coordinate by coordinate (rounding over q Z, real coordinate ties
+    rounding down; the best of the 4 corners of a Babai floor's cell in a
+    Lagrange-reduced basis over an ideal), its squared distance is the sum
+    of its coordinates' in coordinate order, distances within
+    1e-9*max(1, dmin) of the row's minimum tie, and the lexicographically
+    smallest integer coordinates win (ring coordinates (a, b) for A_OK).
+
+    Two paths give those points.  A_OK and a real lattice with at most
+    _TABLE_COSETS cosets (by the codebook bound, `_searched`) score every
+    coset: one table per row holds each (coordinate, residue)'s point and
+    squared distance, and one gather-sum over the cosets and argmin picks
+    the least (`_quantize_rows`).  A real lattice with more cosets is
+    searched: Schnorr-Euchner enumeration in an LLL-reduced basis keeps
+    every point that can be a tied coset's, and the table's arithmetic
+    scores just those (`_closest_rows`), so its time grows with the points
+    near y, not with the cosets.  The rows go in passes of
+    rows_per_pass(lat), so memory stays bounded whatever the row count.
     Entries must be finite with |y_j| <= 2**53, beyond which float64
     misses integer points, and real for a real-ambient lattice.
     """
@@ -375,10 +365,10 @@ def quantize(lat: LatticeDescriptor, y):
     if not np.abs(y).max(initial=0.0) <= 2.0**53:  # false for nan too
         raise ValueError("y must be finite" if not np.isfinite(y).all() else "y must satisfy |y| <= 2**53")
     flat, step = y.reshape(-1, lat.N), rows_per_pass(lat)
-    best = _quantize_rows(lat, flat[:step])
-    if len(flat) > step:
-        best = np.concatenate([best] + [_quantize_rows(lat, flat[i:i + step])
-                                        for i in range(step, len(flat), step)])
+    nearest = _closest_rows if _searched(lat) else _quantize_rows
+    best = np.empty(flat.shape + ((2,) if complex_ambient else ()), dtype=np.int64)
+    for i in range(0, len(flat), step):
+        best[i:i + step] = nearest(lat, flat[i:i + step])
     if complex_ambient:
         element = lat.ideal.ring.element
         rows = [tuple(element(a, b) for a, b in row) for row in best.tolist()]
@@ -387,26 +377,28 @@ def quantize(lat: LatticeDescriptor, y):
 
 
 def rows_per_pass(lat: LatticeDescriptor) -> int:
-    """Rows quantize scores in one pass (one at least): a row takes a distance
-    per coset and an N x width table, 4 Babai candidates per A_OK entry.
-    The trie's prefix sums (`_coset_trie`), at most three quarters of the
-    cosets alive at once, ride on top of that count."""
+    """Rows quantize scores in one pass (one at least).  A table row takes
+    a distance per coset and an N x width table, 4 Babai candidates per
+    A_OK entry; a searched row takes _SEARCH_ROW_ELEMENTS per coordinate,
+    its reduced coordinates, centres and kept points."""
+    if _searched(lat):
+        return max(1, _PASS_ELEMENTS // (_SEARCH_ROW_ELEMENTS * lat.N))
     residues, index = _coset_index(lat)
     candidates = len(_ideal_geometry(lat)[3]) if lat.ambient == "complex" else 1
     return max(1, _PASS_ELEMENTS // (index.shape[1] + lat.N * residues.shape[1] * candidates))
 
 
 def _quantize_rows(lat: LatticeDescriptor, y):
-    """The nearest point to each row of y (R x N): int64 R x N, or R x N x 2
-    ring coordinates for A_OK.  The rows ride along the last axis of the
-    tables, so each coset's gather takes one contiguous run of R entries;
-    the distances take cosets x R entries."""
+    """The nearest point to each row of y (R x N) by the coset table: int64
+    R x N, or R x N x 2 ring coordinates for A_OK.  The rows ride along the
+    last axis of the tables, so each coset's gather takes one contiguous
+    run of R entries; the distances take cosets x R entries."""
     residues, index = _coset_index(lat)
     columns = y.T[:, None]  # N x 1 x R
     points, d2 = (_table_mod_ideal(lat, columns) if lat.ambient == "complex"
                   else _table_mod_q(lat, residues[..., None], columns))  # N x width x R
     rows = np.arange(len(y))
-    dist, pick, dmin = _gather_sum(d2, index, _coset_trie(lat), rows)  # cosets x R, R, R
+    dist, pick, dmin = _gather_sum(d2, index, rows)  # cosets x R, R, R
     tied = dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
     # x, or (a, b), per table entry and row; R may be 0
     points = points.reshape(points.shape[0] * points.shape[1], *points.shape[2:])
@@ -418,53 +410,271 @@ def _quantize_rows(lat: LatticeDescriptor, y):
     return best.swapaxes(0, 1)
 
 
-def _gather_sum(table, index, trie, rows):
+def _gather_sum(table, index, rows):
     """Each coset's squared distance per row (cosets x R), and each row's
-    first least coset and its distance (R each), for a table N x width x R,
-    the lattice's `_coset_trie` and rows = arange(R).  A coset's distance
-    is its residues' table entries summed over the coordinates in order
-    (numpy's sum(axis=0) over the gathered N x cosets array would go
-    pairwise for N >= 8).  The trie's s levels sum each prefix of
-    coordinates 0..s-1 once, its parent's sum plus its last entry,
-    broadcast over the table's row for coordinate j, and every coset takes
-    its prefix's sum: those sums are fewer than the cosets, and one level
-    is the plain first gather.  Coordinates s..N-1 go in cache-sized
-    blocks of cosets, at most _PASS_ELEMENTS entries (N - s + 1 per coset
-    and row: its prefix's sum and its other coordinates'), and each block
-    takes its rows' first least coset while it is still in cache.  A later
-    block replaces a row's pick only with a strictly smaller distance:
-    argmin's first-index rule over all cosets.  The operands and their
-    order are those of the coordinate-order fold, so every distance keeps
-    its bits."""
-    (N, total), (width, R) = index.shape, table.shape[1:]
-    levels, ids = trie
-    sums = table[0]
-    for j in range(1, levels):
-        sums = (sums[:, None] + table[j]).reshape(width ** (j + 1), R)
-    dist = sums.take(ids, axis=0)
-    table = table.reshape(N * width, R)
-    block = _PASS_ELEMENTS // ((N - levels + 1) * R or 1) or 1  # one coset at the least
-    for start in range(0, total, block):
-        part = dist[start:start + block]
-        for at in index[levels:, start:start + block]:
-            part += table.take(at, axis=0)
-        least = part.argmin(axis=0)
-        d = part[least, rows]
-        if start:
-            less = d < dmin
-            pick[less], dmin[less] = least[less] + start, d[less]
-        else:
-            pick, dmin = least, d
-    return dist, pick, dmin
+    first least coset and its distance (R each), for a table N x width x R
+    and rows = arange(R).  A coset's distance is its residues' table
+    entries summed over the coordinates in order (numpy's sum(axis=0) over
+    the gathered N x cosets array would go pairwise for N >= 8)."""
+    table = table.reshape(table.shape[0] * table.shape[1], table.shape[2])
+    dist = table.take(index[0], axis=0)
+    for at in index[1:]:
+        dist += table.take(at, axis=0)
+    pick = dist.argmin(axis=0)
+    return dist, pick, dist[pick, rows]
 
 
 def _table_mod_q(lat: LatticeDescriptor, residues, y):
     """Nearest point of r + q Z to y_j and its squared distance, for each
     coordinate j (y is N x 1, or N x 1 x R with residues[..., None]) and
-    residue r in that row of residues."""
+    residue r in that row of residues; any shapes that broadcast."""
     steps = np.ceil((y - residues) / lat.q - 0.5)
     points = residues + lat.q * steps.astype(np.int64)
     return points, (points - y) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the closest-point search
+# ---------------------------------------------------------------------------
+
+
+class _SearchBasis(NamedTuple):
+    """What the closest-point search keeps per lattice (`_search_basis`)."""
+
+    basis: np.ndarray  # N x N int64 rows B, LLL-reduced: the points are u B
+    rotate: np.ndarray  # Q of B^T = Q R: a row y' maps to its centre row y' Q
+    above: list  # above[k] = [R_jk for j < k]
+    diag: list  # R_kk
+    drift: float  # Delta, the bound on the search's float error (`_search_basis`)
+
+
+def _search_basis(lat: LatticeDescriptor) -> _SearchBasis:
+    """The fine lattice's basis for the closest-point search, built once per
+    real lattice: the triangular (Hermite) basis of G_q's rows and q Z^N,
+    LLL-reduced at delta = 0.9, and the QR factors of its transpose.
+
+    drift bounds |sqrt(D) - sqrt(e)| for any point the search visits, D
+    its float distance to y mod q and e the exact distance of its
+    translate to y.  Householder QR is backward stable (Higham, Accuracy
+    and Stability of Numerical Algorithms, Thm 19.4, c N^2 u per column),
+    and the rotation of y' = y mod q and the walk's sums of N terms add
+    N u each, so the residual's error is at most K (||y'|| + ||x||) with
+    K = 16 N^3 u (1 + ||B||_F / sigma_min(B)), u = 2^-53, counted
+    generously.  ||y'|| <= sqrt(N) q, and ||x|| - ||y'|| is at most the
+    square root of the search's largest radius, which the Babai point's
+    bound r_B = sqrt(sum R_kk^2) / 2 and the widest table error of a row
+    with |y_j| <= 2^53 (`_table_error`: hi - lo <= N W, W = q^2 + 8q + 32
+    bounds a coordinate's spread of dev_j) cap at A + 4 Delta, A = (1 +
+    1e-9)^2 r_B + sqrt(2 N W).  np.mod's y' is off y's translate by at
+    most u q per coordinate, so Delta = (K (sqrt(N) q + A) + sqrt(N) u q)
+    / (1 - 4K).
+    """
+    if lat._search is None:
+        basis = np.array(_lll(_hermite_rows(_generator_mod_q(lat).tolist(), lat.q, lat.N)), dtype=np.int64)
+        rotate, R = np.linalg.qr(basis.T.astype(float))
+        N, q, u = lat.N, lat.q, 2.0**-53
+        spread = np.linalg.norm(basis) / np.linalg.svd(basis.astype(float), compute_uv=False)[-1]
+        K = 16 * N**3 * u * (1 + spread)
+        diag = np.diag(R).tolist()
+        reach = (1 + 1e-9) ** 2 * math.sqrt(sum(d * d for d in diag)) / 2 + math.sqrt(2 * N * (q * q + 8 * q + 32))
+        drift = (K * (math.sqrt(N) * q + reach) + math.sqrt(N) * u * q) / (1 - 4 * K)
+        lat._search = _SearchBasis(basis, rotate, [R[:k, k].tolist() for k in range(N)], diag, drift)
+    return lat._search
+
+
+def _hermite_rows(rows, q: int, N: int) -> list:
+    """An upper-triangular basis of the lattice the integer rows and q Z^N
+    span: column by column, q e_j and every row's entry at j merge into one
+    pivot by extended-gcd row operations, which leave each row zero at j;
+    the entries right of the diagonal stay reduced mod q, as q Z^N is in
+    the lattice.  The pivots divide q."""
+    rows, basis = [[x % q for x in r] for r in rows], []
+    for j in range(N):
+        pivot = [0] * j + [q] + [0] * (N - j - 1)
+        for r in rows:
+            if r[j]:
+                g, s, t = _xgcd(pivot[j], r[j])
+                a, b = pivot[j] // g, r[j] // g
+                pivot, r[:] = ([(s * x + t * z) % q for x, z in zip(pivot, r)],
+                               [(b * x - a * z) % q for x, z in zip(pivot, r)])
+                pivot[j] = g
+        basis.append(pivot)
+    return basis
+
+
+def _xgcd(a: int, b: int):
+    """(g, s, t) with g = gcd(a, b) = s a + t b, for a > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        k = a // b
+        a, b, s0, s1, t0, t1 = b, a - k * b, s1, s0 - k * s1, t1, t0 - k * t1
+    return a, s0, t0
+
+
+def _lll(rows, delta: float = 0.9) -> list:
+    """An LLL-reduced basis of linearly independent integer rows (Lenstra,
+    Lenstra and Lovasz; Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.3): float Gram-Schmidt coefficients, taken from one QR
+    of the rows and updated in O(n) per swap, and exact integer rows, so the
+    result spans the same lattice whatever the rounding."""
+    b = [list(r) for r in rows]
+    n = len(b)
+    R = np.linalg.qr(np.array(b, dtype=float).T, mode="r")
+    mu = (R / np.diag(R)[:, None]).T.tolist()  # mu[k][j] = <b_k, b*_j> / |b*_j|^2
+    B = (np.diag(R) ** 2).tolist()
+    k = 1
+    while k < n:
+        for l in range(k - 1, -1, -1):  # size-reduce b_k, the whole row once the swap test passes
+            m = math.floor(mu[k][l] + 0.5)
+            if m:
+                b[k] = [x - m * z for x, z in zip(b[k], b[l])]
+                mk, ml = mu[k], mu[l]
+                for i in range(l):
+                    mk[i] -= m * ml[i]
+                mk[l] -= m
+            if l == k - 1 and B[k] < (delta - mu[k][l] ** 2) * B[l]:
+                break
+        else:
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        mk, mk1 = mu[k], mu[k - 1]
+        for j in range(k - 1):
+            mk[j], mk1[j] = mk1[j], mk[j]
+        m = mk[k - 1]
+        Bk = B[k] + m * m * B[k - 1]
+        mk[k - 1] = c = m * B[k - 1] / Bk
+        B[k], B[k - 1] = B[k - 1] * B[k] / Bk, Bk
+        for i in range(k + 1, n):
+            mi = mu[i]
+            t = mi[k]
+            mi[k] = mi[k - 1] - m * t
+            mi[k - 1] = t + c * mi[k]
+        k = max(1, k - 1)
+    return b
+
+
+def _closest_rows(lat: LatticeDescriptor, y):
+    """The nearest point to each row of y (R x N, R >= 1) by the
+    closest-point search, as the coset table would pick it: int64 R x N.
+
+    Each row is reduced mod q, so the search runs near [0, q)^N whatever
+    |y|.  Each point x it keeps maps to its coset's table point by the
+    table's arithmetic, r = x mod q and r + q ceil((y - r) / q - 0.5) with
+    the row's own y, its squared distance summed in coordinate order, and
+    the table's tie rule picks among them.  So the search must keep a
+    point of every coset the table can tie.  The table's distance of a
+    coset c is, up to (N - 1) u relative (u = 2^-53), its exact least
+    distance e_c plus the sum over coordinates of dev_j(c_j), the amount by
+    which the table's term for residue c_j exceeds the exact least one
+    (`_table_error`: hi and lo bound those sums over every coset).  A coset
+    the table ties then has e_c <= rho = (1 + 2e-9) (e_min + hi) - lo +
+    2e-9.  The search bounds e_min by its least float distance so far,
+    D_best, as (sqrt(D_best) + Delta)^2 (Delta, `_search_basis`), and keeps
+    every point within (sqrt(rho) + Delta)^2 (`_search_leaves`)."""
+    search, q = _search_basis(lat), lat.q
+    hi, lo = _table_error(lat, y)
+    owners, leaves = [], []
+    for r, row in enumerate(zip((np.mod(y, q) @ search.rotate).tolist(), hi.tolist(), lo.tolist())):
+        kept = _search_leaves(search, *row)
+        owners += [r] * len(kept)
+        leaves += kept
+    residues = np.array(leaves, dtype=np.int64) @ search.basis % q
+    if len(leaves) == len(y):  # one point per row
+        return _table_mod_q(lat, residues, y)[0]
+    owners = np.array(owners, dtype=np.intp)
+    points, d2 = _table_mod_q(lat, residues, y[owners])
+    dist = d2.cumsum(axis=1)[:, -1]  # in coordinate order
+    first = np.searchsorted(owners, np.arange(len(y)))
+    dmin = np.minimum.reduceat(dist, first)[owners]
+    tied = dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
+    # per row, tied points first, in lexicographic order
+    order = np.lexsort((*points.T[::-1], ~tied, owners))
+    return points[order[first]]
+
+
+def _table_error(lat: LatticeDescriptor, y):
+    """Per row of y, hi >= sum_j max_r dev_j(r) and lo <= sum_j min_r
+    dev_j(r), dev_j(r) the table's squared distance from y_j to its point
+    of r + q Z (`_table_mod_q`) less the exact least one.
+
+    While its points stay below 2^53, where int64 to float is exact, the
+    table errs only in (y_j - r) / q - 0.5, by eta_j <= 3u (|y_j| + q) / q
+    + u, which puts its point a step of q off the nearest only when that is
+    as near within 2 q eta_j: dev_j lies in [0, 2 q^2 eta_j].  While every
+    |y_j| <= 2^32 that bound serves.  A row beyond it has every residue's
+    dev_j computed, when q <= 2^16: y mod q is within u q of exact, so each
+    residue's exact least term is within 16 u q^2 of the one computed, and
+    the table's terms are its own bits.  For a larger q the bound serves
+    again, widened where |y_j| > 2^53 - 2q: there a point up to 2q from y_j
+    may round to float by 1, (4q + 1) in its term."""
+    q, u, N = lat.q, 2.0**-53, lat.N
+    size = np.abs(y)
+    hi, lo = 6 * q * u * size.sum(axis=1) + 8 * N * q * q * u, np.zeros(len(y))
+    if size.max() <= min(2.0**32, 2.0**53 - 2 * q):
+        return hi, lo
+    if q > 2**16:
+        near = (4 * q + 1) * np.count_nonzero(size > 2.0**53 - 2 * q, axis=1)
+        return hi + near, lo - near
+    wide = np.flatnonzero(size.max(axis=1) > 2.0**32)
+    residues, step = np.arange(q), max(1, _PASS_ELEMENTS // (N * q))
+    for i in range(0, len(wide), step):  # rows x N x q in bounded memory
+        rows = wide[i:i + step]
+        terms = _table_mod_q(lat, residues, y[rows][..., None])[1]
+        off = np.abs(np.mod(y[rows], q)[..., None] - residues)
+        dev = terms - np.minimum(off, q - off) ** 2
+        hi[rows] = dev.max(axis=2).sum(axis=1) + 16 * N * q * q * u
+        lo[rows] = dev.min(axis=2).sum(axis=1) - 16 * N * q * q * u
+    return hi, lo
+
+
+def _search_leaves(search: _SearchBasis, centre: list, hi: float, lo: float) -> list:
+    """The coefficient rows u of the lattice points u B a row keeps
+    (`_closest_rows`): Schnorr-Euchner enumeration (Schnorr and Euchner,
+    Math. Programming 66, 1994; Agrell, Eriksson, Vardy and Zeger, IEEE
+    Trans. Inf. Theory 48(8), 2002), depth first from level N-1 down, each
+    level's integers in zig-zag order about its centre, so the first leaf
+    is the Babai point and a level's later siblings are never nearer.
+    E[k][j], j <= k, is centre_j less R_jl u_l over the levels l > k.  A
+    leaf within the radius is kept, and a nearer one shrinks the radius;
+    the leaves outside the final radius are dropped at the end."""
+    above, diag, drift = search.above, search.diag, search.drift
+    n = len(diag)
+    k = n - 1
+    E, u, step, mid, partial = [None] * n, [0] * n, [0] * n, [0.0] * n, [0.0] * (n + 1)
+    E[k] = centre
+    c = mid[k] = centre[k] / diag[k]
+    u[k] = m = math.floor(c + 0.5)
+    step[k] = 1 if c >= m else -1
+    y = (c - m) * diag[k]
+    best = radius = math.inf
+    kept = []
+    while True:
+        d = partial[k + 1] + y * y
+        if d <= radius:
+            if k:
+                m = u[k]
+                row = E[k - 1] = [e - r * m for e, r in zip(E[k], above[k])]
+                k -= 1
+                partial[k + 1] = d
+                c = mid[k] = row[k] / diag[k]
+                u[k] = m = math.floor(c + 0.5)
+                step[k] = 1 if c >= m else -1
+                y = (c - m) * diag[k]
+                continue
+            kept.append((d, tuple(u)))
+            if d < best:
+                best = d
+                rho = (1 + 2e-9) * ((math.sqrt(d) + drift) ** 2 + hi) - lo + 2e-9
+                radius = (math.sqrt(rho) + drift) ** 2
+        elif k == n - 1:
+            return [v for d, v in kept if d <= radius]
+        else:
+            k += 1
+        s = step[k]  # the next integer at level k, zig-zag about its centre
+        u[k] += s
+        step[k] = -s - 1 if s > 0 else -s + 1
+        y = (mid[k] - u[k]) * diag[k]
 
 
 def _table_mod_ideal(lat: LatticeDescriptor, y):

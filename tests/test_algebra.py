@@ -284,6 +284,19 @@ def test_splitting_kind_matches_root_count_oracle():
                 assert ideals[0].conjugate().root == ideals[1].root
 
 
+@pytest.mark.parametrize("d", [-1, -2, -3, -7, 5])
+def test_factor_roots_match_the_root_scan(d):
+    # the roots come from a square root of the discriminant (Tonelli-Shanks);
+    # the oracle tries every residue
+    ring = make_quadratic_ring(d)
+    t, u = ring.xi_sq
+    for p in filter(is_prime, range(2000)):
+        want = [x for x in range(p) if (x * x - t * x - u) % p == 0]
+        ideals = factor_rational_prime(ring, p)
+        assert [i.root for i in ideals if i.kind != "inert"] == want, p
+        assert [i.kind for i in ideals] == {0: ["inert"], 1: ["ramified"], 2: ["split", "split"]}[len(want)], p
+
+
 def test_gaussian_integer_factorizations():
     ring = make_quadratic_ring(-1)
     (p3,) = factor_rational_prime(ring, 3)

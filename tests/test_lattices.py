@@ -16,8 +16,10 @@ from latcf.algebra import (
     make_quadratic_ring,
 )
 from latcf.codes import LinearCode, NestedCodeChain, codebook, lift_chain_to_ring_code
+from latcf import cfsim, cli
 from latcf.lattices import (
     LatticePair,
+    _search_basis,
     construction_a,
     construction_a_ok,
     construction_d,
@@ -467,11 +469,45 @@ def test_quantize_refuses_complex_input_on_a_real_lattice():
     assert tuple(quantize(lat, np.array([0.6 + 5j, 3.4 - 2j]).real)) == (2, 2)
 
 
-def test_quantize_refuses_more_cosets_than_the_cap(monkeypatch):
-    monkeypatch.setattr("latcf.lattices._COSET_CAP", 5)
-    lat = construction_pi_a([REP2, LinearCode(PrimeField(3), [[1, 1]])])  # 2 x 3 cosets
-    with pytest.raises(ValueError, match="^6 cosets exceed the enumeration cap$"):
-        quantize(lat, [0.0, 0.0])
+def _systematic(field, k, N, seed):
+    rng = np.random.default_rng(seed)
+    return LinearCode(field, [[int(i == j) for j in range(k)] + rng.integers(0, field.size, N - k).tolist()
+                              for i in range(k)])
+
+
+def _babai(basis, y):
+    """Babai's nearest-plane point near y of the lattice the integer rows of
+    basis span."""
+    Q, R = np.linalg.qr(basis.T.astype(float))
+    z, u = Q.T @ y, np.zeros(len(basis))
+    for k in reversed(range(len(basis))):
+        u[k] = np.round((z[k] - R[k, k + 1:] @ u[k + 1:]) / R[k, k])
+    return u.astype(np.int64) @ basis
+
+
+def test_quantize_searches_past_the_old_coset_cap(tmp_path):
+    # pi_A from systematic F_2 and F_3 [16, 8] codes: 2^8 * 3^8 = 1,679,616
+    # cosets, past the 10^6 the coset table was capped at
+    def make():
+        return construction_pi_a([_systematic(PrimeField(2), 8, 16, 1), _systematic(PrimeField(3), 8, 16, 2)])
+
+    lat = make()
+    basis = _search_basis(lat).basis
+    # a basis of the lattice: its rows are lattice points, of index q^N / cosets in Z^N
+    assert all(contains(lat, row) for row in basis.tolist())
+    assert round(abs(np.linalg.det(basis))) == 6**16 // 1_679_616
+    rng = np.random.default_rng(16)
+    rows = np.concatenate([rng.normal(0.0, 6.0, (40, 16)), rng.integers(-24, 25, (20, 16)) / 2.0])
+    for y, x in zip(rows, quantize(lat, rows)):
+        assert contains(lat, x), y
+        d, babai = ((x - y) ** 2).sum(), ((_babai(basis, y) - y) ** 2).sum()
+        assert d <= babai + 1e-9 * max(1.0, babai), y
+    csv = []
+    for name in ("first", "second"):  # fresh lattices, the same (config, seed)
+        config = cfsim.SimConfig(pair=cfsim.make_pair(make(), 16.0), K=2, M=2, P=16.0)
+        cli.write_csv(cfsim.run_trials(config, 20, seed=3), tmp_path / name)
+        csv.append((tmp_path / name).read_bytes())
+    assert csv[0] == csv[1] and csv[0].count(b"\n") == 41
 
 
 def test_quantize_takes_zero_rows():

@@ -5,8 +5,11 @@ QuadInt candidates, kept here verbatim as the oracle.  A second oracle,
 `cosetwise_quantize`, is the quantizer that scored every coset on every
 coordinate (cosets x N rounding over q Z, cosets x N x 16 candidates over
 an ideal) before quantize moved to one table per (coordinate, residue)
-and a gather-sum per coset.  Results must agree exactly: the same int64
-points for real lattices, the same QuadInt tuples for A_OK."""
+and a gather-sum per coset.  The closest-point search that serves
+many-coset real lattices (`_closest_rows`) is held to the first oracle
+directly, below the crossover too, on rows built to tie and on rows near
+2**52 and 2**53.  Results must agree exactly: the same int64 points for
+real lattices, the same QuadInt tuples for A_OK."""
 
 import itertools
 import json
@@ -31,10 +34,11 @@ from latcf.algebra import (
 )
 from latcf.codes import LinearCode, NestedCodeChain, codebook
 from latcf.lattices import (
+    _TABLE_COSETS,
     LatticeDescriptor,
+    _closest_rows,
     _coset_index,
     _coset_reps,
-    _coset_trie,
     _gather_sum,
     _ideal_basis,
     _table_mod_ideal,
@@ -42,7 +46,9 @@ from latcf.lattices import (
     construction_a,
     construction_a_ok,
     construction_d,
+    construction_pi_a,
     construction_pi_d,
+    enumerate_box,
     quantize,
 )
 
@@ -410,9 +416,8 @@ def test_a_ok_coset_distances_are_bit_identical(name):
     lat = {**A_OK, **MORE_A_OK}[name]()
     residues, index = _coset_index(lat)
     rng = np.random.default_rng(3)
-    tries = _coset_trie(lat), (1, index[0])  # the lattice's, and the plain first gather
-    for y, trie in itertools.product(_complex_inputs(lat, rng, 20), tries):
-        got = _gather_sum(_table_mod_ideal(lat, y[:, None, None])[1], index, trie, np.arange(1))[0][:, 0]
+    for y in _complex_inputs(lat, rng, 20):
+        got = _gather_sum(_table_mod_ideal(lat, y[:, None, None])[1], index, np.arange(1))[0][:, 0]
         assert np.array_equal(got, _nearest_mod_ideal(lat, _coset_reps(lat), y)[1]), y
 
 
@@ -423,8 +428,85 @@ def test_real_coset_distances_sum_in_coordinate_order():
     for y in _real_inputs(lat, rng, 5):
         cands = _nearest_mod_q(lat, _coset_reps(lat), y)[0]
         want = ((cands - y) ** 2).cumsum(axis=1)[:, -1]
-        for trie in (_coset_trie(lat), (1, index[0])):  # the lattice's, and the plain first gather
-            assert np.array_equal(_gather_sum(_table_mod_q(lat, residues, y[:, None])[1][..., None], index, trie, np.arange(1))[0][:, 0], want)
+        got = _gather_sum(_table_mod_q(lat, residues, y[:, None])[1][..., None], index, np.arange(1))[0][:, 0]
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the closest-point search against the oracle
+# ---------------------------------------------------------------------------
+
+
+def _systematic(alphabet, k, N, seed):
+    rng = np.random.default_rng(seed)
+    return LinearCode(alphabet, [[int(i == j) for j in range(k)] + rng.integers(0, alphabet.size, N - k).tolist()
+                                 for i in range(k)])
+
+
+MANY = {  # past the crossover, as sim-cosets' 6,912 cosets are
+    "piA F2 [8,4] x F3 [8,6]": lambda: construction_pi_a(  # 11,664 cosets
+        [_systematic(PrimeField(2), 4, 8, 1), _systematic(PrimeField(3), 6, 8, 2)]),
+    "piD q=36 Z4 [6,3] x Z9 [6,3]": lambda: construction_pi_d(  # 46,656 cosets
+        36, [_systematic(ChainRing(2, 2), 3, 6, 3), _systematic(ChainRing(3, 2), 3, 6, 4)]),
+}
+
+
+def _tie_rows(lat):
+    """The midpoints v/2 of the shortest nonzero lattice points v in the
+    box [-b, b]^N, b <= 4 as large as 10**6 points allow: as near to 0 as
+    to v when v is a shortest vector, and v is in another coset unless it
+    lies in q Z^N.  Also each midpoint moved by q e_0."""
+    b = min(4, int(((10**6) ** (1 / lat.N) - 1) // 2))
+    box = np.array(enumerate_box(lat, (-b, b)))
+    norms = (box**2).sum(axis=1)
+    mids = box[norms == min(norms[norms > 0], default=-1)] / 2.0  # none when the box holds only 0
+    return np.concatenate([mids, mids + lat.q * np.eye(lat.N)[0]])
+
+
+def _huge_rows(lat, rng, count):
+    """Rows whose coordinates sit near +-2**52 (on the half-integer grid)
+    and +-2**53 (integers below it), all or some of them."""
+    N, q = lat.N, lat.q
+    rows = []
+    for _ in range(count):
+        sign = rng.choice([-1.0, 1.0], N)
+        at52 = 2.0**52 + rng.integers(-3 * q, 3 * q + 1, N) + rng.integers(0, 2, N) / 2.0
+        at53 = 2.0**53 - rng.integers(0, 3 * q + 1, N)
+        small = rng.normal(0.0, q, N)
+        for big in (at52, at53):
+            rows += [sign * big, np.where(rng.random(N) < 0.3, sign * big, small)]
+    return np.array(rows + [np.full(N, 2.0**53), np.full(N, -(2.0**53))])
+
+
+@pytest.mark.parametrize("name", sorted({**REAL, **MORE_REAL, **MANY}))
+def test_search_matches_reference(name):
+    make = {**REAL, **MORE_REAL, **MANY}[name]
+    lat, ref = make(), make()
+    rng = np.random.default_rng(sum(map(ord, name)) + 3)
+    grids = [rng.integers(-2 * den * lat.q, 2 * den * lat.q + 1, (40, lat.N)) / den for den in (3, 4)]
+    rows = np.concatenate([np.array(list(_real_inputs(lat, rng, 30))), *grids, _tie_rows(lat), _huge_rows(lat, rng, 10)])
+    assert np.abs(rows).max() == 2.0**53
+    got = _closest_rows(lat, rows)
+    assert got.dtype == np.int64 and got.shape == rows.shape
+    for y, x in zip(rows, got):
+        assert np.array_equal(x, reference_quantize(ref, y)), y
+
+
+@pytest.mark.parametrize("name", sorted(MANY) + ["piD sim-cosets", "A F5 [3,2]"])
+def test_tie_rows_tie_cosets(name):
+    lat = {**REAL, **MANY}[name]()
+    ties = 0
+    for y in _tie_rows(lat):
+        d2 = _nearest_mod_q(lat, reference_coset_reps(lat), y)[1]
+        ties += np.count_nonzero(d2 <= d2.min() + 1e-9 * max(1.0, d2.min())) > 1
+    assert ties >= 2
+
+
+def test_many_coset_lattices_are_searched():
+    for make in MANY.values():
+        lat = make()
+        assert math.prod(c.codebook_bound() for c in lat.codes) > _TABLE_COSETS
+        assert np.array_equal(quantize(lat, np.full(lat.N, 0.5)), _closest_rows(lat, np.full((1, lat.N), 0.5))[0])
 
 
 def test_zero_code_over_a_large_prime_quantizes_in_bounded_memory():
