@@ -28,8 +28,8 @@ once per call, broadcast over the trials), one `quantize` over every
 (trial, relay, real part) row, and the decode check.  A chunk is one
 `quantize` pass of relay rows (`rows_per_pass`), so memory does not grow
 with the trial count: a few trials on a lattice whose coset table is
-wide, hundreds on one quantize searches, where a row holds only its own
-few arrays.  Every element goes through the same
+wide, tens on one quantize searches, where a row holds only its own
+walk's state.  Every element goes through the same
 floating-point operations, in the same order, as a trial run alone: the
 records are a function of (config, seed) only, whatever the chunking.
 

@@ -42,8 +42,9 @@ _PASS_ELEMENTS = 1 << 17
 # quantize scores every coset up to this codebook bound and searches above
 # it (`_searched`), the crossover of the layer sweep in BENCH_27.json
 _TABLE_COSETS = 4096
-# elements per coordinate a searched quantize row holds (`rows_per_pass`)
-_SEARCH_ROW_ELEMENTS = 8
+# float64 elements a searched quantize row holds per entry of its walk's
+# state, N (N + 9) / 2 entries (`rows_per_pass`)
+_SEARCH_ROW_ELEMENTS = 6
 
 
 class LatticeDescriptor:
@@ -348,8 +349,9 @@ def quantize(lat: LatticeDescriptor, y):
     coset: one table per row holds each (coordinate, residue)'s point and
     squared distance, and one gather-sum over the cosets and argmin picks
     the least (`_quantize_rows`).  A real lattice with more cosets is
-    searched: Schnorr-Euchner enumeration in an LLL-reduced basis keeps
-    every point that can be a tied coset's, and the table's arithmetic
+    searched: Schnorr-Euchner enumeration in an LLL-reduced basis, from
+    each row's Babai point (one numpy descent per pass), keeps every
+    point that can be a tied coset's, and the table's arithmetic
     scores just those (`_closest_rows`), so its time grows with the points
     near y, not with the cosets.  The rows go in passes of
     rows_per_pass(lat), so memory stays bounded whatever the row count.
@@ -379,10 +381,13 @@ def quantize(lat: LatticeDescriptor, y):
 def rows_per_pass(lat: LatticeDescriptor) -> int:
     """Rows quantize scores in one pass (one at least).  A table row takes
     a distance per coset and an N x width table, 4 Babai candidates per
-    A_OK entry; a searched row takes _SEARCH_ROW_ELEMENTS per coordinate,
-    its reduced coordinates, centres and kept points."""
+    A_OK entry.  A searched row takes its walk's state from its Babai
+    descent (`_babai_leaves`): N (N + 1) / 2 entries of E and N each of u,
+    step, mid and partial, each held as a float64 and as a Python float in
+    a list, _SEARCH_ROW_ELEMENTS float64 elements per entry with the
+    lists' own."""
     if _searched(lat):
-        return max(1, _PASS_ELEMENTS // (_SEARCH_ROW_ELEMENTS * lat.N))
+        return max(1, _PASS_ELEMENTS // (_SEARCH_ROW_ELEMENTS * lat.N * (lat.N + 9) // 2))
     residues, index = _coset_index(lat)
     candidates = len(_ideal_geometry(lat)[3]) if lat.ambient == "complex" else 1
     return max(1, _PASS_ELEMENTS // (index.shape[1] + lat.N * residues.shape[1] * candidates))
@@ -465,9 +470,9 @@ def _search_basis(lat: LatticeDescriptor) -> _SearchBasis:
     bound r_B = sqrt(sum R_kk^2) / 2 and the widest table error of a row
     with |y_j| <= 2^53 (`_table_error`: hi - lo <= N W, W = q^2 + 8q + 32
     bounds a coordinate's spread of dev_j) cap at A + 4 Delta, A = (1 +
-    1e-9)^2 r_B + sqrt(2 N W).  np.mod's y' is off y's translate by at
-    most u q per coordinate, so Delta = (K (sqrt(N) q + A) + sqrt(N) u q)
-    / (1 - 4K).
+    1e-9)^2 r_B + sqrt(2 N W); so ||y'|| + ||x|| <= 2 sqrt(N) q + A + 4
+    Delta.  np.mod's y' is off y's translate by at most u q per
+    coordinate, so Delta = (K (2 sqrt(N) q + A) + sqrt(N) u q) / (1 - 4K).
     """
     if lat._search is None:
         basis = np.array(_lll(_hermite_rows(_generator_mod_q(lat).tolist(), lat.q, lat.N)), dtype=np.int64)
@@ -477,7 +482,7 @@ def _search_basis(lat: LatticeDescriptor) -> _SearchBasis:
         K = 16 * N**3 * u * (1 + spread)
         diag = np.diag(R).tolist()
         reach = (1 + 1e-9) ** 2 * math.sqrt(sum(d * d for d in diag)) / 2 + math.sqrt(2 * N * (q * q + 8 * q + 32))
-        drift = (K * (math.sqrt(N) * q + reach) + math.sqrt(N) * u * q) / (1 - 4 * K)
+        drift = (K * (2 * math.sqrt(N) * q + reach) + math.sqrt(N) * u * q) / (1 - 4 * K)
         lat._search = _SearchBasis(basis, rotate, [R[:k, k].tolist() for k in range(N)], diag, drift)
     return lat._search
 
@@ -511,7 +516,7 @@ def _xgcd(a: int, b: int):
     return a, s0, t0
 
 
-def _lll(rows, delta: float = 0.9) -> list:
+def _lll(rows) -> list:
     """An LLL-reduced basis of linearly independent integer rows (Lenstra,
     Lenstra and Lovasz; Cohen, A Course in Computational Algebraic Number
     Theory, Alg. 2.6.3): float Gram-Schmidt coefficients, taken from one QR
@@ -532,7 +537,9 @@ def _lll(rows, delta: float = 0.9) -> list:
                 for i in range(l):
                     mk[i] -= m * ml[i]
                 mk[l] -= m
-            if l == k - 1 and B[k] < (delta - mu[k][l] ** 2) * B[l]:
+            # Lovasz at delta = 0.9: 0.99 took about twice as long to
+            # reduce, for the same nodes per row
+            if l == k - 1 and B[k] < (0.9 - mu[k][l] ** 2) * B[l]:
                 break
         else:
             k += 1
@@ -575,7 +582,7 @@ def _closest_rows(lat: LatticeDescriptor, y):
     search, q = _search_basis(lat), lat.q
     hi, lo = _table_error(lat, y)
     owners, leaves = [], []
-    for r, row in enumerate(zip((np.mod(y, q) @ search.rotate).tolist(), hi.tolist(), lo.tolist())):
+    for r, row in enumerate(zip(*_babai_leaves(search, np.mod(y, q) @ search.rotate), hi.tolist(), lo.tolist())):
         kept = _search_leaves(search, *row)
         owners += [r] * len(kept)
         leaves += kept
@@ -628,25 +635,47 @@ def _table_error(lat: LatticeDescriptor, y):
     return hi, lo
 
 
-def _search_leaves(search: _SearchBasis, centre: list, hi: float, lo: float) -> list:
+def _babai_leaves(search: _SearchBasis, centres):
+    """Each row's walk at its Babai point, the first leaf of
+    `_search_leaves`: the descent from level N-1 to 0 taken for all the
+    rows of centres (R x N, y' Q) at once, in numpy's elementwise float
+    arithmetic, which is the walk's own.  Per row, in the walk's order:
+    its E rows, u, step, mid, partial and the level-0 offset y."""
+    diag = search.diag
+    n, count = len(diag), len(centres)
+    u, mid, partial = np.empty((count, n), dtype=np.int64), np.empty((count, n)), np.zeros((count, n + 1))
+    E = [None] * n
+    E[n - 1] = centres
+    for k in range(n - 1, -1, -1):
+        c = mid[:, k] = E[k][:, k] / diag[k]
+        m = np.floor(c + 0.5)
+        u[:, k] = m
+        y = (c - m) * diag[k]
+        if k:
+            partial[:, k] = partial[:, k + 1] + y * y
+            E[k - 1] = E[k][:, :k] - m[:, None] * np.array(search.above[k])
+    step = np.where(mid >= u, 1, -1)
+    return (zip(*(e.tolist() for e in E)), u.tolist(), step.tolist(), mid.tolist(), partial.tolist(),
+            y.tolist())
+
+
+def _search_leaves(search: _SearchBasis, E, u: list, step: list, mid: list, partial: list, y: float,
+                   hi: float, lo: float) -> list:
     """The coefficient rows u of the lattice points u B a row keeps
     (`_closest_rows`): Schnorr-Euchner enumeration (Schnorr and Euchner,
     Math. Programming 66, 1994; Agrell, Eriksson, Vardy and Zeger, IEEE
     Trans. Inf. Theory 48(8), 2002), depth first from level N-1 down, each
-    level's integers in zig-zag order about its centre, so the first leaf
-    is the Babai point and a level's later siblings are never nearer.
-    E[k][j], j <= k, is centre_j less R_jl u_l over the levels l > k.  A
-    leaf within the radius is kept, and a nearer one shrinks the radius;
-    the leaves outside the final radius are dropped at the end."""
+    level's integers in zig-zag order about its centre mid[k], so the first
+    leaf is the Babai point and a level's later siblings are never nearer.
+    The walk starts at that leaf, whose descent `_babai_leaves` took:
+    E[k][j], j <= k, is centre_j less R_jl u_l over the levels l > k,
+    partial[k] the squared offsets of the levels >= k, step[k] the next
+    zig-zag move at level k and y level 0's offset.  A leaf within the
+    radius is kept, and a nearer one shrinks the radius; the leaves outside
+    the final radius are dropped at the end."""
     above, diag, drift = search.above, search.diag, search.drift
     n = len(diag)
-    k = n - 1
-    E, u, step, mid, partial = [None] * n, [0] * n, [0] * n, [0.0] * n, [0.0] * (n + 1)
-    E[k] = centre
-    c = mid[k] = centre[k] / diag[k]
-    u[k] = m = math.floor(c + 0.5)
-    step[k] = 1 if c >= m else -1
-    y = (c - m) * diag[k]
+    E, k = list(E), 0
     best = radius = math.inf
     kept = []
     while True:
