@@ -45,6 +45,10 @@ _TABLE_COSETS = 4096
 # float64 elements a searched quantize row holds per entry of its walk's
 # state, N (N + 9) / 2 entries (`rows_per_pass`)
 _SEARCH_ROW_ELEMENTS = 6
+# a searched pass of at least this many rows takes their Babai descents in
+# numpy, a smaller one in the walk (`_closest_rows`): about where numpy's
+# calls per level cost what they save, on sim-cosets' lattice
+_NUMPY_DESCENT_ROWS = 8
 
 
 class LatticeDescriptor:
@@ -578,11 +582,15 @@ def _closest_rows(lat: LatticeDescriptor, y):
     the table ties then has e_c <= rho = (1 + 2e-9) (e_min + hi) - lo +
     2e-9.  The search bounds e_min by its least float distance so far,
     D_best, as (sqrt(D_best) + Delta)^2 (Delta, `_search_basis`), and keeps
-    every point within (sqrt(rho) + Delta)^2 (`_search_leaves`)."""
+    every point within (sqrt(rho) + Delta)^2 (`_search_leaves`).  A pass
+    of _NUMPY_DESCENT_ROWS rows or more descends to its Babai points in
+    numpy first (`_babai_leaves`); the same float operations in the walk
+    would cost a Python step per level and row."""
     search, q = _search_basis(lat), lat.q
     hi, lo = _table_error(lat, y)
     owners, leaves = [], []
-    for r, row in enumerate(zip(*_babai_leaves(search, np.mod(y, q) @ search.rotate), hi.tolist(), lo.tolist())):
+    low = 0 if len(y) >= _NUMPY_DESCENT_ROWS else lat.N - 1
+    for r, row in enumerate(zip(*_babai_leaves(search, np.mod(y, q) @ search.rotate, low), hi.tolist(), lo.tolist())):
         kept = _search_leaves(search, *row)
         owners += [r] * len(kept)
         leaves += kept
@@ -635,31 +643,32 @@ def _table_error(lat: LatticeDescriptor, y):
     return hi, lo
 
 
-def _babai_leaves(search: _SearchBasis, centres):
-    """Each row's walk at its Babai point, the first leaf of
-    `_search_leaves`: the descent from level N-1 to 0 taken for all the
-    rows of centres (R x N, y' Q) at once, in numpy's elementwise float
-    arithmetic, which is the walk's own.  Per row, in the walk's order:
-    its E rows, u, step, mid, partial and the level-0 offset y."""
+def _babai_leaves(search: _SearchBasis, centres, low: int):
+    """Each row's walk at level low of its descent to the Babai point, the
+    first leaf of `_search_leaves` at low = 0: the descent from level N-1
+    to low taken for all the rows of centres (R x N, y' Q) at once, in
+    numpy's elementwise float arithmetic, which is the walk's own.  Per
+    row, in the walk's order: its E rows (None below low), u, step, mid,
+    partial and level low's offset y."""
     diag = search.diag
     n, count = len(diag), len(centres)
-    u, mid, partial = np.empty((count, n), dtype=np.int64), np.empty((count, n)), np.zeros((count, n + 1))
+    u, mid, partial = np.zeros((count, n), dtype=np.int64), np.zeros((count, n)), np.zeros((count, n + 1))
     E = [None] * n
     E[n - 1] = centres
-    for k in range(n - 1, -1, -1):
+    for k in range(n - 1, low - 1, -1):
         c = mid[:, k] = E[k][:, k] / diag[k]
         m = np.floor(c + 0.5)
         u[:, k] = m
         y = (c - m) * diag[k]
-        if k:
+        if k > low:
             partial[:, k] = partial[:, k + 1] + y * y
-            E[k - 1] = E[k][:, :k] - m[:, None] * np.array(search.above[k])
+            E[k - 1] = E[k][:, :k] - m[:, None] * search.above[k]
     step = np.where(mid >= u, 1, -1)
-    return (zip(*(e.tolist() for e in E)), u.tolist(), step.tolist(), mid.tolist(), partial.tolist(),
-            y.tolist())
+    known = zip(*(e.tolist() for e in E[low:]))
+    return ([None] * low + list(e) for e in known), u.tolist(), step.tolist(), mid.tolist(), partial.tolist(), y.tolist()
 
 
-def _search_leaves(search: _SearchBasis, E, u: list, step: list, mid: list, partial: list, y: float,
+def _search_leaves(search: _SearchBasis, E: list, u: list, step: list, mid: list, partial: list, y: float,
                    hi: float, lo: float) -> list:
     """The coefficient rows u of the lattice points u B a row keeps
     (`_closest_rows`): Schnorr-Euchner enumeration (Schnorr and Euchner,
@@ -667,15 +676,16 @@ def _search_leaves(search: _SearchBasis, E, u: list, step: list, mid: list, part
     Trans. Inf. Theory 48(8), 2002), depth first from level N-1 down, each
     level's integers in zig-zag order about its centre mid[k], so the first
     leaf is the Babai point and a level's later siblings are never nearer.
-    The walk starts at that leaf, whose descent `_babai_leaves` took:
-    E[k][j], j <= k, is centre_j less R_jl u_l over the levels l > k,
-    partial[k] the squared offsets of the levels >= k, step[k] the next
-    zig-zag move at level k and y level 0's offset.  A leaf within the
-    radius is kept, and a nearer one shrinks the radius; the leaves outside
-    the final radius are dropped at the end."""
+    The walk starts where `_babai_leaves` left the descent, at the lowest
+    level k whose E row it holds: E[k][j], j <= k, is centre_j less R_jl
+    u_l over the levels l > k, partial[k + 1] the squared offsets of the
+    levels above k, step[k] the next zig-zag move at level k and y level
+    k's offset.  A leaf within the radius is kept, and a nearer one
+    shrinks the radius; the leaves outside the final radius are dropped
+    at the end."""
     above, diag, drift = search.above, search.diag, search.drift
     n = len(diag)
-    E, k = list(E), 0
+    k = E.count(None)
     best = radius = math.inf
     kept = []
     while True:

@@ -490,6 +490,7 @@ def test_search_matches_reference(name):
     assert got.dtype == np.int64 and got.shape == rows.shape
     for y, x in zip(rows, got):
         assert np.array_equal(x, reference_quantize(ref, y)), y
+        assert np.array_equal(_closest_rows(lat, y[None])[0], x), y  # the walk's own descent
 
 
 @pytest.mark.parametrize("name", sorted(MANY) + ["piD sim-cosets", "A F5 [3,2]"])
@@ -537,6 +538,7 @@ def test_real_rows_match_reference_row_by_row(name):
     assert got.dtype == np.int64 and got.shape == rows.shape
     for y, x in zip(rows, got):
         assert np.array_equal(x, reference_quantize(ref, y)), y
+        assert np.array_equal(_closest_rows(lat, y[None])[0], x), y  # the walk's own descent
 
 
 @pytest.mark.parametrize("name", sorted({**A_OK, **MORE_A_OK}))
