@@ -18,11 +18,11 @@ takes one of two paths, chosen by the lattice's codebook bound
 (`_searched`).  A_OK and a real lattice with few cosets use the coset
 table: one table per (coordinate, residue), the nearest point of r + q Z
 or of rep(r) + P, then each coset's sum of its entries in coordinate
-order and one argmin.  A real lattice with many cosets uses the
-closest-point search: Schnorr-Euchner enumeration in an LLL-reduced basis
-of M(C_1 x ... x C_L) + q Z^N (`_search_basis`), which keeps every point
-the table could tie and scores those with the table's arithmetic, so both
-paths return the same points.
+order.  A real lattice with many cosets uses the closest-point search:
+Schnorr-Euchner enumeration in an LLL-reduced basis of M(C_1 x ... x C_L)
++ q Z^N (`_search_basis`), which keeps every point the table could tie
+and scores those with the table's arithmetic.  Both paths end in one tie
+rule (`_ties`, `_least_points`), so they return the same points.
 """
 
 from __future__ import annotations
@@ -272,56 +272,40 @@ def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _level_books(lat: LatticeDescriptor):
-    """Each level code's codewords (int64 rows) and alphabet size, and the
-    coset count, the product of the codebook sizes."""
-    books = [_codewords(c)[0] for c in lat.codes]
-    return books, [c.alphabet.size for c in lat.codes], math.prod(len(b) for b in books)
-
-
 def _coset_reps(lat: LatticeDescriptor):
     """One row per codebook coset, in itertools.product order over the
-    levels: CRT residues in [0, q)^N (real) or residue-field indices (A_OK).
-    quantize reads them only for a table of coset residues, when the
-    residues outnumber the cosets (`_coset_index`)."""
+    levels: CRT residues in [0, q)^N (real) or residue-field indices
+    (A_OK); built once per lattice.  The coset table's index
+    (`_coset_index`) is built from them."""
     if lat._cosets is None:
-        books, _, total = _level_books(lat)
+        books = [_codewords(c)[0] for c in lat.codes]
         if lat.ambient == "complex":
             lat._cosets = books[0]
         else:  # level l's codewords along axis l: forward_vec broadcasts the product
             L = len(books)
             axes = [b.reshape((1,) * l + b.shape[:1] + (1,) * (L - 1 - l) + b.shape[1:])
                     for l, b in enumerate(books)]
-            lat._cosets = lat.map.forward_vec(axes).reshape(total, lat.N)
+            lat._cosets = lat.map.forward_vec(axes).reshape(-1, lat.N)
     return lat._cosets
 
 
 def _coset_index(lat: LatticeDescriptor):
     """The residues quantize tabulates per call and, per coordinate j and
     coset i, the flat position of coset i's residue at j in that N x width
-    table; built once per lattice.  When the residues, q of them (p^f for
-    A_OK), are no more than the cosets, every coordinate tabulates all of
-    them in the mixed-radix order of their level residues (level l's digit
-    in Z/m_l, the first slowest), so coset i's position at j is j*q plus
-    that number for its codewords' entries at j, and the coset table is
-    never built.  Else each coordinate tabulates its coset residues
-    (`_coset_reps`), so the table never outgrows the cosets x N work it
-    saves."""
+    table; built once per lattice from the cosets (`_coset_reps`).  When
+    the residues, q of them (p^f for A_OK), are no more than the cosets,
+    one row of them in natural order serves every coordinate, so coset i's
+    position at j is j*q plus its residue at j.  Else each coordinate
+    tabulates its own coset residues, coset i's in column i, so the table
+    never outgrows the cosets x N work it saves."""
     if lat._index is None:
-        books, sizes, total = _level_books(lat)
-        count, N = math.prod(sizes), lat.N
-        if count > total:
-            residues = np.ascontiguousarray(_coset_reps(lat).T)
-            index = np.arange(total) + total * np.arange(N)[:, None]
+        reps = _coset_reps(lat).T  # N x cosets
+        count = math.prod(c.alphabet.size for c in lat.codes)
+        if count > reps.shape[1]:
+            residues, column = np.ascontiguousarray(reps), np.arange(reps.shape[1])
         else:
-            # field indices, or the CRT value of every digit tuple
-            residues = (np.arange(count) if lat.ambient == "complex"
-                        else np.indices(sizes).reshape(len(sizes), count).T @ lat.map._idem % count)[None, :]
-            # the first digit plus j*m_0, which the later digits scale to j*q
-            index = books[0].T + sizes[0] * np.arange(N)[:, None]
-            for b, m in zip(books[1:], sizes[1:]):  # the cosets in itertools.product order
-                index = np.add((index * m)[:, :, None], b.T[:, None, :], order="C").reshape(N, -1)
-        lat._index = residues, index.astype(np.intp, order="C", copy=False)
+            residues, column = np.arange(count)[None, :], reps
+        lat._index = residues, (column + residues.shape[1] * np.arange(lat.N)[:, None]).astype(np.intp, order="C")
     return lat._index
 
 
@@ -351,13 +335,14 @@ def quantize(lat: LatticeDescriptor, y):
     Two paths give those points.  A_OK and a real lattice with at most
     _TABLE_COSETS cosets (by the codebook bound, `_searched`) score every
     coset: one table per row holds each (coordinate, residue)'s point and
-    squared distance, and one gather-sum over the cosets and argmin picks
-    the least (`_quantize_rows`).  A real lattice with more cosets is
-    searched: Schnorr-Euchner enumeration in an LLL-reduced basis, from
-    each row's Babai point (one numpy descent per pass), keeps every
-    point that can be a tied coset's, and the table's arithmetic
-    scores just those (`_closest_rows`), so its time grows with the points
-    near y, not with the cosets.  The rows go in passes of
+    squared distance, and one gather-sum gives every coset's distance
+    (`_quantize_rows`).  A real lattice with more cosets is searched:
+    Schnorr-Euchner enumeration in an LLL-reduced basis, from each row's
+    Babai point (a pass of _NUMPY_DESCENT_ROWS rows or more descends to
+    them in numpy), keeps every point that can be a tied coset's, and the
+    table's arithmetic scores just those (`_closest_rows`), so its time
+    grows with the points near y, not with the cosets.  Both then pick by
+    the tie rule above (`_ties`, `_least_points`).  The rows go in passes of
     rows_per_pass(lat), so memory stays bounded whatever the row count.
     Entries must be finite with |y_j| <= 2**53, beyond which float64
     misses integer points, and real for a real-ambient lattice.
@@ -401,36 +386,45 @@ def _quantize_rows(lat: LatticeDescriptor, y):
     """The nearest point to each row of y (R x N) by the coset table: int64
     R x N, or R x N x 2 ring coordinates for A_OK.  The rows ride along the
     last axis of the tables, so each coset's gather takes one contiguous
-    run of R entries; the distances take cosets x R entries."""
+    run of R entries; the distances take cosets x R entries, and only the
+    tied cosets' points are gathered for the tie rule (`_least_points`)."""
     residues, index = _coset_index(lat)
     columns = y.T[:, None]  # N x 1 x R
     points, d2 = (_table_mod_ideal(lat, columns) if lat.ambient == "complex"
                   else _table_mod_q(lat, residues[..., None], columns))  # N x width x R
-    rows = np.arange(len(y))
-    dist, pick, dmin = _gather_sum(d2, index, rows)  # cosets x R, R, R
-    tied = dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
-    # x, or (a, b), per table entry and row; R may be 0
+    dist = _gather_sum(d2, index)  # cosets x R
+    rows, cosets = np.nonzero(_ties(dist, dist.min(axis=0)).T)  # grouped by row
+    # x, or (a, b), per table entry and row
     points = points.reshape(points.shape[0] * points.shape[1], *points.shape[2:])
-    best = points[index[:, pick], rows]  # N x R, each row's least distance
-    if np.count_nonzero(tied) > len(y):  # rows with several tied cosets
-        for r in np.flatnonzero(np.count_nonzero(tied, axis=0) > 1).tolist():
-            # lexicographic integer coordinates
-            best[:, r] = min(points[index[:, i], r].tolist() for i in np.flatnonzero(tied[:, r]))
-    return best.swapaxes(0, 1)
+    return _least_points(points[index[:, cosets], rows].swapaxes(0, 1), rows, len(y))
 
 
-def _gather_sum(table, index, rows):
-    """Each coset's squared distance per row (cosets x R), and each row's
-    first least coset and its distance (R each), for a table N x width x R
-    and rows = arange(R).  A coset's distance is its residues' table
-    entries summed over the coordinates in order (numpy's sum(axis=0) over
-    the gathered N x cosets array would go pairwise for N >= 8)."""
+def _gather_sum(table, index):
+    """Each coset's squared distance per row (cosets x R), for a table N x
+    width x R: its residues' table entries summed over the coordinates in
+    order, one coordinate's gather at a time, so a pass never holds the N
+    x cosets x R gather."""
     table = table.reshape(table.shape[0] * table.shape[1], table.shape[2])
     dist = table.take(index[0], axis=0)
     for at in index[1:]:
         dist += table.take(at, axis=0)
-    pick = dist.argmin(axis=0)
-    return dist, pick, dist[pick, rows]
+    return dist
+
+
+def _ties(dist, dmin):
+    """quantize's tie test: which distances lie within 1e-9*max(1, dmin) of
+    the least, dmin (broadcast against dist)."""
+    return dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
+
+
+def _least_points(points, owners, count):
+    """Per row r < count, the lexicographically smallest of its points,
+    quantize's last tie break among the tied ones (`_ties`): points K x N,
+    or K x N x 2 ring coordinates, points[k] row owners[k]'s; owners is
+    sorted and names every row."""
+    keys = points.reshape(len(points), math.prod(points.shape[1:]))
+    order = np.lexsort((*keys.T[::-1], owners))
+    return points[order[np.searchsorted(owners, np.arange(count))]]
 
 
 def _table_mod_q(lat: LatticeDescriptor, residues, y):
@@ -573,19 +567,20 @@ def _closest_rows(lat: LatticeDescriptor, y):
     |y|.  Each point x it keeps maps to its coset's table point by the
     table's arithmetic, r = x mod q and r + q ceil((y - r) / q - 0.5) with
     the row's own y, its squared distance summed in coordinate order, and
-    the table's tie rule picks among them.  So the search must keep a
-    point of every coset the table can tie.  The table's distance of a
-    coset c is, up to (N - 1) u relative (u = 2^-53), its exact least
-    distance e_c plus the sum over coordinates of dev_j(c_j), the amount by
-    which the table's term for residue c_j exceeds the exact least one
-    (`_table_error`: hi and lo bound those sums over every coset).  A coset
-    the table ties then has e_c <= rho = (1 + 2e-9) (e_min + hi) - lo +
-    2e-9.  The search bounds e_min by its least float distance so far,
-    D_best, as (sqrt(D_best) + Delta)^2 (Delta, `_search_basis`), and keeps
-    every point within (sqrt(rho) + Delta)^2 (`_search_leaves`).  A pass
-    of _NUMPY_DESCENT_ROWS rows or more descends to its Babai points in
-    numpy first (`_babai_leaves`); the same float operations in the walk
-    would cost a Python step per level and row."""
+    the table's tie rule (`_ties`, `_least_points`) picks among them.  So
+    the search must keep a point of every coset the table can tie.  The
+    table's distance of a coset c is, up to (N - 1) u relative (u =
+    2^-53), its exact least distance e_c plus the sum over coordinates of
+    dev_j(c_j), the amount by which the table's term for residue c_j
+    exceeds the exact least one (`_table_error`: hi and lo bound those sums
+    over every coset).  A coset the table ties then has e_c <= rho = (1 +
+    2e-9) (e_min + hi) - lo + 2e-9.  The search bounds e_min by its least
+    float distance so far, D_best, as (sqrt(D_best) + Delta)^2 (Delta,
+    `_search_basis`), and keeps every point within (sqrt(rho) + Delta)^2
+    (`_search_leaves`).  A pass of _NUMPY_DESCENT_ROWS rows or more
+    descends to its Babai points in numpy first (`_babai_leaves`); the
+    same float operations in the walk would cost a Python step per level
+    and row."""
     search, q = _search_basis(lat), lat.q
     hi, lo = _table_error(lat, y)
     owners, leaves = [], []
@@ -595,17 +590,12 @@ def _closest_rows(lat: LatticeDescriptor, y):
         owners += [r] * len(kept)
         leaves += kept
     residues = np.array(leaves, dtype=np.int64) @ search.basis % q
-    if len(leaves) == len(y):  # one point per row
-        return _table_mod_q(lat, residues, y)[0]
     owners = np.array(owners, dtype=np.intp)
     points, d2 = _table_mod_q(lat, residues, y[owners])
     dist = d2.cumsum(axis=1)[:, -1]  # in coordinate order
-    first = np.searchsorted(owners, np.arange(len(y)))
-    dmin = np.minimum.reduceat(dist, first)[owners]
-    tied = dist <= dmin + 1e-9 * np.maximum(1.0, dmin)
-    # per row, tied points first, in lexicographic order
-    order = np.lexsort((*points.T[::-1], ~tied, owners))
-    return points[order[first]]
+    dmin = np.minimum.reduceat(dist, np.searchsorted(owners, np.arange(len(y))))  # per row
+    tied = _ties(dist, dmin[owners])
+    return _least_points(points[tied], owners[tied], len(y))
 
 
 def _table_error(lat: LatticeDescriptor, y):
@@ -734,7 +724,7 @@ def _table_mod_ideal(lat: LatticeDescriptor, y):
     diff = cands[..., 0] + cands[..., 1] * xi - y[..., None]
     dist = (diff.real**2 + diff.imag**2).reshape(-1, len(corners))  # a row per table entry
     dmin = dist.min(axis=-1, keepdims=True)
-    pick = (dist <= dmin + 1e-9 * np.maximum(1.0, dmin)).argmax(axis=-1)
+    pick = _ties(dist, dmin).argmax(axis=-1)  # the corners go in lexicographic order
     return base + corners[pick].reshape(base.shape), dist[np.arange(len(dist)), pick].reshape(w.shape)
 
 

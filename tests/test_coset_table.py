@@ -1,16 +1,18 @@
-"""The coset table's `_gather_sum` is one whole-array gather-sum over the
-cosets and argmin, the oracle below, kept verbatim from when the gather
-went through a residue-prefix trie and in blocks of cosets: it must give
-bit-identical distances and the same picked coset.  quantize must give
-the same points at every pass budget as the table path run with that
-oracle, also on sim-cosets, which quantize now serves by the
-closest-point search (`_closest_rows`)."""
+"""The coset table against independent oracles.  `_gather_sum` must give
+bit for bit the coordinate-order sums per coset that the coset-wise
+quantizer of test_quantize_oracle computes (`_nearest_mod_q`,
+`_nearest_mod_ideal`).  quantize must give the same points at every pass
+budget as the table path run with a gather through one cumsum over the
+gathered N x cosets x R array, also on sim-cosets, which quantize serves
+by the closest-point search (`_closest_rows`).  And a tie goes to the
+lexicographically smaller point, whichever coset comes first."""
 
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_quantize_oracle import _nearest_mod_ideal, _nearest_mod_q
 
 from latcf import cli, lattices
 from latcf.algebra import ResidueFieldMap, factor_rational_prime, make_quadratic_ring
@@ -18,7 +20,9 @@ from latcf.codes import LinearCode
 from latcf.lattices import (
     _TABLE_COSETS,
     _coset_index,
+    _coset_reps,
     _gather_sum,
+    _quantize_rows,
     _table_mod_ideal,
     _table_mod_q,
     construction_a_ok,
@@ -34,28 +38,29 @@ BUDGETS = [1, 7, 64, 2**10, 2**13, 2**17, 2**20]
 
 
 # ---------------------------------------------------------------------------
-# the oracle: one gather-sum over all cosets, then argmin
+# the oracles: the coset-wise sums, and a gather through one cumsum
 # ---------------------------------------------------------------------------
 
 
-def whole_gather_sum(table, index):
-    """Each coset's squared distance: its residues' table entries summed
-    over the coordinates in order (numpy's sum(axis=0) over the gathered
-    N x cosets array would go pairwise for N >= 8).  table is N x width,
-    or N x width x R for a distance per coset and row (cosets x R)."""
-    table = table.reshape(table.shape[0] * table.shape[1], *table.shape[2:])
-    dist = table.take(index[0], axis=0)
-    for at in index[1:]:
-        dist += table.take(at, axis=0)
+def cosetwise_distances(lat, y):
+    """Each coset's squared distance per row of y (cosets x R), from the
+    coset-wise quantizer's points and distances, summed in coordinate
+    order."""
+    reps = _coset_reps(lat)
+    dist = np.empty((len(reps), len(y)))
+    for r, row in enumerate(y):
+        if lat.ambient == "complex":
+            dist[:, r] = _nearest_mod_ideal(lat, reps, row)[1]
+        else:
+            dist[:, r] = ((_nearest_mod_q(lat, reps, row)[0] - row) ** 2).cumsum(axis=1)[:, -1]
     return dist
 
 
-def whole_least_cosets(table, index, rows):
-    """The oracle in `_gather_sum`'s shape: the distances, argmin's first
-    least coset per row and its distance."""
-    dist = whole_gather_sum(table, index)
-    pick = dist.argmin(axis=0)
-    return dist, pick, dist[pick, rows]
+def cumsum_gather_sum(table, index):
+    """`_gather_sum`'s result by another route: the whole N x cosets x R
+    gather, accumulated over the coordinates in order by one cumsum."""
+    N, width, R = table.shape
+    return table.reshape(N * width, R)[index].cumsum(axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +106,7 @@ def _a_ok_code(d, p, rows):
 
 def _parity_a_ok():
     # the F_2 parity code of length 5 over Z[(1+sqrt(-7))/2] at a prime
-    # above 2: 16 cosets, 2 residues, so prefixes of 2, 4 and 8 columns
+    # above 2: 16 cosets over 2 residues, so one row of residues serves N = 5
     return _a_ok_code(-7, 2, [[1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]])
 
 
@@ -118,24 +123,21 @@ def _same_bits(got, want):
 
 
 # ---------------------------------------------------------------------------
-# the gather and quantize against the whole array
+# the gather and quantize against the oracles
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
-def test_blocks_match_the_whole_array(name):
+def test_gather_sum_matches_the_cosetwise_sums(name):
     lat = LATTICES[name]()
     pool = _rows(lat, 16)
     for R in (0, 1, 3, 16):
-        y, rows = pool[:R], np.arange(R)
+        y = pool[:R]
         table, index = _table(lat, y)
-        want = whole_least_cosets(table, index, rows)
-        if R == 16:  # some rows tie cosets bit for bit, and argmin takes the first
-            assert (np.count_nonzero(want[0] == want[2], axis=0) > 1).any()
-        dist, pick, dmin = _gather_sum(table, index, rows)
-        assert _same_bits(dist, want[0]), R
-        assert _same_bits(pick, want[1]), R
-        assert _same_bits(dmin, want[2]), R
+        want = cosetwise_distances(lat, y)
+        if R == 16:  # some rows tie cosets bit for bit
+            assert (np.count_nonzero(want == want.min(axis=0), axis=0) > 1).any()
+        assert _same_bits(_gather_sum(table, index), want), R
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))
@@ -148,8 +150,7 @@ def test_quantize_in_blocks_matches_the_whole_array(monkeypatch, name):
             y = pool[:R]
             # the table path, whatever the coset count, with the oracle's gather
             monkeypatch.setattr(lattices, "_TABLE_COSETS", 10**18)
-            monkeypatch.setattr(lattices, "_gather_sum",
-                                lambda table, index, rows: whole_least_cosets(table, index, rows))
+            monkeypatch.setattr(lattices, "_gather_sum", cumsum_gather_sum)
             want = quantize(lat, y)
             monkeypatch.setattr(lattices, "_TABLE_COSETS", _TABLE_COSETS)
             monkeypatch.setattr(lattices, "_gather_sum", _gather_sum)
@@ -160,22 +161,19 @@ def test_quantize_in_blocks_matches_the_whole_array(monkeypatch, name):
                 assert _same_bits(got, want), (R, budget)
 
 
-def test_an_equal_least_later_coset_loses():
-    # cosets 5 and 9 take residue 0 on every coordinate, the only zero
-    # entries, so both are at distance 0 and every other coset is farther
-    N, width, R, total = 3, 4, 2, 12
-    rng = np.random.default_rng(21)
-    table = rng.uniform(1.0, 2.0, (N, width, R))
-    table[:, 0] = 0.0
-    index = rng.integers(1, width, (N, total))
-    index[:, [5, 9]] = 0
-    index = (index + width * np.arange(N)[:, None]).astype(np.intp)
-    rows = np.arange(R)
-    want = whole_least_cosets(table, index, rows)
-    assert want[1].tolist() == [5, 5]
-    dist, pick, dmin = _gather_sum(table, index, rows)
-    assert pick.tolist() == [5, 5]
-    assert _same_bits(dist, want[0]) and _same_bits(dmin, want[2])
+def test_a_tie_goes_to_the_smaller_point_of_a_later_coset():
+    # sim-small's points are the (x, x) + 6 Z^2: (1.5, 1.5) lies 0.5 from
+    # both (1, 1) and (2, 2), and coset (2, 2) comes first
+    lat = LATTICES["sim-small"]()
+    y = np.array([[1.5, 1.5]])
+    table, index = _table(lat, y)
+    dist = _gather_sum(table, index)[:, 0]
+    reps = _coset_reps(lat).tolist()
+    first, later = reps.index([2, 2]), reps.index([1, 1])
+    assert first < later and dist[first] == dist[later] == dist.min() == 0.5
+    assert np.count_nonzero(dist == dist.min()) == 2
+    assert _quantize_rows(lat, y).tolist() == [[1, 1]]
+    assert quantize(lat, y[0]).tolist() == [1, 1]
 
 
 def test_sim_cosets_is_searched_and_the_others_are_tabled():

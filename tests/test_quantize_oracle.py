@@ -408,6 +408,8 @@ def test_table_is_never_wider_than_the_coset_count(make, shape):
     assert residues.shape == shape
     assert index.shape == (lat.N, len(_coset_reps(lat)))
     assert index.min() >= 0 and index.max() < lat.N * shape[1]
+    # each entry points at its coset's own residue at that coordinate
+    assert np.array_equal(np.broadcast_to(residues, (lat.N, shape[1])).ravel()[index], _coset_reps(lat).T)
 
 
 @pytest.mark.parametrize("name", ["d=-3 p=7 N=8", "d=-7 p=2 split"])
@@ -417,7 +419,7 @@ def test_a_ok_coset_distances_are_bit_identical(name):
     residues, index = _coset_index(lat)
     rng = np.random.default_rng(3)
     for y in _complex_inputs(lat, rng, 20):
-        got = _gather_sum(_table_mod_ideal(lat, y[:, None, None])[1], index, np.arange(1))[0][:, 0]
+        got = _gather_sum(_table_mod_ideal(lat, y[:, None, None])[1], index)[:, 0]
         assert np.array_equal(got, _nearest_mod_ideal(lat, _coset_reps(lat), y)[1]), y
 
 
@@ -428,7 +430,7 @@ def test_real_coset_distances_sum_in_coordinate_order():
     for y in _real_inputs(lat, rng, 5):
         cands = _nearest_mod_q(lat, _coset_reps(lat), y)[0]
         want = ((cands - y) ** 2).cumsum(axis=1)[:, -1]
-        got = _gather_sum(_table_mod_q(lat, residues, y[:, None])[1][..., None], index, np.arange(1))[0][:, 0]
+        got = _gather_sum(_table_mod_q(lat, residues, y[:, None])[1][..., None], index)[:, 0]
         assert np.array_equal(got, want)
 
 
