@@ -422,6 +422,8 @@ def _least_points(points, owners, count):
     quantize's last tie break among the tied ones (`_ties`): points K x N,
     or K x N x 2 ring coordinates, points[k] row owners[k]'s; owners is
     sorted and names every row."""
+    if len(points) == count:  # one point per row, no tie to break
+        return points
     keys = points.reshape(len(points), math.prod(points.shape[1:]))
     order = np.lexsort((*keys.T[::-1], owners))
     return points[order[np.searchsorted(owners, np.arange(count))]]
