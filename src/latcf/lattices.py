@@ -275,8 +275,7 @@ def enumerate_box(lat: LatticeDescriptor, bounds) -> list:
 def _coset_reps(lat: LatticeDescriptor):
     """One row per codebook coset, in itertools.product order over the
     levels: CRT residues in [0, q)^N (real) or residue-field indices
-    (A_OK); built once per lattice.  The coset table's index
-    (`_coset_index`) is built from them."""
+    (A_OK); built once per lattice, for the coset table's `_coset_index`."""
     if lat._cosets is None:
         books = [_codewords(c)[0] for c in lat.codes]
         if lat.ambient == "complex":
@@ -394,8 +393,7 @@ def _quantize_rows(lat: LatticeDescriptor, y):
                   else _table_mod_q(lat, residues[..., None], columns))  # N x width x R
     dist = _gather_sum(d2, index)  # cosets x R
     rows, cosets = np.nonzero(_ties(dist, dist.min(axis=0)).T)  # grouped by row
-    # x, or (a, b), per table entry and row
-    points = points.reshape(points.shape[0] * points.shape[1], *points.shape[2:])
+    points = points.reshape(points.shape[0] * points.shape[1], *points.shape[2:])  # x, or (a, b), per entry and row
     return _least_points(points[index[:, cosets], rows].swapaxes(0, 1), rows, len(y))
 
 
