@@ -441,6 +441,7 @@ def cmd_search(args) -> int:
 
 
 def _simulation_config(doc):
+    """(SimConfig, trials, seed) of a config; make_pair and run_trials check the values' ranges."""
     _check_keys(doc, ["construction", "simulation"], ["search"], "config")
     sim = doc["simulation"]
     _check_keys(
@@ -451,12 +452,10 @@ def _simulation_config(doc):
     )
     K = _get_int(sim, "K", "simulation", minimum=1)
     M = _get_int(sim, "M", "simulation", minimum=1)
-    P = _get_number(sim, "P", "simulation", positive=True)
-    trials = _get_int(sim, "trials", "simulation", minimum=1)
-    seed = _get_int(sim, "seed", "simulation", minimum=0)
+    P = _get_number(sim, "P", "simulation")
+    trials = _get_int(sim, "trials", "simulation")
+    seed = _get_int(sim, "seed", "simulation")
     alpha_mode = sim.get("alpha_mode", "mmse")
-    if alpha_mode not in ("mmse", "unit"):
-        raise SchemaError("simulation.alpha_mode: expected 'mmse' or 'unit'")
     noiseless = _get_bool(sim, "noiseless", "simulation", False)
     fixed_H = None
     if "fixed_H" in sim:
@@ -467,9 +466,6 @@ def _simulation_config(doc):
             raise SchemaError("simulation.fixed_H: expected M x K [re, im] pairs")
         fixed_H = np.array([[complex(z[0], z[1]) for z in row] for row in rows], dtype=complex)
     cap = _max_norm_cap(doc)
-    if noiseless and cap is not None:
-        raise SchemaError("simulation.noiseless: a noiseless run does no coefficient search, "
-                          "so search.max_norm_cap would be ignored; remove one of the two keys")
     fine = build_construction(doc["construction"])
     try:
         pair = make_pair(fine, P)
@@ -505,12 +501,8 @@ def cmd_simulate(args) -> int:
     doc = _load_json(args.config)
     config, trials, seed = _simulation_config(doc)
     if args.trials is not None:
-        if args.trials < 1:
-            raise SchemaError("--trials must be >= 1")
         trials = args.trials
     if args.seed is not None:
-        if args.seed < 0:
-            raise SchemaError("--seed must be >= 0")
         seed = args.seed
     try:
         records = run_trials(config, trials, seed)

@@ -141,8 +141,6 @@ def construction_d(chain: NestedCodeChain, L: int) -> LatticeDescriptor:
     the nested codebooks span exactly the Z_{p^L} code generated by the
     lifted rows, tiled by p^L Z^N, which is pi_D with q = p^L.
     """
-    if L < 1:
-        raise ValueError("need at least one level")
     if L > chain.levels:
         raise ValueError(f"L={L} exceeds chain depth {chain.levels}")
     codes = _levels([lift_chain_to_ring_code(chain, L)])
@@ -741,26 +739,21 @@ def _residue_points(lat: LatticeDescriptor):
 
 def _ideal_geometry(lat: LatticeDescriptor):
     """The reduced ideal basis of an A_OK lattice as integer rows of ring
-    coordinates and as a real 2x2 matrix B (`_ideal_basis`), the matrix
+    coordinates and as the columns of a real 2x2 matrix B, the matrix
     taking a row (re, im) to its coordinates in that basis (B's inverse,
     transposed) and the 4 corners of a Babai cell, the basis offsets 0 and
     1 sorted by ring coordinates; built once per lattice."""
     if lat._geometry is None:
-        basis, B = _ideal_basis(lat.ideal)
+        uv = _reduced_ideal_basis(lat.ideal)
+        z = [x.to_complex() for x in uv]
+        basis = np.array([[x.a, x.b] for x in uv])
+        B = np.array([[c.real for c in z], [c.imag for c in z]])
         (b00, b01), (b10, b11) = B.tolist()
         det = b00 * b11 - b01 * b10
         to_basis = np.array([[b11 / det, -b10 / det], [-b01 / det, b00 / det]])
         corners = np.indices((2, 2)).reshape(2, 4).T @ basis
         lat._geometry = basis, B, to_basis, corners[np.lexsort(corners.T[::-1])]
     return lat._geometry
-
-
-def _ideal_basis(ideal: PrimeIdeal):
-    """The reduced ideal basis as integer rows of ring coordinates and as
-    the columns of a real 2x2 matrix."""
-    uv = _reduced_ideal_basis(ideal)
-    z = [x.to_complex() for x in uv]
-    return np.array([[x.a, x.b] for x in uv]), np.array([[c.real for c in z], [c.imag for c in z]])
 
 
 def _reduced_ideal_basis(ideal: PrimeIdeal):

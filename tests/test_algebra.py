@@ -124,6 +124,14 @@ def test_galois_field_axioms_and_inverses():
         GaloisField(5, 2)
 
 
+def test_galois_field_units_equality_and_hash():
+    F = GaloisField(3, 2, reduction=(1, 1))
+    assert [a for a in F.elements() if not F.is_unit(a)] == [0]
+    same, other = GaloisField(3, 2, reduction=(1, 1)), GaloisField(3, 2, reduction=(2, 0))
+    assert F == same and hash(F) == hash(same) and F != other
+    assert len({F, same, other}) == 2
+
+
 def test_galois_field_irreducibility_matches_a_root_scan():
     # Euler's criterion on the discriminant (and t^2 + t + 1 alone over F_2)
     # against a search for a root, for every reduction polynomial mod every
@@ -181,6 +189,10 @@ def test_crt_decomposition_identity():
         coords, quot = crt.decompose(a)
         assert a == crt.forward(coords) + crt.q * quot
         assert coords == tuple(a % m for m in crt.moduli)
+
+
+def test_crt_map_repr_names_its_moduli():
+    assert repr(CrtMap((4, 3))) == "CrtMap(moduli=(4, 3))"
 
 
 def test_crt_rejects_shared_primes():
@@ -247,6 +259,15 @@ def test_quad_int_arithmetic_matches_complex_embedding():
             assert (x * x.conj()).b == 0
 
 
+def test_quad_int_meets_a_rational_integer():
+    ring = make_quadratic_ring(-3)
+    assert ring.element(4) == 4 and ring.element(4, 1) != 4 and ring.element(3) != 4
+    x = ring.element(2, 5)
+    assert 7 - x == ring.element(5, -5)
+    assert abs((7 - x).to_complex() - (7 - x.to_complex())) < 1e-12
+    assert hash(ring) == hash(make_quadratic_ring(-3)) and ring == make_quadratic_ring(-3)
+
+
 def test_minimal_polynomial_kills_xi():
     for d in (-1, -2, -3, -7, -15, 5):
         ring = make_quadratic_ring(d)
@@ -311,6 +332,15 @@ def test_gaussian_integer_factorizations():
     assert not p2.contains(ring.element(1, 0))
     with pytest.raises(ValueError, match="9 is not prime"):
         factor_rational_prime(ring, 9)
+
+
+def test_an_inert_ideal_is_principal_and_its_own_conjugate():
+    ring = make_quadratic_ring(-1)
+    (p3,) = factor_rational_prime(ring, 3)
+    assert p3.generators == (ring.element(3),)
+    assert p3.conjugate() is p3
+    assert repr(p3) == "PrimeIdeal((3), d=-1, inert)"
+    assert repr(ResidueFieldMap(p3)) == "ResidueFieldMap(PrimeIdeal((3), d=-1, inert))"
 
 
 def test_seventeen_splits_in_d_minus_15():

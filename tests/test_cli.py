@@ -333,7 +333,7 @@ def test_simulate_negative_seed_rejected(tmp_path, capsys):
     cfg = _write(tmp_path, "c.json", _sim_config())
     out = tmp_path / "x.csv"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out), "--seed", "-1"]) == 2
-    assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+    assert capsys.readouterr().err == "error: simulation: seed must be a non-negative integer, got -1\n"
     assert not out.exists()
     cfg = _write(tmp_path, "c.json", _sim_config(seed=-1))
     assert _run(capsys, ["simulate", "--config", cfg, "--out", str(out)])[0] == 2
@@ -344,6 +344,23 @@ def test_simulate_trials_zero_rejected(tmp_path, capsys):
     assert _run(capsys, ["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")])[0] == 2
     cfg = _write(tmp_path, "c.json", _sim_config())
     assert _run(capsys, ["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"), "--trials", "0"])[0] == 2
+
+
+@pytest.mark.parametrize("overrides, args, message", [
+    pytest.param({"alpha_mode": "zf"}, [], "unknown alpha_mode 'zf'", id="alpha_mode"),
+    pytest.param({"P": 0}, [], "P must be positive and finite, got 0.0", id="P"),
+    pytest.param({"trials": 0}, [], "trials must be >= 1", id="trials"),
+    pytest.param({}, ["--trials", "0"], "trials must be >= 1", id="--trials"),
+    pytest.param({"seed": -1}, [], "seed must be a non-negative integer, got -1", id="seed"),
+])
+def test_simulate_reports_the_library_refusal_of_a_value(tmp_path, capsys, overrides, args, message):
+    # make_pair and run_trials check these values; the CLI reports their
+    # refusal before it writes any CSV
+    cfg = _write(tmp_path, "c.json", _sim_config(**overrides))
+    out = tmp_path / "x.csv"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)] + args) == 2
+    assert capsys.readouterr().err == f"error: simulation: {message}\n"
+    assert not out.exists()
 
 
 def test_simulate_trials_override_runs_that_many_trials(tmp_path, capsys):
@@ -473,8 +490,8 @@ def test_simulate_refuses_noiseless_with_a_max_norm_cap(tmp_path, capsys, cap):
     out = tmp_path / "x.csv"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "error: simulation.noiseless: a noiseless run does no coefficient search, "
-        "so search.max_norm_cap would be ignored; remove one of the two keys\n")
+        "error: simulation: a noiseless run does no coefficient search, "
+        "so max_norm_cap would be ignored\n")
     assert not out.exists()
 
 
@@ -533,6 +550,20 @@ def test_descriptor_round_trip(tmp_path, capsys, construction):
         for block in coords:
             v = [ring.element(int(a), int(b)) for a, b in block]
             assert contains(reparsed, v) == contains(original, v)
+
+
+def test_inert_a_ok_descriptor_round_trips_and_answers_member(tmp_path, capsys):
+    # an inert prime has one ideal above it, so the descriptor names no root
+    construction = {"kind": "A_OK", "quadratic": {"d": -1, "p": 3},
+                    "codes": [{"prime": 3, "power": 2, "N": 2, "n": 1, "rows": [1, 5]}]}
+    cfg = _write(tmp_path, "c.json", {"construction": construction})
+    out = tmp_path / "lat.json"
+    assert _run(capsys, ["construct", "--config", cfg, "--out", str(out)])[0] == 0
+    doc = json.loads(out.read_text())
+    assert doc["quadratic"] == {"d": -1, "p": 3}
+    assert cli.descriptor_to_json(cli.descriptor_from_json(doc)) == doc
+    assert _run(capsys, ["member", "--config", str(out), "--vector", "0,0"]) == (0, "in\n")
+    assert _run(capsys, ["member", "--config", str(out), "--vector", "1,1"]) == (1, "out\n")
 
 
 def test_round_trip_hits_both_verdicts(tmp_path, capsys):

@@ -1,10 +1,13 @@
-"""The CSVs `latcf simulate` writes for the bench's sim-* workloads, at
-seeds 1 and 97, hash to the sha256 values recorded in bench/golden.json:
-the records stay byte-identical in a test run, not only in a bench run.
-golden.json is read, never written."""
+"""The CSVs `latcf simulate` writes for the bench's sim-* workloads, and
+round 0 of the bench's ok-relay op stream, at seeds 1 and 97, hash to the
+sha256 values recorded in bench/golden.json: the records stay
+byte-identical in a test run, not only in a bench run.  golden.json is
+read, never written."""
 
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +25,20 @@ def test_simulate_csv_matches_the_golden_hash(tmp_path, workload, seed):
     config = BENCH / "workloads" / f"{workload}.json"
     assert cli.main(["simulate", "--config", str(config), "--out", str(out), "--seed", seed]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[workload][seed]
+
+
+def test_ok_relay_round_matches_the_golden_hash(tmp_path):
+    # bench/run.py pins thread-pool variables when imported, so its
+    # ok-relay workload recomputes its round-0 digests in a subprocess
+    code = (f"import json, sys; sys.path.insert(0, {str(BENCH)!r})\n"
+            "import run\n"
+            f"wl = run.OkRelayWorkload(run.load_latcf(), 'ok-relay', run.BENCH / 'workloads' / 'ok-relay.json', "
+            f"{str(tmp_path)!r})\n"
+            "state, _ = wl.setup()\n"
+            "digests = {seed: wl.reference_digest(state, int(seed)) for seed in ('1', '97')}\n"
+            "print(json.dumps({'digests': digests, 'problems': wl.problems}))\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    got = json.loads(done.stdout)
+    assert got["problems"] == []
+    assert got["digests"] == GOLDEN["ok-relay"]

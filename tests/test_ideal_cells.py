@@ -23,7 +23,6 @@ from latcf.codes import LinearCode
 from latcf.lattices import (
     LatticePair,
     _coset_index,
-    _ideal_basis,
     _ideal_geometry,
     _reduced_ideal_basis,
     _table_mod_ideal,
@@ -64,7 +63,7 @@ def sixteen_candidate_table(lat, residues, y):
     Babai floor and its 4x4 neighbourhood in the reduced basis."""
     xi = lat.ideal.ring.xi_numeric
     b, a = np.divmod(residues, lat.ideal.p)
-    basis, B = _ideal_basis(lat.ideal)
+    basis, B = _ideal_geometry(lat)[:2]
     offsets = (np.indices((4, 4)).reshape(2, 16).T - 1) @ basis
     offsets = offsets[np.lexsort(offsets.T[::-1])]
     w = y - (a + b * xi)

@@ -157,6 +157,18 @@ def test_d_depth_check():
 # -------------------- construction pi_A --------------------
 
 
+def test_reprs_name_the_lattice_the_pair_the_code_and_the_chain():
+    chain = NestedCodeChain(2, [[1, 1], [0, 1]], [1, 2])
+    lat = construction_d(chain, 2)
+    assert repr(chain) == "NestedCodeChain(p=2, N=2, dims=(1, 2))"
+    assert repr(lat) == "LatticeDescriptor(D, N=2, q=4)"
+    assert repr(LatticePair(lat, 2.0)) == "LatticePair(fine=LatticeDescriptor(D, N=2, q=4), scale=2.0)"
+    (ideal,) = factor_rational_prime(make_quadratic_ring(-1), 3)
+    code = LinearCode(ResidueFieldMap(ideal).field, [[1, 5]])
+    assert repr(code) == "LinearCode(GaloisField(3, 2, reduction=(2, 0)), n=1, N=2)"
+    assert repr(construction_a_ok(code, ideal)) == "LatticeDescriptor(A_OK, N=2, ideal=PrimeIdeal((3), d=-1, inert))"
+
+
 def test_pi_a_two_prime_example():
     full3 = LinearCode(PrimeField(3), [[1, 0], [0, 1]])
     lat = construction_pi_a([REP2, full3])

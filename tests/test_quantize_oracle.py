@@ -40,7 +40,7 @@ from latcf.lattices import (
     _coset_index,
     _coset_reps,
     _gather_sum,
-    _ideal_basis,
+    _ideal_geometry,
     _table_mod_ideal,
     _table_mod_q,
     construction_a,
@@ -188,7 +188,7 @@ def _nearest_mod_ideal(lat: LatticeDescriptor, reps, y):
     # ResidueFieldMap: index i0 + i1*p stands for the ring element i0 + i1*xi
     xi = lat.ideal.ring.xi_numeric
     b, a = np.divmod(reps, lat.ideal.p)
-    basis, B = _ideal_basis(lat.ideal)
+    basis, B = _ideal_geometry(lat)[:2]
     w = (y - (a + b * xi)).ravel()
     k = np.floor(np.linalg.solve(B, [w.real, w.imag]))
     base = np.stack([a, b], axis=-1) + (k.T.astype(np.int64) @ basis).reshape(a.shape + (2,))
@@ -572,8 +572,8 @@ def test_a_ok_ideal_geometry_is_built_once(monkeypatch):
     lat = A_OK["d=-3 p=7 split"]()
     pair = lattices.LatticePair(lat, scale=0.5)
     calls = []
-    real_basis = lattices._ideal_basis
-    monkeypatch.setattr(lattices, "_ideal_basis", lambda ideal: calls.append(ideal) or real_basis(ideal))
+    real_basis = lattices._reduced_ideal_basis
+    monkeypatch.setattr(lattices, "_reduced_ideal_basis", lambda ideal: calls.append(ideal) or real_basis(ideal))
     y = np.array([0.3 + 1.1j, -2.0 + 0.5j, 4.2 - 3.3j])
     for _ in range(3):
         quantize(lat, y)
