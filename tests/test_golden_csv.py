@@ -27,17 +27,22 @@ def test_simulate_csv_matches_the_golden_hash(tmp_path, workload, seed):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[workload][seed]
 
 
+# bench/run.py pins thread-pool variables when imported, so its ok-relay
+# workload recomputes its round-0 digests in a subprocess
+OK_RELAY_DIGESTS = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import run
+wl = run.OkRelayWorkload(run.load_latcf(), "ok-relay", run.BENCH / "workloads" / "ok-relay.json", sys.argv[2])
+state, _ = wl.setup()
+digests = {seed: wl.reference_digest(state, int(seed)) for seed in ("1", "97")}
+print(json.dumps({"digests": digests, "problems": wl.problems}))
+"""
+
+
 def test_ok_relay_round_matches_the_golden_hash(tmp_path):
-    # bench/run.py pins thread-pool variables when imported, so its
-    # ok-relay workload recomputes its round-0 digests in a subprocess
-    code = (f"import json, sys; sys.path.insert(0, {str(BENCH)!r})\n"
-            "import run\n"
-            f"wl = run.OkRelayWorkload(run.load_latcf(), 'ok-relay', run.BENCH / 'workloads' / 'ok-relay.json', "
-            f"{str(tmp_path)!r})\n"
-            "state, _ = wl.setup()\n"
-            "digests = {seed: wl.reference_digest(state, int(seed)) for seed in ('1', '97')}\n"
-            "print(json.dumps({'digests': digests, 'problems': wl.problems}))\n")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", OK_RELAY_DIGESTS, str(BENCH), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
     assert got["problems"] == []
